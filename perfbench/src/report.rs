@@ -2,6 +2,7 @@
 //! result line.
 
 use crate::stats::{self, Pct};
+use std::time::Instant;
 
 /// The outcome of one run. Human-readable lines go to stdout as they
 /// are added; the JSON object is printed last.
@@ -139,6 +140,61 @@ impl Report {
             self.failed,
             metrics.join(",")
         );
+    }
+}
+
+/// Busy and stolen clock ticks of all CPUs together (first line of
+/// `/proc/stat`). Stolen time is time a virtual CPU had work to run while
+/// the host ran another guest on it.
+fn cpu_ticks() -> Option<(u64, u64)> {
+    let stat = std::fs::read_to_string("/proc/stat").ok()?;
+    let fields: Vec<u64> = stat
+        .lines()
+        .next()?
+        .strip_prefix("cpu ")?
+        .split_whitespace()
+        .map(|f| f.parse().ok())
+        .collect::<Option<_>>()?;
+    // user nice system idle iowait irq softirq steal ...
+    match fields[..] {
+        [user, nice, system, _, _, irq, softirq, steal, ..] => {
+            Some((user + nice + system + irq + softirq, steal))
+        }
+        _ => None,
+    }
+}
+
+/// A stretch of wall time, and how much of it the host took away.
+///
+/// On a shared virtual machine the host may take half of both CPUs for
+/// minutes on end, which halves any CPU-bound rate measured in wall time.
+/// CPU-bound durations are therefore reported in guest time: wall time
+/// less the share of the CPUs' runnable time that was stolen.
+pub struct Stretch {
+    t0: Instant,
+    ticks: Option<(u64, u64)>,
+}
+
+impl Stretch {
+    pub fn start() -> Stretch {
+        Stretch {
+            t0: Instant::now(),
+            ticks: cpu_ticks(),
+        }
+    }
+
+    /// Wall seconds since the start, and the share of the CPUs' runnable
+    /// time since the start that was stolen (0 where `/proc/stat` has no
+    /// steal count).
+    pub fn end(&self) -> (f64, f64) {
+        let wall = self.t0.elapsed().as_secs_f64();
+        let stolen = match (self.ticks, cpu_ticks()) {
+            (Some((b0, s0)), Some((b1, s1))) if b1 + s1 > b0 + s0 => {
+                (s1 - s0) as f64 / ((b1 - b0) + (s1 - s0)) as f64
+            }
+            _ => 0.0,
+        };
+        (wall, stolen)
     }
 }
 
