@@ -38,6 +38,17 @@ pub(crate) struct IssueQueues {
     pub(crate) lsq: Vec<QEntry>,
     pub(crate) brq: Vec<QEntry>,
     caps: [usize; 4],
+    /// Per class (indexed by `FuClass as usize`), a cycle before which
+    /// no entry of the queue can pass its dependency check: the issue
+    /// scan skips the class until then, and the idle skip takes it as
+    /// the class's horizon. A scan that tests every entry it leaves in
+    /// the queue sets it to the earliest finish cycle of an entry's
+    /// first unready producer, or to 0 if the units ran out first or a
+    /// ready entry was held back by a port or LMQ gate. A producer that
+    /// issues later lowers it to its own finish cycle
+    /// ([`note_issue`](IssueQueues::note_issue)), and a new entry
+    /// resets it to 0 ([`push`](IssueQueues::push)).
+    pub(crate) wake: [u64; 4],
 }
 
 impl IssueQueues {
@@ -48,6 +59,21 @@ impl IssueQueues {
             lsq: Vec::with_capacity(lsq),
             brq: Vec::with_capacity(brq),
             caps: [fxq, fpq, lsq, brq],
+            wake: [0; 4],
+        }
+    }
+
+    /// Appends a decoded instruction to its class's queue.
+    pub(crate) fn push(&mut self, class: FuClass, entry: QEntry) {
+        self.queue(class).push(entry);
+        self.wake[class as usize] = 0;
+    }
+
+    /// Records that an instruction finishing at `finish` issued: any
+    /// queued consumer of it may be ready from then on.
+    pub(crate) fn note_issue(&mut self, finish: u64) {
+        for wake in &mut self.wake {
+            *wake = (*wake).min(finish);
         }
     }
 
@@ -118,13 +144,14 @@ impl FinishTable {
         }
     }
 
-    /// Whether the value of `seq` is available at `now` (a `dep` of 0
-    /// means "no dependency" and is always ready).
-    pub(crate) fn ready(&self, dep: u64, now: u64) -> bool {
+    /// The cycle from which the value of `dep` is available: 0 for no
+    /// dependency (`dep == 0`), `u64::MAX` while its producer has not
+    /// issued.
+    pub(crate) fn ready_from(&self, dep: u64) -> u64 {
         if dep == 0 {
-            return true;
+            return 0;
         }
-        matches!(self.get(dep), Some(f) if f <= now)
+        self.get(dep).unwrap_or(u64::MAX)
     }
 }
 
@@ -134,6 +161,8 @@ impl FinishTable {
 pub(crate) struct LoadMissQueue {
     entries: Vec<(u64, ThreadId, bool)>, // (release_cycle, owner, beyond-L2)
     capacity: usize,
+    /// Earliest release cycle among `entries` (`u64::MAX` when empty).
+    next_release: u64,
 }
 
 impl LoadMissQueue {
@@ -141,12 +170,23 @@ impl LoadMissQueue {
         LoadMissQueue {
             entries: Vec::with_capacity(capacity),
             capacity,
+            next_release: u64::MAX,
         }
     }
 
-    /// Drops entries whose miss has returned.
+    /// Drops entries whose miss has returned. Called every cycle, and
+    /// almost always with nothing due, so that case is one comparison.
     pub(crate) fn expire(&mut self, now: u64) {
+        if now < self.next_release {
+            return;
+        }
         self.entries.retain(|&(release, _, _)| release > now);
+        self.next_release = self
+            .entries
+            .iter()
+            .map(|&(release, _, _)| release)
+            .min()
+            .unwrap_or(u64::MAX);
     }
 
     pub(crate) fn has_room(&self) -> bool {
@@ -170,6 +210,7 @@ impl LoadMissQueue {
     pub(crate) fn push(&mut self, release: u64, thread: ThreadId, deep: bool) {
         debug_assert!(self.entries.len() < self.capacity);
         self.entries.push((release, thread, deep));
+        self.next_release = self.next_release.min(release);
     }
 
     /// Earliest release cycle among the outstanding entries, if any —
@@ -177,7 +218,7 @@ impl LoadMissQueue {
     /// change the queue's state (an event-horizon source for the idle
     /// skip).
     pub(crate) fn next_release(&self) -> Option<u64> {
-        self.entries.iter().map(|&(release, _, _)| release).min()
+        (self.next_release != u64::MAX).then_some(self.next_release)
     }
 
     pub(crate) fn occupancy(&self) -> usize {
@@ -193,8 +234,8 @@ mod tests {
     fn finish_table_unissued_is_none() {
         let t = FinishTable::new(16);
         assert_eq!(t.get(5), None);
-        assert!(!t.ready(5, 100));
-        assert!(t.ready(0, 0), "dep 0 means no dependency");
+        assert_eq!(t.ready_from(5), u64::MAX);
+        assert_eq!(t.ready_from(0), 0, "dep 0 means no dependency");
     }
 
     #[test]
@@ -202,8 +243,7 @@ mod tests {
         let mut t = FinishTable::new(16);
         t.set(5, 42);
         assert_eq!(t.get(5), Some(42));
-        assert!(!t.ready(5, 41));
-        assert!(t.ready(5, 42));
+        assert_eq!(t.ready_from(5), 42);
     }
 
     #[test]
@@ -213,7 +253,7 @@ mod tests {
         t.set(21, 100); // 21 = 5 + 16: overwrites slot 5
         // Querying the old seq now reports "finished long ago".
         assert_eq!(t.get(5), Some(0));
-        assert!(t.ready(5, 0));
+        assert_eq!(t.ready_from(5), 0);
         // Querying a future seq in the same slot reports "not issued".
         assert_eq!(t.get(37), None);
     }
@@ -225,10 +265,16 @@ mod tests {
         q.push(10, ThreadId::T0, false);
         q.push(20, ThreadId::T0, true);
         assert!(!q.has_room());
+        assert_eq!(q.next_release(), Some(10));
+        q.expire(9); // nothing due yet
+        assert_eq!(q.occupancy(), 2);
         q.expire(10); // entry releasing at 10 is done at cycle 10
         assert!(q.has_room());
         assert_eq!(q.outstanding(ThreadId::T0), 1);
         assert_eq!(q.occupancy(), 1);
+        assert_eq!(q.next_release(), Some(20));
+        q.expire(20);
+        assert_eq!(q.next_release(), None);
     }
 
     #[test]
@@ -254,10 +300,32 @@ mod tests {
             dep2: 0,
             kind: ExecKind::Fixed { latency: 1, occupancy: 1 },
         };
-        q.queue(FuClass::Fxu).push(e);
-        q.queue(FuClass::Fxu).push(QEntry { seq: 2, ..e });
+        q.push(FuClass::Fxu, e);
+        q.push(FuClass::Fxu, QEntry { seq: 2, ..e });
         assert!(!q.has_room(FuClass::Fxu));
         assert!(q.has_room(FuClass::Fpu));
         assert_eq!(q.occupancy(), 2);
+    }
+
+    #[test]
+    fn issue_queue_wake_tracks_pushes_and_issues() {
+        let mut q = IssueQueues::new(2, 2, 2, 2);
+        q.wake = [u64::MAX, 50, 40, 30];
+        q.note_issue(45);
+        assert_eq!(
+            q.wake,
+            [45, 45, 40, 30],
+            "an issue lowers every class to its finish"
+        );
+        let e = QEntry {
+            seq: 1,
+            thread: ThreadId::T0,
+            group_id: 1,
+            dep1: 0,
+            dep2: 0,
+            kind: ExecKind::Store { addr: 0 },
+        };
+        q.push(FuClass::Lsu, e);
+        assert_eq!(q.wake, [45, 45, 0, 30], "a new entry forces a scan");
     }
 }

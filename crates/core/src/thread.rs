@@ -109,8 +109,11 @@ pub(crate) struct Group {
     pub(crate) id: u64,
     /// Instructions dispatched into the group.
     pub(crate) total: u32,
-    /// Instructions whose execution has finished.
-    pub(crate) completed: u32,
+    /// Instructions issued so far.
+    pub(crate) issued: u32,
+    /// Latest finish cycle of the issued instructions: once all `total`
+    /// have issued, the group is complete from this cycle on.
+    pub(crate) done_at: u64,
     /// Number of program repetitions whose final instruction is in this
     /// group (0 or more; recorded at retire).
     pub(crate) rep_ends: u32,
@@ -174,7 +177,7 @@ impl ThreadState {
         let head = self
             .groups
             .front()
-            .expect("completion arrived for a thread with no in-flight groups")
+            .expect("instruction issued for a thread with no in-flight groups")
             .id;
         let idx = (id - head) as usize;
         &mut self.groups[idx]
@@ -293,17 +296,19 @@ mod tests {
         t.groups.push_back(Group {
             id: 7,
             total: 5,
-            completed: 0,
+            issued: 0,
+            done_at: 0,
             rep_ends: 0,
         });
         t.groups.push_back(Group {
             id: 8,
             total: 3,
-            completed: 0,
+            issued: 0,
+            done_at: 0,
             rep_ends: 0,
         });
-        t.group_mut(8).completed = 2;
-        assert_eq!(t.groups[1].completed, 2);
-        assert_eq!(t.groups[0].completed, 0);
+        t.group_mut(8).issued = 2;
+        assert_eq!(t.groups[1].issued, 2);
+        assert_eq!(t.groups[0].issued, 0);
     }
 }

@@ -141,6 +141,35 @@ EXIT CODES:
          --resume run picks up exactly where this one stopped)
 ";
 
+/// Every section `--only` accepts, in the order `--help` lists them.
+const SECTIONS: [&str; 13] = [
+    "table1", "table2", "table3", "fig2", "fig3", "fig4", "fig5", "fig6", "table4", "mpi", "noise",
+    "pmu", "claims",
+];
+
+/// Parses the `--only` list, exiting with a usage error on a missing
+/// list or a section `--help` does not name (which would otherwise
+/// match nothing and run nothing).
+fn only_sections(args: &[String]) -> Option<HashSet<String>> {
+    let i = args.iter().position(|a| a == "--only")?;
+    let Some(list) = args.get(i + 1) else {
+        eprintln!("--only expects a comma-separated list of sections");
+        std::process::exit(1);
+    };
+    let mut set = HashSet::new();
+    for name in list.split(',') {
+        if !SECTIONS.contains(&name) {
+            eprintln!(
+                "--only: unknown section {name:?} (sections: {})",
+                SECTIONS.join(",")
+            );
+            std::process::exit(1);
+        }
+        set.insert(name.to_string());
+    }
+    Some(set)
+}
+
 fn parsed_flag(args: &[String], flag: &str) -> Option<u64> {
     args.iter()
         .position(|a| a == flag)
@@ -162,11 +191,7 @@ fn main() {
         return;
     }
     let quick = args.iter().any(|a| a == "--quick");
-    let only: Option<HashSet<String>> = args
-        .iter()
-        .position(|a| a == "--only")
-        .and_then(|i| args.get(i + 1))
-        .map(|list| list.split(',').map(str::to_string).collect());
+    let only = only_sections(&args);
     let csv_dir: Option<PathBuf> = args
         .iter()
         .position(|a| a == "--csv-dir")
@@ -583,4 +608,20 @@ fn section(name: &str, run: impl FnOnce() -> String) {
     let t = Instant::now();
     let body = run();
     println!("{body}   ({name} took {:.1?})\n", t.elapsed());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{HELP, SECTIONS};
+
+    #[test]
+    fn only_accepts_exactly_the_sections_help_names() {
+        let listed = HELP
+            .split_once("sections (")
+            .and_then(|(_, rest)| rest.split_once(')'))
+            .expect("--help lists the sections in parentheses")
+            .0;
+        let listed: Vec<&str> = listed.split(',').map(str::trim).collect();
+        assert_eq!(listed, SECTIONS);
+    }
 }

@@ -85,6 +85,29 @@ fn calibrate_resume_without_journal_is_a_usage_error() {
 }
 
 #[test]
+fn unknown_only_section_is_a_usage_error() {
+    // An unknown name used to match no section, run nothing and exit
+    // 0. It must fail before anything runs, naming the bad entry.
+    let out = repro()
+        .args(["--quick", "--only", "table1,tabel3"])
+        .output()
+        .expect("repro runs");
+    assert_eq!(out.status.code(), Some(1), "unknown section exits 1");
+    let err = String::from_utf8(out.stderr).expect("stderr is UTF-8");
+    assert!(err.contains("\"tabel3\""), "error names the entry: {err}");
+    let text = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+    assert!(!text.contains("Table 1"), "nothing ran: {text}");
+}
+
+#[test]
+fn only_without_a_list_is_a_usage_error() {
+    let out = repro().arg("--only").output().expect("repro runs");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8(out.stderr).expect("stderr is UTF-8");
+    assert!(err.contains("--only"), "error names the flag: {err}");
+}
+
+#[test]
 fn clean_section_exits_zero() {
     // Table 1 is the static priority-encoding table: no campaign, no
     // cells to degrade, so this is the cheapest clean run there is.

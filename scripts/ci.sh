@@ -40,13 +40,13 @@ rm artifacts/determinism.diff
 # Warm-reuse determinism: the same artifact with checkpoint sharing on
 # (and a different worker count) must be byte-identical to the plain
 # jobs-1 run — reuse is wall-clock only (DESIGN.md §12).
-echo "== warm-reuse determinism: --reuse-warmup artifacts vs plain =="
+echo "== warm-reuse determinism: --plan detailed+reuse artifacts vs plain =="
 mkdir -p artifacts/reuse_on
 cargo run --release --offline -p p5-experiments --bin repro -- \
-  --quick --only table3 --jobs 2 --reuse-warmup \
+  --quick --only table3 --jobs 2 --plan detailed+reuse \
   --csv-dir artifacts/reuse_on --json-dir artifacts/reuse_on > /dev/null
 if ! diff -r artifacts/jobs1 artifacts/reuse_on > artifacts/warm_reuse.diff; then
-  echo "WARM-REUSE GATE FAILED: --reuse-warmup artifacts differ from plain run"
+  echo "WARM-REUSE GATE FAILED: --plan detailed+reuse artifacts differ from plain run"
   cat artifacts/warm_reuse.diff
   exit 1
 fi
