@@ -747,15 +747,15 @@ impl Campaign {
 }
 
 /// Executes one cell of `spec` outside a campaign run — the entry point
-/// the `p5-serve` daemon shards requests through. The cell goes through
-/// the *full* per-cell worker flow (the chaos, cancel,
-/// journal-replay, deadline, panic-isolation and write-ahead steps), so
-/// with a journal attached as `ctx.journal` this is a content-addressed
-/// memoized call: a recorded key returns `(measured, true)` without
-/// simulating. What it deliberately does *not* get is a warm-checkpoint
-/// table — isolated calls have no sibling cells to share warm-ups with —
-/// which cannot change the bytes (warm reuse is bit-identical by
-/// contract), only the wall-clock.
+/// the `p5-serve` daemon sends its cache misses through. The cell goes
+/// through the *full* per-cell worker flow (the chaos, cancel,
+/// journal-replay, deadline, panic-isolation, interruption and
+/// write-ahead steps), so with a journal attached as `ctx.journal` this
+/// is a content-addressed memoized call: a recorded key returns
+/// `(measured, true)` without simulating. What it deliberately does
+/// *not* get is a warm-checkpoint table — isolated calls have no
+/// sibling cells to share warm-ups with — which cannot change the bytes
+/// (warm reuse is bit-identical by contract), only the wall-clock.
 ///
 /// The caller flushes the journal (if any) when its batch of cells is
 /// done; [`Campaign::run`] does the same at campaign end.
@@ -772,6 +772,34 @@ pub fn run_isolated_cell(
     execute_cell(ctx, spec, id, cell, &checkpoints)
 }
 
+/// The journal-replay step of the per-cell worker flow on its own: the
+/// record journaled under the cell's content-addressed [`cell_key`], or
+/// `None` when `ctx` carries no journal or the key is unrecorded. This
+/// is the one definition of a cache hit. `p5-serve` answers hits with
+/// it on the connection's thread, and [`run_isolated_cell`] takes the
+/// same step, so a miss that another client recorded in the meantime
+/// still replays.
+#[must_use]
+pub fn replay_cell(
+    ctx: &Experiments,
+    spec: &CampaignSpec,
+    id: usize,
+    cell: &CellSpec,
+) -> Option<Measured> {
+    let journal = ctx.journal.as_ref()?;
+    journal.lookup_cell(cell_key(ctx, spec, id, cell))
+}
+
+/// The outcome of a cell the campaign token stopped: no data, and never
+/// journaled, so a resumed run (or the next client) simulates it.
+fn skipped() -> Measured {
+    Measured {
+        report: None,
+        status: CellStatus::Skipped,
+        error: Some(SimError::Deadline { phase: "campaign" }),
+    }
+}
+
 /// The full per-cell worker flow — everything that sits between "a
 /// worker claimed cell `id`" and "the cell has a [`Measured`]":
 ///
@@ -782,8 +810,9 @@ pub fn run_isolated_cell(
 /// 2. **Skip on expired token.** A cell claimed after the campaign
 ///    token expired is `Skipped` without simulating (and without being
 ///    journaled, so a resumed run retries it).
-/// 3. **Journal replay.** A journaled record under the cell's
-///    content-addressed key stands in for simulation, bit-identically.
+/// 3. **Journal replay** ([`replay_cell`]). A journaled record under the
+///    cell's content-addressed key stands in for simulation,
+///    bit-identically.
 /// 4. **Per-cell deadline.** The cell's token is derived *here*, before
 ///    any chaos stall, so a stalled worker burns its own cell's budget.
 /// 5. **Panic isolation.** Everything that can execute cell code —
@@ -791,7 +820,13 @@ pub fn run_isolated_cell(
 ///    under `catch_unwind`; a panic becomes a `Crashed` outcome (with
 ///    [`SimError::CellPanic`] carrying the message) and the campaign
 ///    carries on.
-/// 6. **Write-ahead journaling** of trustworthy outcomes.
+/// 6. **Interruption.** A cell still running when the campaign token
+///    expired (chaos abort, time budget, a client disconnect) and that
+///    failed with [`SimError::Deadline`] was stopped by the host, not by
+///    its own limit: it is `Skipped` like an unclaimed cell. A cell's
+///    own `cell_deadline` degradation is unaffected.
+/// 7. **Write-ahead journaling** of trustworthy outcomes — never a
+///    skipped cell.
 fn execute_cell(
     ctx: &Experiments,
     spec: &CampaignSpec,
@@ -806,21 +841,12 @@ fn execute_cell(
             }
         }
     }
-    if ctx.cancel.as_ref().is_some_and(CancelToken::expired) {
-        return (
-            Measured {
-                report: None,
-                status: CellStatus::Skipped,
-                error: Some(SimError::Deadline { phase: "campaign" }),
-            },
-            false,
-        );
+    let cancelled = || ctx.cancel.as_ref().is_some_and(CancelToken::expired);
+    if cancelled() {
+        return (skipped(), false);
     }
-    let key = ctx.journal.as_ref().map(|_| cell_key(ctx, spec, id, cell));
-    if let (Some(journal), Some(key)) = (&ctx.journal, key) {
-        if let Some(measured) = journal.lookup_cell(key) {
-            return (measured, true);
-        }
+    if let Some(measured) = replay_cell(ctx, spec, id, cell) {
+        return (measured, true);
     }
     let token = match (&ctx.cancel, ctx.cell_deadline) {
         (Some(t), Some(d)) => Some(t.child_with_budget(d)),
@@ -870,8 +896,11 @@ fn execute_cell(
             }
         }
     };
-    if let (Some(journal), Some(key)) = (&ctx.journal, key) {
-        journal.record_cell(key, &measured);
+    if cancelled() && matches!(measured.error, Some(SimError::Deadline { .. })) {
+        return (skipped(), false);
+    }
+    if let Some(journal) = &ctx.journal {
+        journal.record_cell(cell_key(ctx, spec, id, cell), &measured);
     }
     (measured, false)
 }
@@ -1153,6 +1182,64 @@ mod tests {
             second.total_ipc().map(f64::to_bits),
             "replayed value is bit-identical"
         );
+    }
+
+    /// A cell still in flight when another thread cancels its campaign
+    /// token is an interruption, not a result: it comes back `Skipped`
+    /// and leaves no journal record, so a re-run simulates it cleanly.
+    #[test]
+    fn cell_cancelled_in_flight_is_skipped_and_never_journaled() {
+        let ctx = tiny_ctx();
+        let spec = CampaignSpec {
+            cells: vec![CellSpec::pair(
+                "cell0",
+                cpu_program(40),
+                cpu_program(40),
+                crate::priority_pair(0),
+            )],
+            jobs: 1,
+            seed: 42,
+            reuse_warmup: false,
+        };
+        let cell = &spec.cells[0];
+        let (clean, _) = run_isolated_cell(&ctx, &spec, 0, cell);
+        assert_eq!(clean.status, CellStatus::Ok);
+
+        // The chaos stall holds the claimed cell in flight (chaos is not
+        // part of the key) until well after the cancel lands.
+        let journal = Arc::new(crate::journal::ResultJournal::in_memory());
+        let token = CancelToken::new();
+        let cancelled_ctx = ctx
+            .clone()
+            .with_journal(Arc::clone(&journal))
+            .with_cancel(token.clone())
+            .with_chaos(p5_fault::ChaosPlan::new().stall_cell(0, 1_000));
+        let (measured, replayed) = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(std::time::Duration::from_millis(100));
+                token.cancel();
+            });
+            run_isolated_cell(&cancelled_ctx, &spec, 0, cell)
+        });
+        assert_eq!(measured.status, CellStatus::Skipped);
+        assert!(!replayed);
+        assert!(measured.report.is_none(), "an interrupted cell has no data");
+        assert_eq!(
+            journal.cell_count(),
+            0,
+            "an interrupted cell is never journaled"
+        );
+
+        let rerun_ctx = ctx.clone().with_journal(Arc::clone(&journal));
+        let (rerun, replayed) = run_isolated_cell(&rerun_ctx, &spec, 0, cell);
+        assert!(!replayed, "nothing was recorded, so the re-run simulates");
+        assert_eq!(rerun.status, CellStatus::Ok);
+        assert_eq!(
+            rerun.total_ipc().map(f64::to_bits),
+            clean.total_ipc().map(f64::to_bits),
+            "the re-run equals an uncancelled run"
+        );
+        assert_eq!(journal.cell_count(), 1);
     }
 
     #[test]

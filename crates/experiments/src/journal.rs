@@ -29,8 +29,9 @@
 //!   journal degrades into extra simulation, never into wrong data.
 //! - **Only trustworthy outcomes are journaled.** `Ok`, `Recovered`
 //!   and `Degraded` cells are recorded; `Crashed` and `Skipped` cells
+//!   (including cells the campaign token interrupted mid-simulation)
 //!   are not, so a resumed run retries exactly the cells that never
-//!   really ran.
+//!   ran to completion.
 //!
 //! Keys are stable across runs of the same binary (FNV-1a over the
 //! `Hash` byte stream), which is the resume contract; a different

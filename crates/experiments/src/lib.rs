@@ -221,9 +221,11 @@ pub enum CellStatus {
     /// boundary ([`campaign`]'s isolation), so the campaign — and every
     /// other cell — completed normally.
     Crashed,
-    /// The cell never ran: the campaign's cancellation token had
-    /// already expired when a worker claimed it. Skipped cells are
-    /// retried by a resumed run (see [`journal`]).
+    /// The campaign's cancellation token stopped the cell: it had
+    /// already expired when a worker claimed the cell, or it expired
+    /// while the cell was simulating. Skipped cells carry no data, are
+    /// never journaled, and are retried by a resumed run (see
+    /// [`journal`]).
     Skipped,
 }
 
@@ -339,8 +341,8 @@ pub struct Experiments {
     /// Campaign-level cancellation token (typically
     /// [`CancelToken::with_budget`](p5_core::CancelToken::with_budget)
     /// for `--time-budget-ms`): once it expires, in-flight cells stop
-    /// at their next chunk boundary and unclaimed cells are skipped,
-    /// yielding a valid partial result.
+    /// at their next chunk boundary and, like unclaimed cells, are
+    /// skipped, yielding a valid partial result.
     pub cancel: Option<p5_core::CancelToken>,
     /// Host-level chaos schedule for crash-safety rehearsal (scheduled
     /// worker panics, stalls, mid-campaign aborts). Test/CI machinery;

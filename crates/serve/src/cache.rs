@@ -9,10 +9,13 @@
 //! that would measure the same bytes share one record — across
 //! clients, across connections, and (with a journal directory) across
 //! daemon restarts. The daemon attaches the cache's journal to each
-//! request's [`Experiments`](p5_experiments::Experiments) context, and
-//! the per-cell worker flow does the rest: a recorded key replays
-//! without simulating, an unrecorded one simulates and is journaled
-//! write-ahead.
+//! request's [`Experiments`](p5_experiments::Experiments) context and
+//! looks every cell up with
+//! [`p5_experiments::campaign::replay_cell`] on the connection's
+//! thread: a recorded key replays at once, without simulating. Only
+//! the unrecorded cells go to the worker pool, where the per-cell
+//! worker flow checks the cache again, simulates, and journals the
+//! result write-ahead.
 //!
 //! # Invalidation
 //!
@@ -113,8 +116,8 @@ impl ResultCache {
         Arc::clone(&self.journal)
     }
 
-    /// Tallies one finished cell: `cached` is the worker flow's
-    /// `replayed` flag.
+    /// Tallies one answered cell: `cached` is true for a hit, whether
+    /// the connection's thread or a worker replayed it.
     pub fn note(&self, cached: bool) {
         if cached {
             self.hits.fetch_add(1, Ordering::Relaxed);

@@ -2,11 +2,11 @@
 //!
 //! Campaign-as-a-service for the POWER5 priority reproduction: a
 //! long-running daemon that accepts campaign requests as line-delimited
-//! JSON over a unix or TCP socket, shards the cells across a bounded
-//! worker pool, and streams per-cell results back as they finish —
-//! backed by a content-addressed [`cache::ResultCache`] so repeated or
-//! overlapping grids from any number of clients skip simulation
-//! entirely.
+//! JSON over a unix or TCP socket, answers cached cells at once, shards
+//! the rest across a bounded worker pool, and streams per-cell results
+//! back as they finish — backed by a content-addressed
+//! [`cache::ResultCache`] so repeated or overlapping grids from any
+//! number of clients skip simulation entirely.
 //!
 //! The crate is dependency-free beyond the workspace: framing is one
 //! JSON object per line (no HTTP), JSON comes from [`p5_pmu::json`],
@@ -23,8 +23,10 @@
 //!
 //! A cell measured through the server is the *same pure function* of
 //! its spec as a cell measured by offline `repro`: the server resolves
-//! requests into [`p5_experiments::campaign::CellSpec`]s, executes them
-//! with [`p5_experiments::campaign::run_isolated_cell`], and the client
+//! requests into [`p5_experiments::campaign::CellSpec`]s, answers the
+//! cached ones with [`p5_experiments::campaign::replay_cell`] (the
+//! campaign worker flow's own replay step), executes the rest with
+//! [`p5_experiments::campaign::run_isolated_cell`], and the client
 //! folds the streamed outcomes with
 //! [`p5_experiments::campaign::aggregate`] — the exact aggregation an
 //! offline campaign performs. Artifacts exported from a served

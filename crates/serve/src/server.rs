@@ -13,32 +13,37 @@
 //!    [`Experiments`] context, with the cache's journal attached (when
 //!    the request allows caching) and a fresh per-connection
 //!    [`CancelToken`];
-//! 2. submits every cell to the shared pool as an independent
-//!    [`run_isolated_cell`] job — cells from concurrent clients
-//!    interleave in the queue, so one big campaign cannot starve the
-//!    daemon;
-//! 3. streams each finished cell back in completion order, then one
-//!    `done` line.
+//! 2. looks every cell up in the cache with [`replay_cell`] (the worker
+//!    flow's own replay step) and submits only the misses to the shared
+//!    pool, each as an independent [`run_isolated_cell`] job — cells
+//!    from concurrent clients interleave in the queue, so one big
+//!    campaign cannot starve the daemon, and a hit never waits behind
+//!    anyone's cold cells. A worker checks the cache again, so a miss
+//!    that another client recorded in the meantime still replays;
+//! 3. streams the hits back at once and each finished miss in
+//!    completion order, then one `done` line.
 //!
 //! A failed write (the client went away) fires the connection's cancel
-//! token: this connection's *not-yet-started* cells are skipped
-//! instead of simulated — and since the worker flow never journals
-//! skipped cells, a disconnect can neither poison the cache nor evict
-//! anything another client already paid for. Cells already simulating
-//! run to completion and are cached for the next requester.
+//! token: this connection's not-yet-started cells are skipped instead
+//! of simulated, and a cell still simulating stops at its next chunk
+//! boundary and is skipped too. The worker flow never journals a
+//! skipped cell, so a disconnect can neither poison the cache nor evict
+//! anything another client already paid for.
 //!
 //! # Determinism
 //!
-//! The daemon adds no entropy: every cell is executed by
-//! [`run_isolated_cell`] against a context derived only from the
-//! request, and the client re-sorts streamed outcomes by id before
-//! aggregating. Completion order — the only scheduling-dependent
-//! observable — is erased at the protocol boundary.
+//! The daemon adds no entropy: every cell is replayed by
+//! [`replay_cell`] or executed by [`run_isolated_cell`] against a
+//! context derived only from the request, and the client re-sorts
+//! streamed outcomes by id before aggregating. A hit is the same
+//! journal record whichever thread reads it. Completion order — the
+//! only scheduling-dependent observable — is erased at the protocol
+//! boundary.
 
 use crate::cache::ResultCache;
 use crate::protocol::{CampaignRequest, Request, Response};
 use p5_core::CancelToken;
-use p5_experiments::campaign::{run_isolated_cell, CampaignSpec, CellSpec};
+use p5_experiments::campaign::{replay_cell, run_isolated_cell, CampaignSpec, CellSpec};
 use p5_experiments::{Experiments, Measured};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -341,8 +346,8 @@ fn handle_connection(shared: &Shared, conn: Conn) {
     }
 }
 
-/// Runs one campaign request: shard cells onto the pool, stream
-/// results back, cancel on client disconnect.
+/// Runs one campaign request: answer hits, shard misses onto the pool,
+/// stream results back, cancel on client disconnect.
 fn serve_campaign(shared: &Shared, writer: &mut Conn, request: &CampaignRequest) {
     let cells = match request.resolve_cells() {
         Ok(cells) => cells,
@@ -354,8 +359,19 @@ fn serve_campaign(shared: &Shared, writer: &mut Conn, request: &CampaignRequest)
     let cancel = CancelToken::new();
     let (ctx, spec) = build_campaign(request, cells, &cancel, shared);
     let total = spec.cells.len();
+    // Hits are answered here, on the handler thread: a hit is a key and
+    // a lookup, and must not queue behind other clients' cold cells in
+    // the pool. Without a journal (`cache: false`) nothing hits.
+    let mut hits = Vec::new();
+    let mut misses = Vec::new();
+    for (id, cell) in spec.cells.iter().enumerate() {
+        match replay_cell(&ctx, &spec, id, cell) {
+            Some(measured) => hits.push((id, cell.label.clone(), measured, true)),
+            None => misses.push(id),
+        }
+    }
     let (tx, rx) = mpsc::channel::<(usize, String, Measured, bool)>();
-    for id in 0..total {
+    for id in misses {
         let ctx = Arc::clone(&ctx);
         let spec = Arc::clone(&spec);
         let tx = tx.clone();
@@ -370,7 +386,7 @@ fn serve_campaign(shared: &Shared, writer: &mut Conn, request: &CampaignRequest)
     drop(tx);
     let mut cached = 0;
     let mut client_alive = true;
-    for (id, label, measured, replayed) in rx {
+    for (id, label, measured, replayed) in hits.into_iter().chain(rx) {
         if request.cache {
             shared.cache.note(replayed);
         }
@@ -387,9 +403,9 @@ fn serve_campaign(shared: &Shared, writer: &mut Conn, request: &CampaignRequest)
             .to_line();
             if writer.write_all(line.as_bytes()).is_err() {
                 // The client went away: skip this connection's
-                // remaining cells (skipped cells are never journaled,
-                // so the cache stays clean) but keep draining the
-                // channel so the pool is not left blocked.
+                // remaining and in-flight cells (skipped cells are
+                // never journaled, so the cache stays clean) but keep
+                // draining the channel so the pool is not left blocked.
                 cancel.cancel();
                 client_alive = false;
             }

@@ -5,13 +5,19 @@
 //! served campaign is bit-identical to an offline run of the same
 //! spec, cache cold or warm) and **cache correctness** (repeated and
 //! overlapping submissions hit; `cache: false` never touches the
-//! cache; restarts resume a persistent cache).
+//! cache; restarts resume a persistent cache; a client that hangs up
+//! mid-campaign leaves no interrupted cell behind). They also pin that
+//! a hit never queues behind another client's cold cells.
 
-use p5_experiments::campaign::{Campaign, CampaignSpec};
+use p5_experiments::campaign::{run_isolated_cell, Campaign, CampaignSpec};
+use p5_experiments::CellStatus;
 use p5_serve::cache::ResultCache;
 use p5_serve::client::{self, Endpoint};
-use p5_serve::protocol::{CampaignRequest, CellRequest, Fidelity};
+use p5_serve::protocol::{CampaignRequest, CellRequest, Fidelity, Request, Response};
 use p5_serve::server::Server;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// A small tiny-fidelity workload: two ST baselines and two pairs.
 fn cells() -> Vec<CellRequest> {
@@ -37,6 +43,33 @@ fn cells() -> Vec<CellRequest> {
             priorities: (6, 2),
         },
     ]
+}
+
+/// Pairs of [`cells`]'s two programs at priorities [`cells`] does not
+/// use: every one is a distinct key, so every one simulates.
+fn cold_cells() -> Vec<CellRequest> {
+    [(5, 4), (4, 5), (6, 4), (4, 6), (6, 3), (3, 6)]
+        .into_iter()
+        .map(|priorities| CellRequest {
+            primary: "cpu_int".to_string(),
+            secondary: Some("ldint_l1".to_string()),
+            priorities,
+        })
+        .collect()
+}
+
+/// Sends `request` on a raw TCP connection to the daemon and returns
+/// the connection unread, for tests that need to watch or abandon the
+/// response stream.
+fn send_raw(endpoint: &Endpoint, request: &CampaignRequest) -> TcpStream {
+    let Endpoint::Tcp(addr) = endpoint else {
+        unreachable!("start_server binds TCP")
+    };
+    let mut socket = TcpStream::connect(addr).expect("connect");
+    socket
+        .write_all(Request::Campaign(request.clone()).to_line().as_bytes())
+        .expect("send");
+    socket
 }
 
 fn request(cache: bool) -> CampaignRequest {
@@ -337,5 +370,102 @@ fn concurrent_clients_all_get_complete_campaigns() {
             });
         }
     });
+    shutdown_and_join(&endpoint, handle);
+}
+
+#[test]
+fn a_cache_hit_does_not_wait_for_cold_cells() {
+    // One worker: every cold cell below queues on it.
+    let (endpoint, handle) = start_server(1, ResultCache::in_memory());
+    let hit = CampaignRequest {
+        cells: cells()[..1].to_vec(),
+        ..request(true)
+    };
+    let first = client::run_campaign(&endpoint, &hit).expect("first fetch");
+    assert_eq!(first.cached, 0);
+
+    // Once the cold campaign's first cell has streamed back, the worker
+    // is busy with the rest of it.
+    let cold = CampaignRequest {
+        cells: cold_cells(),
+        ..request(true)
+    };
+    let mut cold_stream = BufReader::new(send_raw(&endpoint, &cold)).lines();
+    let first_cold = cold_stream.next().expect("a cold cell").expect("read");
+    assert!(matches!(
+        Response::parse(&first_cold),
+        Ok(Response::Cell { cached: false, .. })
+    ));
+
+    let again = client::run_campaign(&endpoint, &hit).expect("second fetch");
+    let hit_done = Instant::now();
+    let stats = client::stats(&endpoint).expect("stats");
+    let rest: Vec<Response> = cold_stream
+        .map(|line| Response::parse(&line.expect("read")).expect("response"))
+        .collect();
+    let cold_done = Instant::now();
+    assert!(
+        matches!(rest.last(), Some(Response::Done { cells, cached: 0 }) if *cells == cold.cells.len()),
+        "the cold campaign completes uncached"
+    );
+    assert_eq!(again.cached, 1, "the second fetch is a cache hit");
+    assert_bit_identical(&first.result, &again.result, "hit");
+    assert_eq!(stats.hits, 1, "the hit is counted exactly once");
+    assert!(
+        stats.misses < 1 + cold.cells.len() as u64,
+        "the hit came back only after every cold cell had simulated"
+    );
+    assert!(hit_done < cold_done, "the hit finished after the cold run");
+    shutdown_and_join(&endpoint, handle);
+}
+
+#[test]
+fn a_disconnect_mid_campaign_does_not_poison_the_cache() {
+    let (endpoint, handle) = start_server(2, ResultCache::in_memory());
+    let campaign = CampaignRequest {
+        cells: cold_cells()[..4].to_vec(),
+        ..request(true)
+    };
+    // Send the request and hang up at once. The handler's writes then
+    // fail while cells are still simulating, and the connection's cancel
+    // token interrupts them mid-cell.
+    drop(send_raw(&endpoint, &campaign));
+    // Every cell of the dead connection is tallied once its handler has
+    // drained the pool.
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        let stats = client::stats(&endpoint).expect("stats");
+        if stats.hits + stats.misses == campaign.cells.len() as u64 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the connection never drained");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    let served = client::run_campaign(&endpoint, &campaign).expect("re-request");
+    let ctx = Fidelity::Tiny.context();
+    let spec = CampaignSpec {
+        cells: campaign.resolve_cells().expect("cells resolve"),
+        jobs: 1,
+        seed: ctx.core.rng_seed,
+        reuse_warmup: false,
+    };
+    for (id, cell) in spec.cells.iter().enumerate() {
+        let (offline, _) = run_isolated_cell(&ctx, &spec, id, cell);
+        let got = served.result.measured(id);
+        assert_eq!(
+            got.status,
+            CellStatus::Ok,
+            "cell {}: an interrupted cell was cached ({:?})",
+            cell.label,
+            got.error
+        );
+        assert_eq!(
+            got.total_ipc().map(f64::to_bits),
+            offline.total_ipc().map(f64::to_bits),
+            "cell {} must be bit-identical to offline",
+            cell.label
+        );
+    }
     shutdown_and_join(&endpoint, handle);
 }

@@ -242,6 +242,15 @@ echo "== serve_bench: multi-client load + hit-rate/bit-identity check =="
 cargo run --release --offline -p p5-serve --bin serve_bench -- \
   --quick --check --out artifacts/BENCH_serve_quick.json
 
+# Benchmark build + smoke: perfbench/ is a workspace of its own, so the
+# workspace build above never compiles it, yet it calls the public API
+# (run_isolated_cell, cell_key, ResultJournal, Server::bind_tcp, the
+# client). Its unit tests, then every workload briefly, each checked
+# against the committed reference digests (perfbench/NOTES.md).
+echo "== perfbench: unit tests + smoke of every workload =="
+CARGO_TARGET_DIR=.bench_build cargo test -q --offline --manifest-path perfbench/Cargo.toml
+python3 perfbench/smoke.py
+
 echo "== PMU smoke: CPI stacks + Chrome trace =="
 mkdir -p artifacts
 cargo run --release --offline -p p5-experiments --bin repro -- \
