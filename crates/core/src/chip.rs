@@ -145,6 +145,17 @@ impl Chip {
         &mut self.cores[id.index()]
     }
 
+    /// Every core, indexed by [`CoreId::index`].
+    #[must_use]
+    pub fn cores(&self) -> &[SmtCore] {
+        &self.cores
+    }
+
+    /// Mutable access to every core, indexed by [`CoreId::index`].
+    pub fn cores_mut(&mut self) -> &mut [SmtCore] {
+        &mut self.cores
+    }
+
     /// Chip cycle count.
     #[must_use]
     pub fn cycle(&self) -> u64 {

@@ -276,9 +276,8 @@ pub struct ExecutionPlan {
     /// Whether the detailed engine may batch-advance over spans of
     /// provably idle cycles to the next event horizon (wall-clock only;
     /// bit-identical by construction — same stats, same PMU totals, same
-    /// RNG draw count; see DESIGN.md §17). Defaults on; `+noskip` (or
-    /// the `P5_IDLE_SKIP=0` environment knob) turns it off for A/B
-    /// measurement.
+    /// RNG draw count; see DESIGN.md §17). Defaults on; `+noskip` turns
+    /// it off for A/B measurement.
     pub idle_skip: bool,
     /// How a [`Chip`](crate::Chip)'s two cores are scheduled (serial,
     /// deterministic turnstile, or relaxed-quantum threads). Single-core
@@ -796,15 +795,6 @@ impl CoreConfigBuilder {
         self
     }
 
-    /// How the warmup phase is executed (default:
-    /// [`WarmupMode::Detailed`]).
-    #[deprecated(note = "use `plan(ExecutionPlan { warmup, .. })` instead")]
-    #[must_use]
-    pub fn warmup_mode(mut self, mode: WarmupMode) -> Self {
-        self.config.plan.warmup = mode;
-        self
-    }
-
     /// Validates and returns the configuration.
     ///
     /// # Errors
@@ -1151,23 +1141,6 @@ mod tests {
             cfg.try_validate(),
             Err(SimError::InvalidConfig { field: "plan.measure", .. })
         ));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_warmup_mode_builder_delegates_to_plan() {
-        let via_shim = CoreConfig::builder()
-            .warmup_mode(WarmupMode::Functional)
-            .build()
-            .expect("valid");
-        let via_plan = CoreConfig::builder()
-            .plan(ExecutionPlan {
-                warmup: WarmupMode::Functional,
-                ..ExecutionPlan::detailed()
-            })
-            .build()
-            .expect("valid");
-        assert_eq!(via_shim, via_plan);
     }
 
     #[test]

@@ -13,24 +13,6 @@ use p5_isa::{
 };
 use p5_mem::{HitLevel, MemoryHierarchy};
 use p5_pmu::{CpiComponent, CycleRecord, IdleSpanRecord, Pmu, PmuConfig, PmuEventKind};
-use std::sync::OnceLock;
-
-/// Process-wide `P5_IDLE_SKIP` override for the event-horizon idle
-/// skip: `1`/`on`/`true`/`yes` forces it on, `0`/`off`/`false`/`no`
-/// forces it off, unset (or anything else) defers to the plan's
-/// [`idle_skip`](crate::ExecutionPlan::idle_skip) flag. Read once per
-/// process and cached — an A/B harness sets it before building cores.
-fn idle_skip_env_override() -> Option<bool> {
-    static OVERRIDE: OnceLock<Option<bool>> = OnceLock::new();
-    *OVERRIDE.get_or_init(|| {
-        let v = std::env::var("P5_IDLE_SKIP").ok()?;
-        match v.trim().to_ascii_lowercase().as_str() {
-            "0" | "off" | "false" | "no" => Some(false),
-            "1" | "on" | "true" | "yes" => Some(true),
-            _ => None,
-        }
-    })
-}
 
 /// What one thread's decode slot did in one cycle (PMU attribution
 /// input; one value per context per cycle).
@@ -108,11 +90,10 @@ pub struct SmtCore {
     /// Fault injection: until this cycle, the LMQ reports no free entry
     /// (models MSHR saturation by an external agent).
     lmq_blocked_until: u64,
-    /// Whether the event-horizon idle skip is enabled — resolved at
-    /// construction from the plan's
-    /// [`idle_skip`](crate::ExecutionPlan::idle_skip) flag and the
-    /// `P5_IDLE_SKIP` environment override. Wall-clock only: results
-    /// are bit-identical either way (DESIGN.md §17).
+    /// Whether the event-horizon idle skip is enabled — the plan's
+    /// [`idle_skip`](crate::ExecutionPlan::idle_skip) flag, read at
+    /// construction. Wall-clock only: results are bit-identical either
+    /// way (DESIGN.md §17).
     idle_skip: bool,
 }
 
@@ -239,7 +220,7 @@ impl SmtCore {
             last_commit_cycle: 0,
             cache_port_blocked_until: 0,
             lmq_blocked_until: 0,
-            idle_skip: idle_skip_env_override().unwrap_or(config.plan.idle_skip),
+            idle_skip: config.plan.idle_skip,
             config,
         }
     }

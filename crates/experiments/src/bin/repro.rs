@@ -31,8 +31,7 @@
 //! serial); `+mt:Q` relaxes the synchronization to a Q-cycle quantum
 //! (DESIGN.md §16 — results carry a bounded interleaving error and get
 //! their own cache keys). `--chip-threads 2` is shorthand for `+mt`.
-//! The older `--fast-forward` and `--reuse-warmup` flags are
-//! deprecated spellings of `--plan detailed+ff` and `+reuse`.
+//! Any argument `--help` does not list is a usage error.
 //!
 //! `--pmu` adds the per-cell CPI-stack section; `--trace <path>`
 //! additionally captures the priority-switch transient and writes it as
@@ -115,8 +114,6 @@ OPTIONS:
                             to run chip simulations on two threads
     --chip-threads N        1 = serial chip (default), 2 = deterministic
                             threaded chip (same as appending +mt to --plan)
-    --fast-forward          deprecated: same as --plan detailed+ff
-    --reuse-warmup          deprecated: adds +reuse to the plan
     --pmu                   add the per-cell CPI-stack section
     --trace PATH            write the priority-switch Chrome trace to PATH
     --journal DIR           journal finished cells to DIR/journal.jsonl
@@ -129,7 +126,7 @@ OPTIONS:
                             overrunning cell is marked degraded
     --chaos-abort-after I   (testing) abort the campaign at cell index I
     --chaos-panic I         (testing) panic the worker at cell index I
-    --help                  print this help and exit
+    -h, --help              print this help and exit
 
 EXIT CODES:
     0    every requested section completed with no degraded cells
@@ -146,6 +143,31 @@ const SECTIONS: [&str; 13] = [
     "table1", "table2", "table3", "fig2", "fig3", "fig4", "fig5", "fig6", "table4", "mpi", "noise",
     "pmu", "claims",
 ];
+
+/// The flags `--help` lists that stand alone, in its order.
+const SWITCHES: [&str; 5] = ["--quick", "--pmu", "--resume", "-h", "--help"];
+
+/// The flags `--help` lists that take the next argument as their value,
+/// in its order.
+const VALUE_FLAGS: [&str; 12] = [
+    "--only", "--csv-dir", "--json-dir", "--jobs", "--plan", "--chip-threads", "--trace",
+    "--journal", "--time-budget-ms", "--cell-deadline-ms", "--chaos-abort-after", "--chaos-panic",
+];
+
+/// Exits with a usage error naming the first argument that is neither a
+/// flag `--help` lists nor the value after one that takes a value (a
+/// misspelled flag would otherwise be ignored and run the defaults).
+fn check_args(args: &[String]) {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            args.next();
+        } else if !SWITCHES.contains(&arg.as_str()) {
+            eprintln!("unknown argument {arg:?} (see --help)");
+            std::process::exit(1);
+        }
+    }
+}
 
 /// Parses the `--only` list, exiting with a usage error on a missing
 /// list or a section `--help` does not name (which would otherwise
@@ -190,6 +212,7 @@ fn main() {
         print!("{HELP}");
         return;
     }
+    check_args(&args);
     let quick = args.iter().any(|a| a == "--quick");
     let only = only_sections(&args);
     let csv_dir: Option<PathBuf> = args
@@ -203,8 +226,6 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .map(PathBuf::from);
     let pmu_flag = args.iter().any(|a| a == "--pmu");
-    let fast_forward = args.iter().any(|a| a == "--fast-forward");
-    let reuse_warmup = args.iter().any(|a| a == "--reuse-warmup");
     let mut plan = match args
         .iter()
         .position(|a| a == "--plan")
@@ -219,18 +240,9 @@ fn main() {
         },
         None => p5_core::ExecutionPlan::detailed(),
     };
-    // Deprecated shims: spelled as plan edits so they compose with
-    // --plan (e.g. `--plan sampled --reuse-warmup` works as expected).
-    if fast_forward {
-        plan.warmup = p5_core::WarmupMode::Functional;
-    }
-    if reuse_warmup {
-        plan.warm_reuse = true;
-    }
-    // Like the deprecated shims, a post-parse plan edit, so it composes
-    // with --plan. Relaxed quanta are deliberately not reachable from
-    // this flag — they change results and must be spelled out as
-    // `--plan ...+mt:Q`.
+    // A post-parse plan edit, so it composes with --plan. Relaxed
+    // quanta are deliberately not reachable from this flag — they
+    // change results and must be spelled out as `--plan ...+mt:Q`.
     match parsed_flag(&args, "--chip-threads") {
         None => {}
         Some(1) => plan.chip = p5_core::ChipParallelism::Serial,
@@ -612,7 +624,34 @@ fn section(name: &str, run: impl FnOnce() -> String) {
 
 #[cfg(test)]
 mod tests {
-    use super::{HELP, SECTIONS};
+    use super::{HELP, SECTIONS, SWITCHES, VALUE_FLAGS};
+
+    #[test]
+    fn accepts_exactly_the_flags_help_lists() {
+        let options = HELP
+            .split_once("OPTIONS:")
+            .and_then(|(_, rest)| rest.split_once("EXIT CODES:"))
+            .expect("--help has an OPTIONS section")
+            .0;
+        let (mut switches, mut value_flags) = (Vec::new(), Vec::new());
+        for line in options.lines().map(str::trim_start) {
+            if !line.starts_with('-') {
+                continue;
+            }
+            // The flag column, e.g. `--only LIST` or `-h, --help`.
+            let spec = line.split("  ").next().unwrap_or_default();
+            let (flags, takes_value) = match spec.rsplit_once(' ') {
+                Some((flags, value)) if value.chars().all(|c| c.is_ascii_uppercase()) => {
+                    (flags, true)
+                }
+                _ => (spec, false),
+            };
+            let list = if takes_value { &mut value_flags } else { &mut switches };
+            list.extend(flags.split(", "));
+        }
+        assert_eq!(switches, SWITCHES);
+        assert_eq!(value_flags, VALUE_FLAGS);
+    }
 
     #[test]
     fn only_accepts_exactly_the_sections_help_names() {

@@ -247,33 +247,12 @@ impl CellSpec {
     /// Returns this cell pinned to the given execution plan — warmup
     /// engine, measure schedule and warm-reuse policy in one override —
     /// instead of inheriting the campaign context's
-    /// [`CoreConfig::plan`](p5_core::CoreConfig). This is the replacement
-    /// for the deprecated [`with_warmup`](CellSpec::with_warmup) /
-    /// [`with_warm_reuse`](CellSpec::with_warm_reuse) pair.
+    /// [`CoreConfig::plan`](p5_core::CoreConfig).
     #[must_use]
     pub fn with_plan(mut self, plan: ExecutionPlan) -> CellSpec {
         self.warmup = Some(plan.warmup);
         self.measure = Some(plan.measure);
         self.warm_reuse = Some(plan.warm_reuse);
-        self
-    }
-
-    /// Returns this cell pinned to the given warmup mode, overriding the
-    /// campaign context's default.
-    #[deprecated(note = "use `with_plan(ExecutionPlan { warmup, .. })` instead")]
-    #[must_use]
-    pub fn with_warmup(mut self, mode: WarmupMode) -> CellSpec {
-        self.warmup = Some(mode);
-        self
-    }
-
-    /// Returns this cell with warm-state checkpoint sharing forced on or
-    /// off, overriding the campaign default
-    /// ([`CampaignSpec::reuse_warmup`]).
-    #[deprecated(note = "use `with_plan(plan.with_warm_reuse(reuse))` instead")]
-    #[must_use]
-    pub fn with_warm_reuse(mut self, reuse: bool) -> CellSpec {
-        self.warm_reuse = Some(reuse);
         self
     }
 }
@@ -291,7 +270,7 @@ pub struct CampaignSpec {
     /// warm-state checkpoint instead of each re-running the warm-up.
     /// Results are byte-identical either way (see the warm-reuse notes
     /// in the module docs); cells can override per-spec via
-    /// [`CellSpec::with_warm_reuse`].
+    /// [`CellSpec::with_plan`].
     pub reuse_warmup: bool,
 }
 
@@ -1485,18 +1464,18 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// `with_warm_reuse(false)` opts a single cell out of sharing even
-    /// when the campaign default is on; its key is `None`, so the other
-    /// members of its would-be group still share among themselves.
+    /// A plan with `warm_reuse` off opts a single cell out of sharing
+    /// even when the campaign default is on; its key is `None`, so the
+    /// other members of its would-be group still share among themselves.
     #[test]
-    #[allow(deprecated)]
     fn warmup_key_respects_cell_overrides_and_faults() {
         let ctx = tiny_ctx();
         let spec = CampaignSpec {
             cells: vec![
                 CellSpec::single("a", cpu_program(40)),
                 CellSpec::single("b", cpu_program(40)),
-                CellSpec::single("c", cpu_program(40)).with_warm_reuse(false),
+                CellSpec::single("c", cpu_program(40))
+                    .with_plan(ctx.core.plan.with_warm_reuse(false)),
                 CellSpec::single("d", cpu_program(40)).with_faults(CellFaults {
                     seed: 1,
                     count: 1,
@@ -1520,66 +1499,6 @@ mod tests {
         let table = WarmCheckpoints::plan(&ctx, &spec);
         assert_eq!(table.groups.len(), 1, "one group of two members");
         assert_eq!(table.groups.values().next().unwrap().rep_id, 0);
-    }
-
-    /// The deprecated `with_warmup`/`with_warm_reuse` shims must be
-    /// byte-for-byte equivalent to the `with_plan` API they delegate to —
-    /// the api_redesign's compatibility contract.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_are_bit_identical_to_with_plan() {
-        let ctx = tiny_ctx();
-        let plan = ExecutionPlan::parse("detailed+ff+reuse").unwrap();
-        let build = |via_shims: bool| {
-            let cell = CellSpec::pair(
-                "cell",
-                load_program(60),
-                cpu_program(40),
-                crate::priority_pair(2),
-            );
-            if via_shims {
-                cell.with_warmup(WarmupMode::Functional).with_warm_reuse(true)
-            } else {
-                cell.with_plan(plan)
-            }
-        };
-        let run = |via_shims: bool| {
-            Campaign::run(
-                &ctx,
-                &CampaignSpec {
-                    cells: vec![build(via_shims), build(via_shims)],
-                    jobs: 1,
-                    seed: 77,
-                    reuse_warmup: false,
-                },
-            )
-        };
-        let shimmed = run(true);
-        let planned = run(false);
-        for (s, p) in shimmed.cells.iter().zip(&planned.cells) {
-            assert_eq!(s.measured.status, p.measured.status);
-            assert_eq!(
-                s.measured.total_ipc().map(f64::to_bits),
-                p.measured.total_ipc().map(f64::to_bits),
-                "shim and plan paths must be bit-identical"
-            );
-        }
-        // And the override fields land identically, so journal keys and
-        // warm-reuse groups agree too.
-        let spec = CampaignSpec {
-            cells: vec![build(true), build(false)],
-            jobs: 1,
-            seed: 77,
-            reuse_warmup: false,
-        };
-        assert_eq!(
-            cell_key(&ctx, &spec, 0, &spec.cells[0]),
-            cell_key(&ctx, &spec, 1, &spec.cells[1]),
-        );
-        assert_eq!(
-            warmup_key(&ctx, &spec, 0, &spec.cells[0]),
-            warmup_key(&ctx, &spec, 1, &spec.cells[1]),
-        );
     }
 
     /// Sampled and detailed measurements of the same cell must journal

@@ -423,7 +423,7 @@ impl Experiments {
     }
 
     /// Returns this context with warm-state checkpoint sharing switched
-    /// on or off (the `--reuse-warmup` flag of the binaries).
+    /// on or off (a plan's `+reuse` flag).
     #[must_use]
     pub fn with_reuse_warmup(mut self, reuse: bool) -> Experiments {
         self.reuse_warmup = reuse;

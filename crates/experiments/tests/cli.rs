@@ -31,16 +31,28 @@ fn help_exits_zero_and_documents_the_exit_codes() {
 }
 
 #[test]
-fn help_documents_the_plan_flag_and_its_deprecated_shims() {
+fn help_documents_the_plan_flag() {
     let out = repro().arg("--help").output().expect("repro runs");
     assert_eq!(out.status.code(), Some(0));
     let text = String::from_utf8(out.stdout).expect("help is UTF-8");
     assert!(text.contains("--plan SPEC"), "help documents --plan");
-    for line in [
-        "deprecated: same as --plan detailed+ff",
-        "deprecated: adds +reuse to the plan",
-    ] {
-        assert!(text.contains(line), "help is missing {line:?}");
+}
+
+#[test]
+fn unknown_arguments_are_usage_errors() {
+    // A flag `--help` does not list (`--fast-forward` is calibrate's,
+    // not repro's) and a typo must fail before anything runs, naming
+    // the argument, instead of being ignored.
+    for arg in ["--fast-forward", "--fast-froward"] {
+        let out = repro()
+            .args(["--quick", "--only", "table1", arg])
+            .output()
+            .expect("repro runs");
+        assert_eq!(out.status.code(), Some(1), "{arg} exits 1");
+        let err = String::from_utf8(out.stderr).expect("stderr is UTF-8");
+        assert!(err.contains(arg), "error names {arg}: {err}");
+        let text = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+        assert!(!text.contains("Table 1"), "nothing ran: {text}");
     }
 }
 

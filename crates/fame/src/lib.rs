@@ -16,6 +16,11 @@
 //! accounted time divided by the number of *complete* repetitions — the
 //! trailing incomplete repetition is discarded (paper Figure 1).
 //!
+//! One [`FameRunner`] measures a lone [`SmtCore`] or both cores of a
+//! [`Chip`] — the paper measures on the second core of the dual-core
+//! POWER5 while the first is isolated — with the same warm-up,
+//! repetition and sampling loops.
+//!
 //! # Example
 //!
 //! ```
@@ -44,15 +49,6 @@ use p5_core::{
     CancelToken, Chip, CoreId, MeasureMode, SamplingConfig, SimError, SmtCore, WarmupMode,
 };
 use p5_isa::{AccessPattern, ThreadId};
-
-/// Cycles between chip-level convergence, stall and cancellation
-/// checks. Larger than the single-core check period (256) because in
-/// threaded chip modes every chunk spawns a thread scope; 4096
-/// amortizes that cost. It is the same for *every* chip mode —
-/// including [`ChipParallelism::Serial`](p5_core::ChipParallelism) — so
-/// serial and threaded-deterministic chip measurements see identical
-/// chunking and stay bit-identical.
-const CHIP_CHECK_PERIOD: u64 = 4096;
 
 /// The warm-up cycle budget, folded into one validated struct (it used
 /// to be three loose `warmup_*` fields on [`FameConfig`]).
@@ -439,8 +435,88 @@ impl ChipReport {
     }
 }
 
-/// Runs FAME measurements over a prepared [`SmtCore`] (programs loaded,
-/// priorities set).
+/// Cycles per detailed warm-up chunk on every machine.
+const WARMUP_CHUNK: u64 = 4096;
+
+/// What the FAME loops drive: a lone [`SmtCore`], or a [`Chip`] whose
+/// cores advance together and interact through the shared L2/L3.
+trait Machine {
+    /// Cycles between the detailed measure's checks. It decides where
+    /// convergence is tested, so it is part of the machine's results.
+    const CHECK_PERIOD: u64;
+
+    /// The cores, in core order.
+    fn cores(&self) -> &[SmtCore];
+
+    /// The cores, mutably, in core order.
+    fn cores_mut(&mut self) -> &mut [SmtCore];
+
+    /// Advances every core by up to `n` cycles and returns the cycles
+    /// run, fewer than `n` only if `cancel` expired mid-chunk.
+    fn advance(&mut self, n: u64, cancel: Option<&CancelToken>) -> u64;
+}
+
+impl Machine for SmtCore {
+    const CHECK_PERIOD: u64 = 256;
+
+    fn cores(&self) -> &[SmtCore] {
+        std::slice::from_ref(self)
+    }
+
+    fn cores_mut(&mut self) -> &mut [SmtCore] {
+        std::slice::from_mut(self)
+    }
+
+    fn advance(&mut self, n: u64, _cancel: Option<&CancelToken>) -> u64 {
+        self.run_cycles(n);
+        n
+    }
+}
+
+impl Machine for Chip {
+    /// Larger than a core's because threaded chip modes spawn a thread
+    /// scope per chunk. Every chip mode uses it, so serial and threaded
+    /// runs see identical chunking.
+    const CHECK_PERIOD: u64 = 4096;
+
+    fn cores(&self) -> &[SmtCore] {
+        Chip::cores(self)
+    }
+
+    fn cores_mut(&mut self) -> &mut [SmtCore] {
+        Chip::cores_mut(self)
+    }
+
+    fn advance(&mut self, n: u64, cancel: Option<&CancelToken>) -> u64 {
+        self.try_run_cycles(n, cancel)
+    }
+}
+
+/// Whether any context of `core` has a program loaded.
+fn has_program(core: &SmtCore) -> bool {
+    ThreadId::ALL.iter().any(|&t| core.is_active(t))
+}
+
+/// The reports of a machine's measure phase, one per core.
+type Reports = Result<Vec<FameReport>, SimError>;
+
+/// Errors with [`SimError::NoActiveThread`] unless a core has a program.
+fn require_program<M: Machine>(machine: &M) -> Result<(), SimError> {
+    let loaded = machine.cores().iter().any(has_program);
+    loaded.then_some(()).ok_or(SimError::NoActiveThread)
+}
+
+/// The result of a panicking entry point, whose machine is named by
+/// `on` in the message for a machine without programs.
+fn expect_measured<T>(result: Result<T, SimError>, on: &str) -> T {
+    result.unwrap_or_else(|e| match e {
+        SimError::NoActiveThread => panic!("FAME needs at least one active thread{on}"),
+        e => panic!("{e}"),
+    })
+}
+
+/// Runs FAME measurements over a prepared [`SmtCore`] or [`Chip`]
+/// (programs loaded, priorities set).
 #[derive(Debug, Clone)]
 pub struct FameRunner {
     config: FameConfig,
@@ -478,15 +554,6 @@ impl FameRunner {
     #[must_use]
     pub fn config(&self) -> &FameConfig {
         &self.config
-    }
-
-    /// Errors with [`SimError::Deadline`] if the cancellation token (when
-    /// present) has expired.
-    fn deadline_check(&self, phase: &'static str) -> Result<(), SimError> {
-        match &self.cancel {
-            Some(token) if token.expired() => Err(SimError::Deadline { phase }),
-            _ => Ok(()),
-        }
     }
 
     /// Warm-up cycles needed so each pointer-chase ring is walked
@@ -528,13 +595,7 @@ impl FameRunner {
     /// need to survive either should use
     /// [`try_measure`](FameRunner::try_measure).
     pub fn measure(&self, core: &mut SmtCore) -> FameReport {
-        match self.try_measure(core) {
-            Ok(report) => report,
-            Err(SimError::NoActiveThread) => {
-                panic!("FAME needs at least one active thread")
-            }
-            Err(e) => panic!("{e}"),
-        }
+        expect_measured(self.try_measure(core), "")
     }
 
     /// Runs the warm-up and measurement phases and reports per-thread
@@ -554,8 +615,8 @@ impl FameRunner {
     /// [`SimError::NoActiveThread`] if no context has a program loaded;
     /// [`SimError::ForwardProgressStall`] if the watchdog trips.
     pub fn try_measure(&self, core: &mut SmtCore) -> Result<FameReport, SimError> {
-        let warmup = self.warm_only(core)?;
-        self.measure_phase(core, warmup)
+        let warmup = self.warm(core)?;
+        self.try_measure_restored(core, warmup)
     }
 
     /// Runs *only* the warm-up phase — the same budget, engine dispatch
@@ -573,35 +634,7 @@ impl FameRunner {
     /// [`SimError::ForwardProgressStall`] if the watchdog trips during a
     /// detailed warm-up.
     pub fn warm_only(&self, core: &mut SmtCore) -> Result<u64, SimError> {
-        if !ThreadId::ALL.iter().any(|&t| core.is_active(t)) {
-            return Err(SimError::NoActiveThread);
-        }
-        self.deadline_check("warmup")?;
-
-        // Warm-up. The two-speed engine dispatches here: functional mode
-        // fast-forwards the whole budget in one stall-free call (see
-        // `SmtCore::functional_warmup`); detailed mode simulates it
-        // cycle-by-cycle, in chunks so a wedge cannot eat the whole
-        // budget. Either way the measurement always runs on the
-        // detailed engine.
-        let warmup = self.warmup_budget(core);
-        match core.config().plan.warmup {
-            WarmupMode::Functional => core.functional_warmup(warmup),
-            WarmupMode::Detailed => {
-                let stall_check = Self::stall_check(core);
-                let warmup_chunk: u64 = 4096;
-                let mut warmed: u64 = 0;
-                while warmed < warmup {
-                    let n = warmup_chunk.min(warmup - warmed);
-                    core.run_cycles(n);
-                    warmed += n;
-                    stall_check(core)?;
-                    self.deadline_check("warmup")?;
-                }
-            }
-        }
-        core.reset_stats();
-        Ok(warmup)
+        self.warm(core)
     }
 
     /// Runs the measurement phase on a core whose warm state was just
@@ -622,213 +655,14 @@ impl FameRunner {
         core: &mut SmtCore,
         warmup_cycles: u64,
     ) -> Result<FameReport, SimError> {
-        if !ThreadId::ALL.iter().any(|&t| core.is_active(t)) {
-            return Err(SimError::NoActiveThread);
-        }
-        self.measure_phase(core, warmup_cycles)
+        Ok(self.measure_phase(core, warmup_cycles)?.remove(0))
     }
 
-    /// The per-chunk forward-progress check both phases run under.
-    fn stall_check(core: &SmtCore) -> impl Fn(&SmtCore) -> Result<(), SimError> {
-        let watchdog = core.config().watchdog_stall_cycles;
-        move |core: &SmtCore| -> Result<(), SimError> {
-            if watchdog != 0 && core.stalled_cycles() >= watchdog {
-                return Err(SimError::ForwardProgressStall {
-                    snapshot: Box::new(core.diagnostic_snapshot()),
-                });
-            }
-            Ok(())
-        }
-    }
-
-    /// The measurement phase: assumes the core sits at the
-    /// warmup→measurement boundary (statistics already reset), which is
-    /// equally true right after [`warm_only`](FameRunner::warm_only) and
-    /// right after restoring a checkpoint taken there. Dispatches on the
-    /// core's [`ExecutionPlan`](p5_core::ExecutionPlan): the default
-    /// detailed measure runs the FAME repetition loop; a sampled measure
-    /// runs the interval-sampling estimator.
-    fn measure_phase(&self, core: &mut SmtCore, warmup: u64) -> Result<FameReport, SimError> {
-        match core.config().plan.measure {
-            MeasureMode::Detailed => self.measure_phase_detailed(core, warmup),
-            MeasureMode::Sampled(sampling) => self.measure_phase_sampled(core, warmup, sampling),
-        }
-    }
-
-    /// Interval sampling (SMARTS / Pac-Sim): alternate `interval`
-    /// detailed cycles with `period` functionally fast-forwarded cycles.
-    /// Each detailed interval contributes one IPC sample per thread
-    /// (committed-instruction delta over the interval — the functional
-    /// engine never touches commit counts, so deltas are unpolluted). A
-    /// thread is converged once it has `min_repetitions` samples and the
-    /// CI95 half-width is within `maiv` of the mean; the whole phase is
-    /// bounded by `max_cycles` of *virtual* time (detailed plus
-    /// fast-forwarded).
-    fn measure_phase_sampled(
-        &self,
-        core: &mut SmtCore,
-        warmup: u64,
-        sampling: SamplingConfig,
-    ) -> Result<FameReport, SimError> {
-        let stall_check = Self::stall_check(core);
-        let active = [core.is_active(ThreadId::T0), core.is_active(ThreadId::T1)];
-        let mut samples: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-        let mut done = [!active[0], !active[1]];
-        let deadline = self.config.max_cycles;
-        while !(done[0] && done[1]) && core.stats().cycles < deadline {
-            let before = [
-                core.stats().thread(ThreadId::T0).committed,
-                core.stats().thread(ThreadId::T1).committed,
-            ];
-            core.run_cycles(sampling.interval);
-            stall_check(core)?;
-            self.deadline_check("measure")?;
-            for t in ThreadId::ALL {
-                let i = t.index();
-                if !active[i] {
-                    continue;
-                }
-                let delta = core.stats().thread(t).committed - before[i];
-                samples[i].push(delta as f64 / sampling.interval as f64);
-                if done[i] || samples[i].len() < self.config.min_repetitions {
-                    continue;
-                }
-                let est = Estimate::from_samples(&samples[i]);
-                if est.ci95 <= self.config.maiv * est.value {
-                    done[i] = true;
-                }
-            }
-            if !(done[0] && done[1]) && core.stats().cycles < deadline {
-                core.functional_warmup(sampling.period);
-            }
-        }
-
-        let measured_cycles = core.stats().cycles;
-        let mut threads: [Option<ThreadMeasurement>; 2] = [None, None];
-        for t in ThreadId::ALL {
-            let i = t.index();
-            if !active[i] {
-                continue;
-            }
-            let est = Estimate::from_samples(&samples[i]);
-            threads[i] = Some(ThreadMeasurement {
-                repetitions: samples[i].len(),
-                avg_repetition_cycles: sampling.interval as f64,
-                ipc: est.value,
-                converged: done[i],
-                estimate: est,
-            });
-        }
-        Ok(FameReport {
-            threads,
-            measured_cycles,
-            warmup_cycles: warmup,
-        })
-    }
-
-    /// The classic exhaustive FAME repetition loop.
-    fn measure_phase_detailed(&self, core: &mut SmtCore, warmup: u64) -> Result<FameReport, SimError> {
-        let stall_check = Self::stall_check(core);
-        // Measurement: run until every active thread satisfies MAIV and
-        // the minimum repetition count.
-        let mut tracker = ConvergenceTracker::new(core);
-        let check_period: u64 = 256;
-        let deadline = self.config.max_cycles;
-        while !tracker.all_done() && core.stats().cycles < deadline {
-            core.run_cycles(check_period);
-            stall_check(core)?;
-            self.deadline_check("measure")?;
-            tracker.observe(core, &self.config);
-        }
-        Ok(tracker.finalize(core, warmup))
-    }
-
-    /// Whether any context of any core has a program loaded.
-    fn chip_has_active_thread(chip: &Chip) -> bool {
-        CoreId::ALL
-            .iter()
-            .any(|&c| ThreadId::ALL.iter().any(|&t| chip.core(c).is_active(t)))
-    }
-
-    /// The chip counterpart of [`stall_check`](FameRunner::stall_check):
-    /// every core that has an active thread must keep committing.
-    fn chip_stall_check(&self, chip: &Chip) -> Result<(), SimError> {
-        for c in CoreId::ALL {
-            let core = chip.core(c);
-            if !ThreadId::ALL.iter().any(|&t| core.is_active(t)) {
-                continue;
-            }
-            let watchdog = core.config().watchdog_stall_cycles;
-            if watchdog != 0 && core.stalled_cycles() >= watchdog {
-                return Err(SimError::ForwardProgressStall {
-                    snapshot: Box::new(core.diagnostic_snapshot()),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Runs *only* the chip warm-up phase and returns its length in
-    /// cycles — the dual-core counterpart of
-    /// [`warm_only`](FameRunner::warm_only). The budget is the maximum
-    /// of the two cores' single-core budgets (the cores warm
-    /// simultaneously, so the lighter core simply idles warm). A
-    /// functional warm-up fast-forwards each core in program order,
-    /// one core at a time — single-threaded by construction, so the
-    /// warm state is identical in every [`ChipParallelism`] mode; a
-    /// detailed warm-up drives both cores through
-    /// [`Chip::try_run_cycles`] under the configured chip mode.
-    ///
-    /// [`ChipParallelism`]: p5_core::ChipParallelism
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::NoActiveThread`] if no context of either core has a
-    /// program loaded; [`SimError::ForwardProgressStall`] if a core's
-    /// watchdog trips during a detailed warm-up; [`SimError::Deadline`]
-    /// if the cancellation token expires.
-    pub fn warm_only_chip(&self, chip: &mut Chip) -> Result<u64, SimError> {
-        if !Self::chip_has_active_thread(chip) {
-            return Err(SimError::NoActiveThread);
-        }
-        self.deadline_check("warmup")?;
-        let warmup = CoreId::ALL
-            .iter()
-            .map(|&c| self.warmup_budget(chip.core(c)))
-            .max()
-            .unwrap_or(0);
-        match chip.core(CoreId::C0).config().plan.warmup {
-            WarmupMode::Functional => {
-                for c in CoreId::ALL {
-                    if ThreadId::ALL.iter().any(|&t| chip.core(c).is_active(t)) {
-                        chip.core_mut(c).functional_warmup(warmup);
-                    }
-                }
-            }
-            WarmupMode::Detailed => {
-                let mut warmed: u64 = 0;
-                while warmed < warmup {
-                    let n = CHIP_CHECK_PERIOD.min(warmup - warmed);
-                    let ran = chip.try_run_cycles(n, self.cancel.as_ref());
-                    warmed += ran;
-                    self.chip_stall_check(chip)?;
-                    if ran < n {
-                        return Err(SimError::Deadline { phase: "warmup" });
-                    }
-                }
-            }
-        }
-        chip.reset_stats();
-        Ok(warmup)
-    }
-
-    /// Measures both cores of a prepared [`Chip`] simultaneously — the
-    /// cores interact through the shared L2/L3 for the whole
-    /// measurement, under whatever [`ChipParallelism`] the chip is
-    /// configured with (the FAME phases themselves are mode-agnostic:
-    /// every simulated cycle goes through [`Chip::try_run_cycles`], so
-    /// the cancellation token is polled on both threads in threaded
-    /// modes). An idle core yields an empty per-core report.
+    /// Runs [`try_measure`](FameRunner::try_measure)'s phases over both
+    /// cores of a prepared [`Chip`] at once, under whatever
+    /// [`ChipParallelism`] the chip is configured with, so the cores
+    /// interact through the shared L2/L3 for the whole measurement. An
+    /// idle core yields an empty per-core report.
     ///
     /// [`ChipParallelism`]: p5_core::ChipParallelism
     ///
@@ -839,11 +673,11 @@ impl FameRunner {
     /// watchdog trips; [`SimError::Deadline`] if the cancellation token
     /// expires in either phase.
     pub fn try_measure_chip(&self, chip: &mut Chip) -> Result<ChipReport, SimError> {
-        let warmup = self.warm_only_chip(chip)?;
-        match chip.core(CoreId::C0).config().plan.measure {
-            MeasureMode::Detailed => self.measure_chip_detailed(chip, warmup),
-            MeasureMode::Sampled(sampling) => self.measure_chip_sampled(chip, warmup, sampling),
-        }
+        let warmup = self.warm(chip)?;
+        let cores = self.measure_phase(chip, warmup)?;
+        Ok(ChipReport {
+            cores: cores.try_into().expect("a chip has two cores"),
+        })
     }
 
     /// Panicking wrapper of [`try_measure_chip`](FameRunner::try_measure_chip).
@@ -853,123 +687,142 @@ impl FameRunner {
     /// Panics if no context of either core has a program loaded, or on
     /// any error `try_measure_chip` reports.
     pub fn measure_chip(&self, chip: &mut Chip) -> ChipReport {
-        match self.try_measure_chip(chip) {
-            Ok(report) => report,
-            Err(SimError::NoActiveThread) => {
-                panic!("FAME needs at least one active thread on the chip")
-            }
-            Err(e) => panic!("{e}"),
-        }
+        expect_measured(self.try_measure_chip(chip), " on the chip")
     }
 
-    /// The exhaustive FAME repetition loop over both cores at once.
-    fn measure_chip_detailed(&self, chip: &mut Chip, warmup: u64) -> Result<ChipReport, SimError> {
-        let mut trackers = [
-            ConvergenceTracker::new(chip.core(CoreId::C0)),
-            ConvergenceTracker::new(chip.core(CoreId::C1)),
-        ];
-        let deadline = self.config.max_cycles;
-        while !trackers.iter().all(ConvergenceTracker::all_done)
-            && chip.core(CoreId::C0).stats().cycles < deadline
-        {
-            let ran = chip.try_run_cycles(CHIP_CHECK_PERIOD, self.cancel.as_ref());
-            self.chip_stall_check(chip)?;
-            if ran < CHIP_CHECK_PERIOD {
-                return Err(SimError::Deadline { phase: "measure" });
-            }
-            for c in CoreId::ALL {
-                trackers[c.index()].observe(chip.core(c), &self.config);
-            }
-        }
-        Ok(ChipReport {
-            cores: [
-                trackers[0].finalize(chip.core(CoreId::C0), warmup),
-                trackers[1].finalize(chip.core(CoreId::C1), warmup),
-            ],
-        })
-    }
-
-    /// Interval sampling over both cores: detailed intervals run the
-    /// whole chip (shared-cache interaction intact), fast-forward
-    /// periods run each active core's functional engine in turn.
-    fn measure_chip_sampled(
+    /// The check before the warm-up and after every chunk: each core
+    /// with a program must pass its forward-progress watchdog, and the
+    /// run stops if the chunk was cut short or the token has expired.
+    fn check<M: Machine>(
         &self,
-        chip: &mut Chip,
+        machine: &M,
+        cut_short: bool,
+        phase: &'static str,
+    ) -> Result<(), SimError> {
+        for core in machine.cores().iter().filter(|core| has_program(core)) {
+            let watchdog = core.config().watchdog_stall_cycles;
+            if watchdog != 0 && core.stalled_cycles() >= watchdog {
+                return Err(SimError::ForwardProgressStall {
+                    snapshot: Box::new(core.diagnostic_snapshot()),
+                });
+            }
+        }
+        if cut_short || self.cancel.as_ref().is_some_and(CancelToken::expired) {
+            return Err(SimError::Deadline { phase });
+        }
+        Ok(())
+    }
+
+    /// Whether the measure phase has cycle budget left (a chip's cores
+    /// advance together, so the first core counts for all).
+    fn within_budget<M: Machine>(&self, machine: &M) -> bool {
+        machine.cores()[0].stats().cycles < self.config.max_cycles
+    }
+
+    /// The warm-up phase, for the largest of the cores' budgets (a
+    /// lighter core idles warm). The two-speed engine dispatches here:
+    /// functional mode fast-forwards each core with a program in one
+    /// stall-free call, in core order; detailed mode simulates the
+    /// machine in chunks, so a wedge cannot eat the whole budget.
+    fn warm<M: Machine>(&self, machine: &mut M) -> Result<u64, SimError> {
+        require_program(machine)?;
+        self.check(machine, false, "warmup")?;
+        let budgets = machine.cores().iter().map(|core| self.warmup_budget(core));
+        let warmup = budgets.max().unwrap_or(0);
+        match machine.cores()[0].config().plan.warmup {
+            WarmupMode::Functional => {
+                for core in machine.cores_mut().iter_mut().filter(|c| has_program(c)) {
+                    core.functional_warmup(warmup);
+                }
+            }
+            WarmupMode::Detailed => {
+                let mut warmed: u64 = 0;
+                while warmed < warmup {
+                    let n = WARMUP_CHUNK.min(warmup - warmed);
+                    let ran = machine.advance(n, self.cancel.as_ref());
+                    warmed += ran;
+                    self.check(machine, ran < n, "warmup")?;
+                }
+            }
+        }
+        for core in machine.cores_mut() {
+            core.reset_stats();
+        }
+        Ok(warmup)
+    }
+
+    /// The measurement phase, one report per core, from the
+    /// warmup→measurement boundary (right after [`warm`](Self::warm) or
+    /// after restoring a checkpoint taken there). Dispatches on the
+    /// [`ExecutionPlan`](p5_core::ExecutionPlan)'s measure mode.
+    fn measure_phase<M: Machine>(&self, machine: &mut M, warmup: u64) -> Reports {
+        require_program(machine)?;
+        match machine.cores()[0].config().plan.measure {
+            MeasureMode::Detailed => self.measure_detailed(machine, warmup),
+            MeasureMode::Sampled(sampling) => self.measure_sampled(machine, warmup, sampling),
+        }
+    }
+
+    /// The classic exhaustive FAME repetition loop: runs until every
+    /// active thread satisfies MAIV and the minimum repetition count.
+    fn measure_detailed<M: Machine>(&self, machine: &mut M, warmup: u64) -> Reports {
+        let mut trackers: Vec<_> = machine
+            .cores()
+            .iter()
+            .map(ConvergenceTracker::new)
+            .collect();
+        while !trackers.iter().all(ConvergenceTracker::all_done) && self.within_budget(machine) {
+            let ran = machine.advance(M::CHECK_PERIOD, self.cancel.as_ref());
+            self.check(machine, ran < M::CHECK_PERIOD, "measure")?;
+            for (tracker, core) in trackers.iter_mut().zip(machine.cores()) {
+                tracker.observe(core, &self.config);
+            }
+        }
+        Ok(trackers
+            .iter()
+            .zip(machine.cores())
+            .map(|(tracker, core)| tracker.finalize(core, warmup))
+            .collect())
+    }
+
+    /// Interval sampling (SMARTS / Pac-Sim): alternate `interval`
+    /// detailed cycles of the whole machine with `period` functionally
+    /// fast-forwarded cycles of each core with a program, in core order.
+    /// Each detailed interval contributes one IPC sample per thread
+    /// (committed-instruction delta — the functional engine never
+    /// touches commit counts). The phase is bounded by `max_cycles` of
+    /// *virtual* time (detailed plus fast-forwarded).
+    fn measure_sampled<M: Machine>(
+        &self,
+        machine: &mut M,
         warmup: u64,
         sampling: SamplingConfig,
-    ) -> Result<ChipReport, SimError> {
-        let active: Vec<(CoreId, ThreadId)> = CoreId::ALL
+    ) -> Reports {
+        let mut samplers: Vec<_> = machine.cores().iter().map(Sampler::new).collect();
+        while !samplers.iter().all(Sampler::all_done) && self.within_budget(machine) {
+            for (sampler, core) in samplers.iter_mut().zip(machine.cores()) {
+                sampler.before = ThreadId::ALL.map(|t| core.stats().thread(t).committed);
+            }
+            let ran = machine.advance(sampling.interval, self.cancel.as_ref());
+            self.check(machine, ran < sampling.interval, "measure")?;
+            for (sampler, core) in samplers.iter_mut().zip(machine.cores()) {
+                sampler.observe(core, sampling.interval, &self.config);
+            }
+            if !samplers.iter().all(Sampler::all_done) && self.within_budget(machine) {
+                for core in machine.cores_mut().iter_mut().filter(|c| has_program(c)) {
+                    core.functional_warmup(sampling.period);
+                }
+            }
+        }
+        Ok(samplers
             .iter()
-            .flat_map(|&c| ThreadId::ALL.iter().map(move |&t| (c, t)))
-            .filter(|&(c, t)| chip.core(c).is_active(t))
-            .collect();
-        let mut samples: [[Vec<f64>; 2]; 2] = Default::default();
-        let mut done: [[bool; 2]; 2] = [[true; 2]; 2];
-        for &(c, t) in &active {
-            done[c.index()][t.index()] = false;
-        }
-        let all_done = |done: &[[bool; 2]; 2]| done.iter().flatten().all(|&d| d);
-        let deadline = self.config.max_cycles;
-        while !all_done(&done) && chip.core(CoreId::C0).stats().cycles < deadline {
-            let before: Vec<u64> = active
-                .iter()
-                .map(|&(c, t)| chip.core(c).stats().thread(t).committed)
-                .collect();
-            let ran = chip.try_run_cycles(sampling.interval, self.cancel.as_ref());
-            self.chip_stall_check(chip)?;
-            if ran < sampling.interval {
-                return Err(SimError::Deadline { phase: "measure" });
-            }
-            for (k, &(c, t)) in active.iter().enumerate() {
-                let delta = chip.core(c).stats().thread(t).committed - before[k];
-                let bucket = &mut samples[c.index()][t.index()];
-                bucket.push(delta as f64 / sampling.interval as f64);
-                if done[c.index()][t.index()] || bucket.len() < self.config.min_repetitions {
-                    continue;
-                }
-                let est = Estimate::from_samples(bucket);
-                if est.ci95 <= self.config.maiv * est.value {
-                    done[c.index()][t.index()] = true;
-                }
-            }
-            if !all_done(&done) && chip.core(CoreId::C0).stats().cycles < deadline {
-                for c in CoreId::ALL {
-                    if ThreadId::ALL.iter().any(|&t| chip.core(c).is_active(t)) {
-                        chip.core_mut(c).functional_warmup(sampling.period);
-                    }
-                }
-            }
-        }
-
-        let mut cores: [FameReport; 2] = [
-            FameReport {
-                threads: [None, None],
-                measured_cycles: chip.core(CoreId::C0).stats().cycles,
-                warmup_cycles: warmup,
-            },
-            FameReport {
-                threads: [None, None],
-                measured_cycles: chip.core(CoreId::C1).stats().cycles,
-                warmup_cycles: warmup,
-            },
-        ];
-        for &(c, t) in &active {
-            let bucket = &samples[c.index()][t.index()];
-            let est = Estimate::from_samples(bucket);
-            cores[c.index()].threads[t.index()] = Some(ThreadMeasurement {
-                repetitions: bucket.len(),
-                avg_repetition_cycles: sampling.interval as f64,
-                ipc: est.value,
-                converged: done[c.index()][t.index()],
-                estimate: est,
-            });
-        }
-        Ok(ChipReport { cores })
+            .zip(machine.cores())
+            .map(|(sampler, core)| sampler.finalize(core, warmup, sampling.interval))
+            .collect())
     }
 }
 
-/// Per-core MAIV convergence state shared by the single-core and chip
-/// detailed measurement loops.
+/// Per-core MAIV convergence state of the detailed measurement loop.
 #[derive(Debug)]
 struct ConvergenceTracker {
     last_ipc: [Option<f64>; 2],
@@ -983,10 +836,7 @@ impl ConvergenceTracker {
         ConvergenceTracker {
             last_ipc: [None, None],
             stable: [0, 0],
-            done: [
-                !core.is_active(ThreadId::T0),
-                !core.is_active(ThreadId::T1),
-            ],
+            done: ThreadId::ALL.map(|t| !core.is_active(t)),
             seen_reps: [0, 0],
         }
     }
@@ -1032,11 +882,9 @@ impl ConvergenceTracker {
     /// Builds the per-core report from the repetition records.
     fn finalize(&self, core: &SmtCore, warmup: u64) -> FameReport {
         let measured_cycles = core.stats().cycles;
-        let mut threads: [Option<ThreadMeasurement>; 2] = [None, None];
-        for t in ThreadId::ALL {
-            let i = t.index();
+        let threads = ThreadId::ALL.map(|t| {
             if !core.is_active(t) {
-                continue;
+                return None;
             }
             let reps = &core.stats().thread(t).repetitions;
             // The first boundary after the stats reset closes a partial
@@ -1044,45 +892,95 @@ impl ConvergenceTracker {
             // started); average over the complete repetitions between the
             // first and last boundaries, as the paper's Figure 1 does
             // with its discarded tail.
-            let measurement = if reps.len() >= 2 {
-                let first = reps[0];
-                let last = reps[reps.len() - 1];
-                let span_cycles = (last.end_cycle - first.end_cycle).max(1) as f64;
-                let span_insts = (last.committed_at_end - first.committed_at_end) as f64;
-                let complete = (reps.len() - 1) as f64;
-                let ipc = span_insts / span_cycles;
-                ThreadMeasurement {
-                    repetitions: reps.len(),
-                    avg_repetition_cycles: span_cycles / complete,
-                    ipc,
-                    converged: self.done[i],
-                    estimate: Estimate::exact(ipc),
+            let (avg_repetition_cycles, ipc) = match reps.as_slice() {
+                [first, .., last] => {
+                    let span_cycles = (last.end_cycle - first.end_cycle).max(1) as f64;
+                    let span_insts = (last.committed_at_end - first.committed_at_end) as f64;
+                    let complete = (reps.len() - 1) as f64;
+                    (span_cycles / complete, span_insts / span_cycles)
                 }
-            } else if let Some(last) = reps.last() {
-                let ipc = last.committed_at_end as f64 / last.end_cycle.max(1) as f64;
-                ThreadMeasurement {
-                    repetitions: reps.len(),
-                    avg_repetition_cycles: last.end_cycle as f64,
-                    ipc,
-                    converged: self.done[i],
-                    estimate: Estimate::exact(ipc),
-                }
-            } else {
+                [last] => (
+                    last.end_cycle as f64,
+                    last.committed_at_end as f64 / last.end_cycle.max(1) as f64,
+                ),
                 // Not even one complete repetition: fall back to raw IPC.
-                let ipc = core.stats().ipc(t);
-                ThreadMeasurement {
-                    repetitions: 0,
-                    avg_repetition_cycles: measured_cycles as f64,
-                    ipc,
-                    converged: false,
-                    estimate: Estimate::exact(ipc),
-                }
+                [] => (measured_cycles as f64, core.stats().ipc(t)),
             };
-            threads[i] = Some(measurement);
-        }
+            Some(ThreadMeasurement {
+                repetitions: reps.len(),
+                avg_repetition_cycles,
+                ipc,
+                converged: self.done[t.index()],
+                estimate: Estimate::exact(ipc),
+            })
+        });
         FameReport {
             threads,
             measured_cycles,
+            warmup_cycles: warmup,
+        }
+    }
+}
+
+/// Per-core state of the interval-sampling loop: each active thread's
+/// IPC samples and whether its estimate has converged.
+#[derive(Debug)]
+struct Sampler {
+    samples: [Vec<f64>; 2],
+    done: [bool; 2],
+    /// Committed instructions per context when the current interval
+    /// began.
+    before: [u64; 2],
+}
+
+impl Sampler {
+    fn new(core: &SmtCore) -> Sampler {
+        Sampler {
+            samples: [Vec::new(), Vec::new()],
+            done: ThreadId::ALL.map(|t| !core.is_active(t)),
+            before: [0; 2],
+        }
+    }
+
+    fn all_done(&self) -> bool {
+        self.done[0] && self.done[1]
+    }
+
+    /// Takes one IPC sample per active thread over the interval that
+    /// just ended. A thread converges once it has `min_repetitions`
+    /// samples and the CI95 half-width is within `maiv` of the mean.
+    fn observe(&mut self, core: &SmtCore, interval: u64, config: &FameConfig) {
+        for t in ThreadId::ALL.into_iter().filter(|&t| core.is_active(t)) {
+            let i = t.index();
+            let delta = core.stats().thread(t).committed - self.before[i];
+            let samples = &mut self.samples[i];
+            samples.push(delta as f64 / interval as f64);
+            if self.done[i] || samples.len() < config.min_repetitions {
+                continue;
+            }
+            let est = Estimate::from_samples(samples);
+            if est.ci95 <= config.maiv * est.value {
+                self.done[i] = true;
+            }
+        }
+    }
+
+    /// Builds the per-core report from the samples.
+    fn finalize(&self, core: &SmtCore, warmup: u64, interval: u64) -> FameReport {
+        let threads = ThreadId::ALL.map(|t| {
+            let samples = &self.samples[t.index()];
+            let est = Estimate::from_samples(samples);
+            core.is_active(t).then_some(ThreadMeasurement {
+                repetitions: samples.len(),
+                avg_repetition_cycles: interval as f64,
+                ipc: est.value,
+                converged: self.done[t.index()],
+                estimate: est,
+            })
+        });
+        FameReport {
+            threads,
+            measured_cycles: core.stats().cycles,
             warmup_cycles: warmup,
         }
     }

@@ -19,17 +19,21 @@
 //!   single-thread priority 7.
 //! - One fixed-length run with PMU sampling attached, whose CPI stacks
 //!   are pinned as well.
+//! - FAME reports of the paths no campaign cell above takes: single-core
+//!   pairs under functional warm-up and the sampled measure, and the
+//!   two-core chip under every plan, serial and threaded alike. These
+//!   digests cover every field of every report.
 //!
 //! A change that is meant to alter results updates these constants (a
 //! failure prints the values it got) together with the perfbench
 //! reference tables.
 
-use p5repro::core::{CoreConfig, SmtCore};
+use p5repro::core::{Chip, CoreConfig, CoreId, ExecutionPlan, SmtCore};
 use p5repro::experiments::campaign::{run_isolated_cell, CampaignSpec, CellSpec};
 use p5repro::experiments::journal::StableHasher;
 use p5repro::experiments::{CellStatus, Experiments, Measured};
-use p5repro::fame::FameConfig;
-use p5repro::isa::{Priority, ThreadId};
+use p5repro::fame::{ChipReport, FameConfig, FameReport, FameRunner};
+use p5repro::isa::{Priority, Program, ThreadId};
 use p5repro::microbench::MicroBenchmark;
 use p5repro::pmu::PmuConfig;
 use std::hash::Hasher;
@@ -79,12 +83,42 @@ const CORE_RUNS: &[Golden] = &[
     golden("cpu_int+cpu_fp@7,4", 0, 0x15a9_e511_23a8_eaa5, 100_000),
 ];
 
+/// FAME reports of single-core pairs, named `plan pair`: the campaign
+/// cells above all warm and measure in detail. The digest covers every
+/// field of the report; the cycles are warm-up plus measured cycles.
+#[rustfmt::skip]
+const FAME_CORE_RUNS: &[Golden] = &[
+    golden("detailed+ff ldint_l2+cpu_int@4,4", 0, 0x7239_9194_7a58_a161, 29_576),
+    golden("sampled:2048,8192 ldint_l2+cpu_int@4,4", 0, 0x25fb_6c93_2679_7650, 58_248),
+    golden("sampled:2048,8192+dw ldint_l2+cpu_int@4,4", 0, 0x313e_c266_16bf_b50a, 88_968),
+    golden("detailed+ff ldint_mem+ldint_l2@6,1", 0, 0xa25f_8cfe_9e1b_dc4c, 35_720),
+    golden("sampled:2048,8192 ldint_mem+ldint_l2@6,1", 0, 0x13e7_c44d_94c6_2563, 2_741_128),
+    golden("sampled:2048,8192+dw ldint_mem+ldint_l2@6,1", 0, 0x9d64_3034_e32b_7f9c, 2_997_128),
+];
+
+/// FAME reports of the two-core chip, named `plan core1`: core 0 runs
+/// `ldint_l2` beside `cpu_fp`, core 1 runs `core1` alone or is idle
+/// (`-`). The digest covers both cores' reports; the cycles are core
+/// 0's warm-up plus measured cycles. The serial and the deterministic
+/// threaded chip (`+mt`) must both match.
+#[rustfmt::skip]
+const FAME_CHIP_RUNS: &[Golden] = &[
+    golden("detailed cpu_int", 0, 0xd2c3_ca94_a214_e7c6, 78_728),
+    golden("detailed+ff cpu_int", 0, 0xb334_219d_a9cc_cfed, 82_824),
+    golden("sampled:2048,8192 cpu_int", 0, 0x80cc_c586_512f_9d2f, 37_768),
+    golden("sampled:2048,8192+dw cpu_int", 0, 0xda73_a9de_42bf_c6a9, 58_248),
+    golden("detailed -", 0, 0xb15c_4973_b795_5d84, 78_728),
+    golden("detailed+ff -", 0, 0x93f6_e5e5_c53a_bfd9, 82_824),
+    golden("sampled:2048,8192 -", 0, 0xded6_f28d_1428_ebf0, 37_768),
+    golden("sampled:2048,8192+dw -", 0, 0xc900_873d_d083_9ea0, 58_248),
+];
+
 /// The tiny fidelity `p5-serve` and perfbench simulate at.
 fn tiny() -> Experiments {
     Experiments::with_configs(CoreConfig::tiny_for_tests(), FameConfig::quick())
 }
 
-fn bench(name: &str) -> p5repro::isa::Program {
+fn bench(name: &str) -> Program {
     MicroBenchmark::from_name(name)
         .unwrap_or_else(|| panic!("unknown microbenchmark {name}"))
         .program()
@@ -176,12 +210,15 @@ fn campaign_cells_match_their_golden_digests() {
     });
 }
 
-/// A tiny core running pair `name` from cycle 0.
-fn pair_core(name: &str) -> SmtCore {
+/// A tiny core under `plan` running pair `name` from cycle 0, each
+/// thread's program built by `program`.
+fn pair_core(name: &str, plan: ExecutionPlan, program: fn(&str) -> Program) -> SmtCore {
     let (a, b, (p, s)) = parse_pair(name);
-    let mut core = SmtCore::new(CoreConfig::tiny_for_tests());
-    core.load_program(ThreadId::T0, bench(a));
-    core.load_program(ThreadId::T1, bench(b));
+    let mut cfg = CoreConfig::tiny_for_tests();
+    cfg.plan = plan;
+    let mut core = SmtCore::new(cfg);
+    core.load_program(ThreadId::T0, program(a));
+    core.load_program(ThreadId::T1, program(b));
     core.set_priority(ThreadId::T0, p);
     core.set_priority(ThreadId::T1, s);
     core
@@ -190,11 +227,89 @@ fn pair_core(name: &str) -> SmtCore {
 #[test]
 fn fixed_length_core_runs_match_their_golden_digests() {
     check("core runs", CORE_RUNS, |g| {
-        let mut core = pair_core(g.name);
+        let mut core = pair_core(g.name, ExecutionPlan::detailed(), bench);
         core.run_cycles(g.cycles);
         let ipc = ThreadId::ALL.map(|t| Some(core.stats().ipc(t)));
         (digest(CellStatus::Ok, ipc), core.cycle())
     });
+}
+
+/// Every field of `reports`, hashed in order, and the first report's
+/// warm-up plus measured cycles.
+fn fame_digest(reports: &[FameReport]) -> (u64, u64) {
+    let mut h = StableHasher::new();
+    for report in reports {
+        for m in &report.threads {
+            let Some(m) = m else {
+                h.write_u8(0);
+                continue;
+            };
+            h.write_u8(1);
+            h.write_u64(m.repetitions as u64);
+            h.write_u64(m.avg_repetition_cycles.to_bits());
+            h.write_u64(m.ipc.to_bits());
+            h.write_u8(u8::from(m.converged));
+            h.write_u64(m.estimate.value.to_bits());
+            h.write_u64(m.estimate.ci95.to_bits());
+            h.write_u32(m.estimate.samples);
+        }
+        h.write_u64(report.measured_cycles);
+        h.write_u64(report.warmup_cycles);
+    }
+    let first = &reports[0];
+    (h.finish(), first.warmup_cycles + first.measured_cycles)
+}
+
+/// A 40-iteration body of micro-benchmark `name`.
+fn short_bench(name: &str) -> Program {
+    MicroBenchmark::from_name(name)
+        .unwrap_or_else(|| panic!("unknown microbenchmark {name}"))
+        .program_with_iterations(40)
+}
+
+/// Splits a FAME run name into its plan (with `suffix` appended) and
+/// workload.
+fn fame_run<'a>(name: &'a str, suffix: &str) -> (ExecutionPlan, &'a str) {
+    let (plan, workload) = name.split_once(' ').expect("names are 'plan workload'");
+    let plan = ExecutionPlan::parse(&format!("{plan}{suffix}")).expect("valid plan");
+    (plan, workload)
+}
+
+#[test]
+fn fame_core_reports_match_their_golden_digests() {
+    check("FAME core reports", FAME_CORE_RUNS, |g| {
+        let (plan, pair) = fame_run(g.name, "");
+        let mut core = pair_core(pair, plan, short_bench);
+        let runner = FameRunner::new(FameConfig::quick());
+        fame_digest(&[runner.try_measure(&mut core).expect("healthy pair")])
+    });
+}
+
+/// The chip run `name` with `suffix` appended to its plan.
+fn chip_report(name: &str, suffix: &str) -> ChipReport {
+    let (plan, core1) = fame_run(name, suffix);
+    let mut cfg = CoreConfig::tiny_for_tests();
+    cfg.plan = plan;
+    let mut chip = Chip::new(cfg);
+    let c0 = chip.core_mut(CoreId::C0);
+    c0.load_program(ThreadId::T0, short_bench("ldint_l2"));
+    c0.load_program(ThreadId::T1, short_bench("cpu_fp"));
+    if core1 != "-" {
+        chip.core_mut(CoreId::C1)
+            .load_program(ThreadId::T0, short_bench(core1));
+    }
+    FameRunner::new(FameConfig::quick())
+        .try_measure_chip(&mut chip)
+        .expect("healthy chip")
+}
+
+#[test]
+fn fame_chip_reports_match_their_golden_digests() {
+    for suffix in ["", "+mt"] {
+        check(&format!("FAME chip reports{suffix}"), FAME_CHIP_RUNS, |g| {
+            fame_digest(&chip_report(g.name, suffix).cores)
+        });
+    }
 }
 
 /// The PMU run: the memory-bound (6,1) pair with interval sampling, so
@@ -213,7 +328,7 @@ const PMU_COMMITTED: [u64; 2] = [9996, 5040];
 
 #[test]
 fn sampled_pmu_run_matches_its_golden_cpi_stacks() {
-    let mut core = pair_core(PMU_RUN);
+    let mut core = pair_core(PMU_RUN, ExecutionPlan::detailed(), bench);
     core.enable_pmu(PmuConfig::sampling(4096));
     core.run_cycles(PMU_RUN_CYCLES);
     let pmu = core.take_pmu().expect("PMU was enabled");
