@@ -3,6 +3,7 @@
 use crate::error::SimError;
 use p5_mem::MemConfig;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A configuration rejected by [`CoreConfigBuilder::build`].
 ///
@@ -36,7 +37,7 @@ impl From<ConfigError> for SimError {
 
 /// Execution latencies per instruction class, in cycles from issue to
 /// result availability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OpLatencies {
     /// Single-cycle fixed-point ops.
     pub int_alu: u64,
@@ -88,7 +89,7 @@ impl OpLatencies {
 /// uses too many GCT entries", and reacts by stalling the offending
 /// thread's decode or flushing its pending dispatch. The model implements
 /// both triggers as decode gates, which is steady-state equivalent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BalancerConfig {
     /// Master switch. With the balancer off, a stalled memory-bound thread
     /// can clog the shared GCT and starve its sibling (useful for
@@ -146,7 +147,7 @@ impl BalancerConfig {
 /// predictor, but no GCT, issue-queue or PMU state is modelled. See
 /// [`SmtCore::functional_warmup`](crate::SmtCore::functional_warmup) for
 /// the exact contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WarmupMode {
     /// Warm up on the detailed cycle-by-cycle engine. This is the
     /// default: with it, every artifact output is bit-identical to the
@@ -164,7 +165,7 @@ pub enum WarmupMode {
 /// Shape of one sampling unit in [`MeasureMode::Sampled`]: a short
 /// detailed measurement interval followed by a functional fast-forward
 /// gap, repeated until the IPC estimate converges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SamplingConfig {
     /// Cycles simulated on the detailed engine per sample. Each interval
     /// yields one per-thread IPC sample (committed-instruction delta over
@@ -198,7 +199,7 @@ impl Default for SamplingConfig {
 }
 
 /// How the measured phase is executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MeasureMode {
     /// Simulate every measured cycle on the detailed engine (FAME
     /// repetition-boundary IPC). The default; presented artifacts use it.
@@ -231,9 +232,9 @@ pub enum MeasureMode {
 ///   cycles between barriers at the shared L2/L3 boundary. Within a
 ///   quantum the cores' shared-cache accesses interleave
 ///   scheduling-dependently, so results are statistically equivalent
-///   but not bit-identical; campaign results under a relaxed quantum
-///   journal under their own content-addressed keys and are gated by a
-///   CI tolerance check.
+///   but not bit-identical (`tests/parallel_chip.rs` holds them within
+///   5% of serial). Only [`Chip::new`](crate::Chip::new) reads this
+///   mode, so it is not part of a single-core cell's cache key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ChipParallelism {
     /// Tick both cores from one thread, core 0 first (the default).
@@ -294,6 +295,30 @@ impl Default for ExecutionPlan {
             idle_skip: true,
             chip: ChipParallelism::default(),
         }
+    }
+}
+
+/// A plan's share of a measurement's identity: the warm-up engine and
+/// the measure mode, the two fields that change the measured bytes.
+/// The others are left out by name:
+///
+/// - `warm_reuse` and `idle_skip` change only wall time (both are
+///   bit-identical by construction);
+/// - a single [`SmtCore`](crate::SmtCore) never reads `chip`, and
+///   nothing journals a chip run.
+///
+/// The pattern names every field, so a new one does not compile until
+/// its author decides whether it splits a cache key.
+impl Hash for ExecutionPlan {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let ExecutionPlan {
+            warmup,
+            measure,
+            warm_reuse: _,
+            idle_skip: _,
+            chip: _,
+        } = self;
+        (warmup, measure).hash(state);
     }
 }
 
@@ -487,7 +512,7 @@ impl fmt::Display for ExecutionPlan {
 }
 
 /// Full configuration of the SMT2 core.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct CoreConfig {
     /// Instructions decoded per decode cycle (one context per cycle forms
     /// one dispatch group).

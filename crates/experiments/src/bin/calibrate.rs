@@ -4,33 +4,37 @@
 //! Run with `cargo run --release -p p5-experiments --bin calibrate`.
 //! Pass `--pmu` to append a single-thread CPI-stack table: where each
 //! benchmark's cycles go, which is the first place to look when a
-//! measured IPC drifts from the paper's column. Pass `--fast-forward`
-//! to warm each cell on the functional fast-forward engine (two-speed
-//! path, DESIGN.md §11) — faster, statistically equivalent, not
-//! bit-identical to the default detailed warmup. Pass `--reuse-warmup`
-//! to checkpoint each single-thread warm-up the first time it runs and
-//! restore it for later tables that repeat the identical warm phase
-//! (the CPI-stack table re-warms every ST bench otherwise) — output is
-//! bit-identical, only wall-clock changes (DESIGN.md §12).
+//! measured IPC drifts from the paper's column.
 //!
-//! `--chip-threads N` (1 or 2) is accepted for interface uniformity
-//! with `repro`, but calibration is single-core, so the chip
-//! scheduling mode cannot change any number printed here.
+//! `--plan SPEC` takes `repro`'s plan grammar (DESIGN.md §15) and lands
+//! on the calibrated core's configuration. `detailed+ff` warms each
+//! cell on the functional fast-forward engine (DESIGN.md §11): faster,
+//! statistically equivalent, not bit-identical to the default detailed
+//! warmup. `+reuse` checkpoints each single-thread warm-up the first
+//! time it runs and restores it for later tables that repeat the
+//! identical warm phase (the CPI-stack table re-warms every ST bench
+//! otherwise): output is bit-identical, only wall-clock changes
+//! (DESIGN.md §12). Calibration measures fixed windows on one core, so
+//! a sampled measure or a threaded chip (`+mt`) is a usage error.
 //!
 //! Pass `--journal DIR` to journal every measured scalar (ST IPC and
 //! each SMT matrix cell) write-ahead to `DIR/journal.jsonl`, and
 //! `--resume` to replay journaled scalars bit-identically instead of
 //! re-simulating them — an interrupted calibration costs only the cells
 //! that never finished (DESIGN.md §13 "Durability & crash recovery").
+//!
+//! Any other argument, and a flag missing its value, is a usage error.
 
-use p5_core::{CoreConfig, RunOutcome, SmtCore, WarmState};
+use p5_core::{
+    ChipParallelism, CoreConfig, ExecutionPlan, MeasureMode, RunOutcome, SmtCore, WarmState,
+    WarmupMode,
+};
 use p5_experiments::journal::{CellKey, ResultJournal, StableHasher, JOURNAL_SCHEMA_VERSION};
 use p5_isa::ThreadId;
 use p5_microbench::MicroBenchmark;
 use p5_pmu::{CpiComponent, PmuConfig};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// The scalar journal, when `--journal DIR` was passed.
@@ -41,30 +45,29 @@ fn journal() -> &'static OnceLock<ResultJournal> {
 
 /// Content-addressed key for one calibration scalar: the schema version,
 /// a label naming the measurement (kind, benchmarks, warm cycles, cycle
-/// budget), the engine flags that change the numbers, and the calibrated
-/// core configuration. Any change to the measurement invalidates the
-/// journaled value; wall-clock-only knobs (`--reuse-warmup`) are
-/// excluded so they replay from the same records.
-fn scalar_key(label: &str) -> CellKey {
+/// budget), and the calibrated core configuration through its typed
+/// `Hash`, which covers the plan's warmup engine. Any change to the
+/// measurement invalidates the journaled value; wall-clock-only plan
+/// flags (`+reuse`, `+noskip`) are not part of that `Hash`, so they
+/// replay from the same records.
+fn scalar_key(cfg: &CoreConfig, label: &str) -> CellKey {
     let mut h = StableHasher::new();
-    JOURNAL_SCHEMA_VERSION.hash(&mut h);
-    label.hash(&mut h);
-    FAST_FORWARD.load(Ordering::Relaxed).hash(&mut h);
-    let cfg = CoreConfig::builder()
-        .build()
-        .expect("power5_like defaults are valid");
-    format!("{cfg:?}").hash(&mut h);
+    (JOURNAL_SCHEMA_VERSION, label, cfg).hash(&mut h);
     CellKey(h.finish())
 }
 
 /// Replays `label` from the journal when possible, otherwise measures it
 /// via `f` and journals the result. Errors are never journaled, so a
 /// resumed run retries them.
-fn journaled(label: &str, f: impl FnOnce() -> Result<(f64, bool), String>) -> Result<(f64, bool), String> {
+fn journaled(
+    cfg: &CoreConfig,
+    label: &str,
+    f: impl FnOnce() -> Result<(f64, bool), String>,
+) -> Result<(f64, bool), String> {
     let Some(journal) = journal().get() else {
         return f();
     };
-    let key = scalar_key(label);
+    let key = scalar_key(cfg, label);
     if let Some((value, converged)) = journal.lookup_scalar(key) {
         return Ok((value, converged));
     }
@@ -72,14 +75,6 @@ fn journaled(label: &str, f: impl FnOnce() -> Result<(f64, bool), String>) -> Re
     journal.record_scalar(key, value, converged);
     Ok((value, converged))
 }
-
-/// Whether `--fast-forward` was passed: warmups then run on the
-/// functional engine instead of the detailed one.
-static FAST_FORWARD: AtomicBool = AtomicBool::new(false);
-
-/// Whether `--reuse-warmup` was passed: single-thread warm-ups are
-/// checkpointed on first use and restored when repeated.
-static REUSE_WARMUP: AtomicBool = AtomicBool::new(false);
 
 /// Warm-state checkpoints keyed by (bench name, warm cycles): the ST IPC
 /// table fills it, the CPI-stack table restores from it.
@@ -90,9 +85,9 @@ fn warm_cache() -> &'static Mutex<HashMap<(String, u64), WarmState>> {
 
 /// Warms a single-thread core for `cycles` and resets stats, restoring a
 /// cached checkpoint of the identical warm phase when one exists (and
-/// recording one otherwise, if `--reuse-warmup` is on).
+/// recording one otherwise, if the plan has `+reuse`).
 fn warm_st_cached(core: &mut SmtCore, bench: MicroBenchmark, cycles: u64) {
-    if !REUSE_WARMUP.load(Ordering::Relaxed) {
+    if !core.config().plan.warm_reuse {
         warm(core, cycles);
         core.reset_stats();
         return;
@@ -109,23 +104,12 @@ fn warm_st_cached(core: &mut SmtCore, bench: MicroBenchmark, cycles: u64) {
     cache.insert(key, core.snapshot_warm_state());
 }
 
-/// Warms `core` for `cycles` on whichever engine the flags selected.
+/// Warms `core` for `cycles` on the engine its plan selects.
 fn warm(core: &mut SmtCore, cycles: u64) {
-    if FAST_FORWARD.load(Ordering::Relaxed) {
-        core.functional_warmup(cycles);
-    } else {
-        core.run_cycles(cycles);
+    match core.config().plan.warmup {
+        WarmupMode::Detailed => core.run_cycles(cycles),
+        WarmupMode::Functional => core.functional_warmup(cycles),
     }
-}
-
-/// The calibrated core: the POWER5-like defaults routed through the
-/// validating builder, the same construction path the experiments use.
-fn calibrated_core() -> SmtCore {
-    SmtCore::new(
-        CoreConfig::builder()
-            .build()
-            .expect("power5_like defaults are valid"),
-    )
 }
 
 /// Runs to the repetition target, surfacing truncation and stalls: a
@@ -140,22 +124,27 @@ fn run_to(core: &mut SmtCore, target: [usize; 2], max_cycles: u64) -> Result<boo
     }
 }
 
-fn st_ipc(bench: MicroBenchmark) -> Result<(f64, bool), String> {
-    journaled(&format!("st_ipc/{}/4000000/50000000", bench.name()), || {
-        let mut core = calibrated_core();
-        core.load_program(ThreadId::T0, bench.program());
-        // Warm caches/TLB/predictor, then measure.
-        warm_st_cached(&mut core, bench, 4_000_000);
-        let complete = run_to(&mut core, [10, 0], 50_000_000)?;
-        Ok((core.stats().ipc(ThreadId::T0), complete))
-    })
+fn st_ipc(cfg: &CoreConfig, bench: MicroBenchmark) -> Result<(f64, bool), String> {
+    journaled(
+        cfg,
+        &format!("st_ipc/{}/4000000/50000000", bench.name()),
+        || {
+            let mut core = SmtCore::new(cfg.clone());
+            core.load_program(ThreadId::T0, bench.program());
+            // Warm caches/TLB/predictor, then measure.
+            warm_st_cached(&mut core, bench, 4_000_000);
+            let complete = run_to(&mut core, [10, 0], 50_000_000)?;
+            Ok((core.stats().ipc(ThreadId::T0), complete))
+        },
+    )
 }
 
-fn smt_ipc(a: MicroBenchmark, b: MicroBenchmark) -> Result<(f64, bool), String> {
+fn smt_ipc(cfg: &CoreConfig, a: MicroBenchmark, b: MicroBenchmark) -> Result<(f64, bool), String> {
     journaled(
+        cfg,
         &format!("smt_ipc/{}/{}/6000000/100000000", a.name(), b.name()),
         || {
-            let mut core = calibrated_core();
+            let mut core = SmtCore::new(cfg.clone());
             core.load_program(ThreadId::T0, a.program());
             core.load_program(ThreadId::T1, b.program());
             warm(&mut core, 6_000_000);
@@ -168,9 +157,12 @@ fn smt_ipc(a: MicroBenchmark, b: MicroBenchmark) -> Result<(f64, bool), String> 
 
 /// Measures a single-thread CPI stack over a fixed window and returns
 /// the per-component cycle fractions, or the stall diagnosis.
-fn st_cpi_stack(bench: MicroBenchmark) -> Result<[f64; CpiComponent::COUNT], String> {
+fn st_cpi_stack(
+    cfg: &CoreConfig,
+    bench: MicroBenchmark,
+) -> Result<[f64; CpiComponent::COUNT], String> {
     const MEASURE_CYCLES: u64 = 2_000_000;
-    let mut core = calibrated_core();
+    let mut core = SmtCore::new(cfg.clone());
     core.load_program(ThreadId::T0, bench.program());
     warm_st_cached(&mut core, bench, 4_000_000);
     core.enable_pmu(PmuConfig::counters_only());
@@ -185,7 +177,7 @@ fn st_cpi_stack(bench: MicroBenchmark) -> Result<[f64; CpiComponent::COUNT], Str
     Ok(fractions)
 }
 
-fn print_cpi_stacks() {
+fn print_cpi_stacks(cfg: &CoreConfig) {
     println!("\n== Single-thread CPI stacks (% of cycles) ==");
     print!("{:<18}", "");
     for c in CpiComponent::ALL {
@@ -193,7 +185,7 @@ fn print_cpi_stacks() {
     }
     println!();
     for b in MicroBenchmark::PRESENTED {
-        match st_cpi_stack(b) {
+        match st_cpi_stack(cfg, b) {
             Ok(fractions) => {
                 print!("{:<18}", b.name());
                 for f in fractions {
@@ -206,33 +198,54 @@ fn print_cpi_stacks() {
     }
 }
 
+/// The flags calibrate accepts that stand alone.
+const SWITCHES: [&str; 2] = ["--pmu", "--resume"];
+
+/// The flags calibrate accepts that take the next argument as their
+/// value.
+const VALUE_FLAGS: [&str; 2] = ["--plan", "--journal"];
+
+/// The argument after `flag`, if `flag` was passed.
+fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+}
+
+/// Exits with a usage error naming `what`.
+fn usage_error(what: &str) -> ! {
+    eprintln!("{what}");
+    std::process::exit(1);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let pmu_flag = args.iter().any(|a| a == "--pmu");
-    FAST_FORWARD.store(args.iter().any(|a| a == "--fast-forward"), Ordering::Relaxed);
-    REUSE_WARMUP.store(args.iter().any(|a| a == "--reuse-warmup"), Ordering::Relaxed);
-    // Accepted for CLI uniformity with repro and validated, but
-    // calibration measures single cores only: the chip scheduling mode
-    // cannot change any number printed here, so it is deliberately
-    // excluded from scalar_key (deterministic modes normalize to the
-    // serial key everywhere).
-    if let Some(i) = args.iter().position(|a| a == "--chip-threads") {
-        match args.get(i + 1).and_then(|n| n.parse::<u64>().ok()) {
-            Some(1 | 2) => {}
-            _ => {
-                eprintln!("--chip-threads expects 1 (serial) or 2 (deterministic threaded)");
-                std::process::exit(1);
-            }
-        }
+    if let Err(e) = p5_experiments::check_args(&args, &SWITCHES, &VALUE_FLAGS) {
+        usage_error(&format!(
+            "{e} (calibrate takes --pmu, --plan SPEC, --journal DIR and --resume)"
+        ));
     }
-    let journal_dir = args
-        .iter()
-        .position(|a| a == "--journal")
-        .and_then(|i| args.get(i + 1));
+    let pmu_flag = args.iter().any(|a| a == "--pmu");
+    let plan = flag_value(&args, "--plan")
+        .map_or(Ok(ExecutionPlan::detailed()), |s| ExecutionPlan::parse(s))
+        .unwrap_or_else(|e| usage_error(&format!("--plan: {e}")));
+    if matches!(plan.measure, MeasureMode::Sampled(_)) || plan.chip != ChipParallelism::Serial {
+        usage_error(&format!(
+            "--plan {plan}: calibration measures fixed windows on one core, \
+             so it takes neither a sampled measure nor a threaded chip"
+        ));
+    }
+    // The calibrated core: the POWER5-like defaults routed through the
+    // validating builder, the same construction path the experiments
+    // use, under the requested plan.
+    let cfg = CoreConfig::builder()
+        .plan(plan)
+        .build()
+        .expect("power5_like defaults are valid");
+    let journal_dir = flag_value(&args, "--journal");
     let resume = args.iter().any(|a| a == "--resume");
     if resume && journal_dir.is_none() {
-        eprintln!("--resume requires --journal DIR");
-        std::process::exit(1);
+        usage_error("--resume requires --journal DIR");
     }
     if let Some(dir) = journal_dir {
         let dir = std::path::Path::new(dir);
@@ -263,7 +276,7 @@ fn main() {
         let paper = b
             .paper_st_ipc()
             .map_or_else(|| "  n/a".to_string(), |v| format!("{v:>5.2}"));
-        match st_ipc(b) {
+        match st_ipc(&cfg, b) {
             Ok((ipc, complete)) => println!(
                 "{:<18} measured {:>6.3}{}  paper {paper}",
                 b.name(),
@@ -284,7 +297,7 @@ fn main() {
     for a in MicroBenchmark::PRESENTED {
         print!("{:<18}", a.name());
         for b in MicroBenchmark::PRESENTED {
-            match smt_ipc(a, b) {
+            match smt_ipc(&cfg, a, b) {
                 Ok((pa, complete)) => {
                     if !complete {
                         truncated += 1;
@@ -301,7 +314,7 @@ fn main() {
     }
 
     if pmu_flag {
-        print_cpi_stacks();
+        print_cpi_stacks(&cfg);
     }
     if let Some(j) = journal().get() {
         j.flush();

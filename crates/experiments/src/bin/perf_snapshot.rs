@@ -329,7 +329,8 @@ fn timed_campaign(jobs: usize, count: usize) -> f64 {
 /// runs can be checked for bit-identity, which is the optimisation's
 /// whole contract.
 fn timed_reuse(p: &Params, reuse: bool) -> (f64, Vec<u64>) {
-    let mut ctx = Experiments::quick().with_jobs(1).with_reuse_warmup(reuse);
+    let mut ctx = Experiments::quick().with_jobs(1);
+    ctx.core.plan.warm_reuse = reuse;
     ctx.fame.warmup = p5_fame::WarmupBudget::fixed(p.reuse_warm_cycles);
     let default = Priority::from_level(4).expect("valid");
     // Short repetitions keep the measure phase small next to the pinned

@@ -29,9 +29,10 @@
 //! DESIGN.md §12). Suffix `+mt` runs the two cores of every simulated
 //! chip on separate OS threads in determinism mode (bit-identical to
 //! serial); `+mt:Q` relaxes the synchronization to a Q-cycle quantum
-//! (DESIGN.md §16 — results carry a bounded interleaving error and get
-//! their own cache keys). `--chip-threads 2` is shorthand for `+mt`.
-//! Any argument `--help` does not list is a usage error.
+//! (DESIGN.md §16 — a chip's results then carry a bounded interleaving
+//! error; campaign cells run on one core and are unaffected).
+//! `--chip-threads 2` is shorthand for `+mt`. Any argument `--help`
+//! does not list, and a flag missing its value, is a usage error.
 //!
 //! `--pmu` adds the per-cell CPI-stack section; `--trace <path>`
 //! additionally captures the priority-switch transient and writes it as
@@ -154,21 +155,6 @@ const VALUE_FLAGS: [&str; 12] = [
     "--journal", "--time-budget-ms", "--cell-deadline-ms", "--chaos-abort-after", "--chaos-panic",
 ];
 
-/// Exits with a usage error naming the first argument that is neither a
-/// flag `--help` lists nor the value after one that takes a value (a
-/// misspelled flag would otherwise be ignored and run the defaults).
-fn check_args(args: &[String]) {
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        if VALUE_FLAGS.contains(&arg.as_str()) {
-            args.next();
-        } else if !SWITCHES.contains(&arg.as_str()) {
-            eprintln!("unknown argument {arg:?} (see --help)");
-            std::process::exit(1);
-        }
-    }
-}
-
 /// Parses the `--only` list, exiting with a usage error on a missing
 /// list or a section `--help` does not name (which would otherwise
 /// match nothing and run nothing).
@@ -212,7 +198,10 @@ fn main() {
         print!("{HELP}");
         return;
     }
-    check_args(&args);
+    if let Err(e) = p5_experiments::check_args(&args, &SWITCHES, &VALUE_FLAGS) {
+        eprintln!("{e} (see --help)");
+        std::process::exit(1);
+    }
     let quick = args.iter().any(|a| a == "--quick");
     let only = only_sections(&args);
     let csv_dir: Option<PathBuf> = args

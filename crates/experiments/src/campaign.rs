@@ -65,13 +65,14 @@
 //!         MicroBenchmark::CpuInt.program(),
 //!         MicroBenchmark::LdintL2.program(),
 //!         (high, low),
-//!     )
-//!     // Opt this cell into functional fast-forward warmup; cells
-//!     // without an override inherit `ctx.core.plan`.
-//!     .with_plan(ExecutionPlan::parse("detailed+ff").unwrap()),
+//!     ),
 //! ];
 //!
-//! let ctx = Experiments::quick().with_jobs(2);
+//! // Every cell runs under the context's plan: here, functional
+//! // fast-forward warmup.
+//! let ctx = Experiments::quick()
+//!     .with_jobs(2)
+//!     .with_plan(ExecutionPlan::parse("detailed+ff").unwrap());
 //! let result = Campaign::run(&ctx, &CampaignSpec::for_ctx(&ctx, cells));
 //! assert_eq!(result.cells.len(), 2);
 //! for cell in &result.cells {
@@ -82,7 +83,7 @@
 
 use crate::journal::{CellKey, StableHasher, JOURNAL_SCHEMA_VERSION};
 use crate::{CellCounts, CellStatus, Degradation, Experiments, Measured};
-use p5_core::{CancelToken, ExecutionPlan, MeasureMode, SimError, WarmState, WarmupMode};
+use p5_core::{CancelToken, CoreConfig, SimError, WarmState, WarmupMode};
 use p5_fame::FameRunner;
 use p5_fault::{FaultKind, FaultPlan, HostFaultKind};
 use p5_isa::{BranchBehavior, Op, Priority, Program, ThreadId};
@@ -155,7 +156,7 @@ where
 /// The faults are generated by [`FaultPlan::generate`] from this seed
 /// alone, so the perturbation a cell sees is part of its spec — two runs
 /// of the same spec see the same faults regardless of `jobs`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CellFaults {
     /// Seed for [`FaultPlan::generate`].
     pub seed: u64,
@@ -166,7 +167,8 @@ pub struct CellFaults {
 }
 
 /// One independent simulation cell: what runs, at which priorities,
-/// under which (optional) fault schedule.
+/// under which (optional) fault schedule. How it runs is the campaign
+/// context's [`CoreConfig::plan`].
 #[derive(Debug, Clone)]
 pub struct CellSpec {
     /// Label used for progress events and degradation annotations,
@@ -182,23 +184,6 @@ pub struct CellSpec {
     pub priorities: (Priority, Priority),
     /// Optional seeded fault schedule.
     pub faults: Option<CellFaults>,
-    /// Per-cell warmup-mode override: `Some(mode)` forces this cell onto
-    /// the given engine path for its warmup phase; `None` (the default)
-    /// inherits the campaign context's
-    /// [`CoreConfig::plan`](p5_core::CoreConfig).
-    pub warmup: Option<WarmupMode>,
-    /// Per-cell measure-mode override: `Some(mode)` forces this cell's
-    /// measured phase onto the given engine schedule; `None` (the
-    /// default) inherits the campaign context's
-    /// [`CoreConfig::plan`](p5_core::CoreConfig). Sampled cells journal
-    /// under their own content-addressed key (see [`cell_key`]), so the
-    /// cache never conflates fidelities.
-    pub measure: Option<MeasureMode>,
-    /// Per-cell warm-reuse override: `Some(flag)` forces checkpoint
-    /// sharing on or off for this cell; `None` (the default) inherits
-    /// [`CampaignSpec::reuse_warmup`]. Faulted cells never share
-    /// regardless (their faults land inside the warm phase).
-    pub warm_reuse: Option<bool>,
 }
 
 impl CellSpec {
@@ -211,9 +196,6 @@ impl CellSpec {
             secondary: None,
             priorities: (Priority::Medium, Priority::Medium),
             faults: None,
-            warmup: None,
-            measure: None,
-            warm_reuse: None,
         }
     }
 
@@ -231,9 +213,6 @@ impl CellSpec {
             secondary: Some(secondary),
             priorities,
             faults: None,
-            warmup: None,
-            measure: None,
-            warm_reuse: None,
         }
     }
 
@@ -241,18 +220,6 @@ impl CellSpec {
     #[must_use]
     pub fn with_faults(mut self, faults: CellFaults) -> CellSpec {
         self.faults = Some(faults);
-        self
-    }
-
-    /// Returns this cell pinned to the given execution plan — warmup
-    /// engine, measure schedule and warm-reuse policy in one override —
-    /// instead of inheriting the campaign context's
-    /// [`CoreConfig::plan`](p5_core::CoreConfig).
-    #[must_use]
-    pub fn with_plan(mut self, plan: ExecutionPlan) -> CellSpec {
-        self.warmup = Some(plan.warmup);
-        self.measure = Some(plan.measure);
-        self.warm_reuse = Some(plan.warm_reuse);
         self
     }
 }
@@ -269,22 +236,21 @@ pub struct CampaignSpec {
     /// Whether cells with provably identical warm-ups may share one
     /// warm-state checkpoint instead of each re-running the warm-up.
     /// Results are byte-identical either way (see the warm-reuse notes
-    /// in the module docs); cells can override per-spec via
-    /// [`CellSpec::with_plan`].
+    /// in the module docs).
     pub reuse_warmup: bool,
 }
 
 impl CampaignSpec {
     /// Builds a spec from an [`Experiments`] context: `jobs` from
     /// `ctx.jobs`, campaign seed from the configured core RNG seed,
-    /// warm-reuse from `ctx.reuse_warmup`.
+    /// warm-reuse from the plan's `warm_reuse` flag.
     #[must_use]
     pub fn for_ctx(ctx: &Experiments, cells: Vec<CellSpec>) -> CampaignSpec {
         CampaignSpec {
             cells,
             jobs: ctx.jobs,
             seed: ctx.core.rng_seed,
-            reuse_warmup: ctx.reuse_warmup,
+            reuse_warmup: ctx.core.plan.warm_reuse,
         }
     }
 }
@@ -426,20 +392,20 @@ pub fn derive_cell_seed(campaign_seed: u64, cell_id: u64) -> u64 {
 /// The key covers everything the warm phase can observe: both programs
 /// (full structural fingerprints — body, streams, iteration counts),
 /// the priorities applied at setup (normalized to a sentinel for
-/// single-thread cells, which never apply priorities), the effective
-/// warmup engine, and — only when a program contains `Random` branches,
-/// the one place the warm phase can consume the seeded RNG — the
-/// derived per-cell seed. Everything else the warm-up depends on (core
-/// and memory geometry, FAME warm-up budgets) is campaign-wide and thus
+/// single-thread cells, which never apply priorities), the warmup
+/// engine, and — only when a program contains `Random` branches, the
+/// one place the warm phase can consume the seeded RNG — the derived
+/// per-cell seed. Everything else the warm-up depends on (core and
+/// memory geometry, FAME warm-up budgets) is campaign-wide and thus
 /// equal across cells by construction; `restore_warm_state` re-checks
 /// the configuration anyway and the cell falls back to warming in place
-/// if it ever mismatched.
+/// if it ever mismatched. [`cell_key`] hashes the same identity.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct WarmupKey {
     primary: u64,
     secondary: Option<u64>,
     priorities: (u8, u8),
-    mode: u8,
+    warmup: WarmupMode,
     seed: Option<u64>,
 }
 
@@ -467,23 +433,12 @@ fn uses_rng(program: &Program) -> bool {
         .any(|inst| matches!(inst.op, Op::Branch(BranchBehavior::Random { .. })))
 }
 
-/// The warm-up identity of cell `id`, or `None` if the cell is excluded
-/// from sharing: reuse disabled (campaign-wide or per-cell), or a fault
-/// schedule attached (faults are injected at setup and land inside the
-/// warm phase, so a faulted warm-up is never identical to a clean one).
-fn warmup_key(
-    ctx: &Experiments,
-    spec: &CampaignSpec,
-    id: usize,
-    cell: &CellSpec,
-) -> Option<WarmupKey> {
-    if !cell.warm_reuse.unwrap_or(spec.reuse_warmup) || cell.faults.is_some() {
-        return None;
-    }
-    let mode = cell.warmup.unwrap_or(ctx.core.plan.warmup);
-    let rng_relevant =
-        uses_rng(&cell.primary) || cell.secondary.as_ref().is_some_and(uses_rng);
-    Some(WarmupKey {
+/// The warm-up identity of cell `id`: the one definition that both
+/// checkpoint sharing ([`warmup_key`]) and the journal key
+/// ([`cell_key`]) hash.
+fn warm_identity(ctx: &Experiments, spec: &CampaignSpec, id: usize, cell: &CellSpec) -> WarmupKey {
+    let rng_relevant = uses_rng(&cell.primary) || cell.secondary.as_ref().is_some_and(uses_rng);
+    WarmupKey {
         primary: program_fingerprint(&cell.primary),
         secondary: cell.secondary.as_ref().map(program_fingerprint),
         priorities: if cell.secondary.is_some() {
@@ -494,87 +449,60 @@ fn warmup_key(
             // otherwise-identical warm-ups.
             (u8::MAX, u8::MAX)
         },
-        mode: match mode {
-            WarmupMode::Detailed => 0,
-            WarmupMode::Functional => 1,
-        },
+        warmup: ctx.core.plan.warmup,
         seed: rng_relevant.then(|| derive_cell_seed(spec.seed, id as u64)),
-    })
+    }
+}
+
+/// The warm-up identity of cell `id` for checkpoint sharing, or `None`
+/// if the cell is excluded: reuse disabled for the campaign, or a fault
+/// schedule attached (faults are injected at setup and land inside the
+/// warm phase, so a faulted warm-up is never identical to a clean one).
+fn warmup_key(
+    ctx: &Experiments,
+    spec: &CampaignSpec,
+    id: usize,
+    cell: &CellSpec,
+) -> Option<WarmupKey> {
+    (spec.reuse_warmup && cell.faults.is_none()).then(|| warm_identity(ctx, spec, id, cell))
 }
 
 /// Content-addressed journal key of cell `id` (see
-/// [`crate::journal`]): a [`StableHasher`] digest of everything the
-/// cell's measurement depends on —
+/// [`crate::journal`]): a [`StableHasher`] digest of the typed values
+/// the cell's measurement depends on —
 ///
 /// - the journal schema version (a bump invalidates every old record);
-/// - both program fingerprints and the normalized priorities (the same
-///   `u8::MAX` sentinel as the warm-reuse `WarmupKey` for
-///   single-thread cells, whose
-///   priorities are ignored);
-/// - the effective warmup engine, the effective measure mode (detailed
-///   vs. sampled with its interval/period — sampled results must never
-///   stand in for detailed ones or vice versa), and the fault schedule
-///   (or its absence);
-/// - the full core configuration with `rng_seed` zeroed plus the FAME
-///   configuration (via their `Debug` renderings — verbose but
-///   complete, so a config change can never replay a stale record);
-/// - the derived per-cell seed, but *only* when a program actually
-///   consumes the seeded RNG — so identical RNG-free cells at
-///   different indices (or in different artifacts) share one record;
-/// - the chip quantum, but *only* for relaxed (`quantum > 1`) threaded
-///   plans — serial and threaded-deterministic runs are bit-identical
-///   and share one key.
+/// - the cell's warm-up identity (`WarmupKey`): both program
+///   fingerprints, the normalized priorities, the warmup engine, and
+///   the derived per-cell seed, but *only* when a program consumes the
+///   seeded RNG — so identical RNG-free cells at different indices (or
+///   in different artifacts) share one record;
+/// - the fault schedule (or its absence);
+/// - the core configuration with `rng_seed` zeroed (a cell never runs
+///   under the context's seed; the identity carries the seed that
+///   applies) and the FAME configuration.
 ///
-/// Deliberately excluded: `jobs`, warm-reuse, idle-skip, deadlines,
-/// chaos — every knob that is documented not to change the measured
-/// bytes (the event-horizon idle skip is bit-identical by
-/// construction, so a record computed either way is the same record).
+/// The configurations hash through their `Hash` impls, which decide
+/// field by field what is identity. `ExecutionPlan` contributes its
+/// warmup engine and measure mode, so sampled results never stand in
+/// for detailed ones or vice versa. It leaves out warm reuse, the idle
+/// skip and the chip mode, which do not change a single-core cell's
+/// bytes. `jobs`, the journal, deadlines, cancellation and chaos live
+/// outside the configurations and never reach the key.
 #[must_use]
 pub fn cell_key(ctx: &Experiments, spec: &CampaignSpec, id: usize, cell: &CellSpec) -> CellKey {
     let mut h = StableHasher::new();
-    JOURNAL_SCHEMA_VERSION.hash(&mut h);
-    program_fingerprint(&cell.primary).hash(&mut h);
-    cell.secondary.as_ref().map(program_fingerprint).hash(&mut h);
-    if cell.secondary.is_some() {
-        (cell.priorities.0.level(), cell.priorities.1.level()).hash(&mut h);
-    } else {
-        (u8::MAX, u8::MAX).hash(&mut h);
-    }
-    match cell.warmup.unwrap_or(ctx.core.plan.warmup) {
-        WarmupMode::Detailed => 0u8.hash(&mut h),
-        WarmupMode::Functional => 1u8.hash(&mut h),
-    }
-    match cell.measure.unwrap_or(ctx.core.plan.measure) {
-        MeasureMode::Detailed => 0u8.hash(&mut h),
-        MeasureMode::Sampled(s) => (1u8, s.interval, s.period).hash(&mut h),
-    }
-    match cell.faults {
-        Some(f) => (1u8, f.seed, f.count, f.horizon).hash(&mut h),
-        None => 0u8.hash(&mut h),
-    }
-    // Chip scheduling: serial and threaded-deterministic (quantum 1)
-    // are bit-identical by construction, so they *share* the serial
-    // key (nothing hashed — pre-existing journals stay valid); a
-    // relaxed quantum changes the shared-cache interleaving and gets
-    // its own content-addressed key per quantum.
-    if let p5_core::ChipParallelism::Threaded { quantum } = ctx.core.plan.chip {
-        if quantum > 1 {
-            (0xC5u8, quantum).hash(&mut h);
-        }
-    }
-    // Normalized out of the Debug rendering: `rng_seed` (hashed
-    // conditionally below) and the plan (the *effective* warmup/measure
-    // are hashed explicitly above, and `warm_reuse` must not split keys
-    // — it is documented not to change the measured bytes).
-    let mut core = ctx.core.clone();
-    core.rng_seed = 0;
-    core.plan = ExecutionPlan::detailed();
-    format!("{core:?}").hash(&mut h);
-    format!("{:?}", ctx.fame).hash(&mut h);
-    let rng_relevant = uses_rng(&cell.primary) || cell.secondary.as_ref().is_some_and(uses_rng);
-    if rng_relevant {
-        derive_cell_seed(spec.seed, id as u64).hash(&mut h);
-    }
+    (
+        JOURNAL_SCHEMA_VERSION,
+        warm_identity(ctx, spec, id, cell),
+        cell.faults,
+        CoreConfig {
+            rng_seed: 0,
+            ..ctx.core.clone()
+        },
+        ctx.fame,
+    )
+        .hash(&mut h);
     CellKey(h.finish())
 }
 
@@ -668,9 +596,6 @@ fn compute_checkpoint(
     let cell = &spec.cells[rep_id];
     let mut rep_ctx = ctx.clone();
     rep_ctx.core.rng_seed = derive_cell_seed(spec.seed, rep_id as u64);
-    if let Some(mode) = cell.warmup {
-        rep_ctx.core.plan.warmup = mode;
-    }
     let mut core = rep_ctx.try_new_core().ok()?;
     setup_cell(&mut core, cell);
     let warmup = FameRunner::new(rep_ctx.fame).warm_only(&mut core).ok()?;
@@ -899,12 +824,6 @@ fn run_cell(
 ) -> Measured {
     let mut cell_ctx = ctx.clone();
     cell_ctx.core.rng_seed = derive_cell_seed(spec.seed, id as u64);
-    if let Some(mode) = cell.warmup {
-        cell_ctx.core.plan.warmup = mode;
-    }
-    if let Some(measure) = cell.measure {
-        cell_ctx.core.plan.measure = measure;
-    }
     let plan = cell
         .faults
         .map(|f| FaultPlan::generate(f.seed, f.horizon, f.count));
@@ -1339,76 +1258,127 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cell_keys_are_content_addressed() {
-        let ctx = tiny_ctx();
-        let spec = CampaignSpec {
-            cells: vec![
-                CellSpec::single("a", cpu_program(40)),
-                CellSpec::single("b", cpu_program(40)),
-                CellSpec::single("c", cpu_program(41)),
-                CellSpec::pair("d", cpu_program(40), cpu_program(40), crate::priority_pair(2)),
-                CellSpec::pair("e", cpu_program(40), cpu_program(40), crate::priority_pair(3)),
-            ],
-            jobs: 1,
-            seed: 5,
-            reuse_warmup: false,
-        };
-        let keys: Vec<CellKey> = spec
-            .cells
-            .iter()
-            .enumerate()
-            .map(|(id, cell)| cell_key(&ctx, &spec, id, cell))
-            .collect();
-        assert_eq!(
-            keys[0], keys[1],
-            "identical RNG-free cells share a key across indices"
-        );
-        assert_ne!(keys[0], keys[2], "iteration count is part of the key");
-        assert_ne!(keys[0], keys[3], "pairing is part of the key");
-        assert_ne!(keys[3], keys[4], "priorities are part of the key");
-        let mut other_config = ctx.clone();
-        other_config.fame.max_cycles += 1;
-        assert_ne!(
-            cell_key(&other_config, &spec, 0, &spec.cells[0]),
-            keys[0],
-            "config changes invalidate keys"
-        );
-        let mut reseeded = ctx.clone();
-        reseeded.core.rng_seed ^= 0xFFFF;
-        assert_eq!(
-            cell_key(&reseeded, &spec, 0, &spec.cells[0]),
-            keys[0],
-            "the seed is excluded for RNG-free programs"
-        );
+    /// Everything `cell_key` reads: the context, the campaign and the
+    /// cell's index in it.
+    #[derive(Clone)]
+    struct KeyCase {
+        ctx: Experiments,
+        spec: CampaignSpec,
+        id: usize,
     }
 
+    /// One row of the key contract: whether the setting must split the
+    /// key, the setting, and how to flip it.
+    type KeyRow = (bool, &'static str, fn(&mut KeyCase));
+
+    /// The cache-identity contract, one row per setting. Each row flips
+    /// exactly one setting of a base cell. A setting that changes the
+    /// measured bytes splits the key, and no two such rows share one;
+    /// every other setting keeps the base key.
     #[test]
-    fn chip_mode_splits_keys_only_for_relaxed_quanta() {
-        use p5_core::ChipParallelism;
+    fn cell_keys_are_content_addressed() {
+        use crate::journal::ResultJournal;
+        use std::time::Duration;
+        const P4: Priority = Priority::Medium;
+        const SPLIT: bool = true;
+        const SHARE: bool = false;
+        const FAULTS: CellFaults = CellFaults {
+            seed: 1,
+            count: 1,
+            horizon: 1_000,
+        };
+        fn plan(text: &str) -> p5_core::ExecutionPlan {
+            p5_core::ExecutionPlan::parse(text).unwrap()
+        }
+        fn rng_cells(c: &mut KeyCase) {
+            for cell in &mut c.spec.cells {
+                // `br_miss` draws its branch outcomes from the seeded RNG.
+                cell.primary = p5_microbench::MicroBenchmark::BrMiss.program_with_iterations(40);
+            }
+        }
+        let cell = CellSpec::pair("base", cpu_program(40), load_program(60), (P4, P4));
+        let cells = vec![cell.clone(), cell];
         let spec = CampaignSpec {
-            cells: vec![CellSpec::single("a", cpu_program(40))],
+            cells,
             jobs: 1,
             seed: 5,
             reuse_warmup: false,
         };
-        let key_for = |chip: ChipParallelism| {
-            let mut ctx = tiny_ctx();
-            ctx.core.plan.chip = chip;
-            cell_key(&ctx, &spec, 0, &spec.cells[0])
+        let base = KeyCase {
+            ctx: tiny_ctx(),
+            spec,
+            id: 0,
         };
-        let serial = key_for(ChipParallelism::Serial);
-        assert_eq!(
-            serial,
-            key_for(ChipParallelism::Threaded { quantum: 1 }),
-            "determinism mode normalizes to the serial key"
-        );
-        let relaxed = key_for(ChipParallelism::Threaded { quantum: 1024 });
-        assert_ne!(serial, relaxed, "relaxed results get their own keys");
-        assert_ne!(
-            relaxed,
-            key_for(ChipParallelism::Threaded { quantum: 4096 }),
-            "each quantum is its own key"
+        #[rustfmt::skip]
+        let rows: [KeyRow; 42] = [
+            (SPLIT, "decode_width", |c| c.ctx.core.decode_width += 1),
+            (SPLIT, "latencies.fp_div", |c| c.ctx.core.latencies.fp_div += 1),
+            (SPLIT, "balancer.enabled", |c| c.ctx.core.balancer.enabled ^= true),
+            (SPLIT, "mem.l2.latency", |c| c.ctx.core.mem.l2.latency += 1),
+            (SPLIT, "mem.dtlb.entries", |c| c.ctx.core.mem.dtlb.entries *= 2),
+            (SPLIT, "low_power_decode_period", |c| c.ctx.core.low_power_decode_period += 1),
+            (SPLIT, "steal_idle_decode_slots", |c| c.ctx.core.steal_idle_decode_slots ^= true),
+            (SPLIT, "watchdog_stall_cycles", |c| c.ctx.core.watchdog_stall_cycles += 1),
+            (SPLIT, "fame.maiv", |c| c.ctx.fame.maiv /= 2.0),
+            (SPLIT, "fame.stable_window", |c| c.ctx.fame.stable_window += 1),
+            (SPLIT, "fame.min_repetitions", |c| c.ctx.fame.min_repetitions += 1),
+            (SPLIT, "fame.max_cycles", |c| c.ctx.fame.max_cycles += 1),
+            (SPLIT, "fame.warmup.min_cycles", |c| c.ctx.fame.warmup.min_cycles += 1),
+            (SPLIT, "fame.warmup.max_cycles", |c| c.ctx.fame.warmup.max_cycles += 1),
+            (SPLIT, "fame.warmup.ring_passes", |c| c.ctx.fame.warmup.ring_passes += 1),
+            (SPLIT, "+ff", |c| c.ctx.core.plan = plan("detailed+ff")),
+            (SPLIT, "sampled:2048,8192+dw", |c| c.ctx.core.plan = plan("sampled:2048,8192+dw")),
+            (SPLIT, "sampled:4096,8192+dw", |c| c.ctx.core.plan = plan("sampled:4096,8192+dw")),
+            (SPLIT, "fault schedule", |c| c.spec.cells[0].faults = Some(FAULTS)),
+            (SPLIT, "primary program", |c| c.spec.cells[0].primary = cpu_program(41)),
+            (SPLIT, "secondary program", |c| c.spec.cells[0].secondary = Some(cpu_program(40))),
+            (SPLIT, "single-thread cell", |c| c.spec.cells[0].secondary = None),
+            (SPLIT, "priorities", |c| c.spec.cells[0].priorities = (Priority::High, P4)),
+            (SPLIT, "an RNG program at index 0", rng_cells),
+            (SPLIT, "the RNG program at index 1", |c| {
+                rng_cells(c);
+                c.id = 1;
+            }),
+            (SPLIT, "the RNG program under another campaign seed", |c| {
+                rng_cells(c);
+                c.spec.seed += 1;
+            }),
+            (SHARE, "+reuse", |c| c.ctx.core.plan = plan("detailed+reuse")),
+            (SHARE, "+noskip", |c| c.ctx.core.plan = plan("detailed+noskip")),
+            (SHARE, "+mt", |c| c.ctx.core.plan = plan("detailed+mt")),
+            (SHARE, "+mt:1024", |c| c.ctx.core.plan = plan("detailed+mt:1024")),
+            (SHARE, "+mt:4096", |c| c.ctx.core.plan = plan("detailed+mt:4096")),
+            (SHARE, "spec.reuse_warmup", |c| c.spec.reuse_warmup = true),
+            (SHARE, "ctx.jobs", |c| c.ctx.jobs = 4),
+            (SHARE, "spec.jobs", |c| c.spec.jobs = 4),
+            (SHARE, "a journal", |c| c.ctx.journal = Some(Arc::new(ResultJournal::in_memory()))),
+            (SHARE, "cell_deadline", |c| c.ctx.cell_deadline = Some(Duration::from_millis(1))),
+            (SHARE, "cancel", |c| c.ctx.cancel = Some(CancelToken::new())),
+            (SHARE, "chaos", |c| c.ctx.chaos = Some(p5_fault::ChaosPlan::new().panic_cell(0))),
+            (SHARE, "ctx.core.rng_seed", |c| c.ctx.core.rng_seed ^= 0xFFFF),
+            (SHARE, "the campaign seed of an RNG-free cell", |c| c.spec.seed += 1),
+            (SHARE, "the index of an RNG-free cell", |c| c.id = 1),
+            (SHARE, "the label", |c| c.spec.cells[0].label = "renamed".into()),
+        ];
+        let key = |c: &KeyCase| cell_key(&c.ctx, &c.spec, c.id, &c.spec.cells[c.id]);
+        let base_key = key(&base);
+        let (mut broken, mut split_keys) = (Vec::new(), HashMap::new());
+        for (splits, what, edit) in rows {
+            let mut case = base.clone();
+            edit(&mut case);
+            let case_key = key(&case);
+            broken.extend(match (splits, case_key == base_key) {
+                (SPLIT, true) => Some(format!("{what} must split the key")),
+                (SHARE, false) => Some(format!("{what} must keep the base key")),
+                (SPLIT, false) => split_keys
+                    .insert(case_key, what)
+                    .map(|other| format!("{what} and {other} must not share a key")),
+                (SHARE, true) => None,
+            });
+        }
+        assert!(
+            broken.is_empty(),
+            "rows that broke the contract: {broken:#?}"
         );
     }
 
@@ -1464,19 +1434,17 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A plan with `warm_reuse` off opts a single cell out of sharing
-    /// even when the campaign default is on; its key is `None`, so the
-    /// other members of its would-be group still share among themselves.
+    /// Identical clean cells share a warm-up key; a faulted cell gets
+    /// none, so the other members of its would-be group still share
+    /// among themselves. With reuse off, no cell gets a key.
     #[test]
-    fn warmup_key_respects_cell_overrides_and_faults() {
+    fn warmup_key_needs_reuse_and_no_faults() {
         let ctx = tiny_ctx();
-        let spec = CampaignSpec {
+        let mut spec = CampaignSpec {
             cells: vec![
                 CellSpec::single("a", cpu_program(40)),
                 CellSpec::single("b", cpu_program(40)),
-                CellSpec::single("c", cpu_program(40))
-                    .with_plan(ctx.core.plan.with_warm_reuse(false)),
-                CellSpec::single("d", cpu_program(40)).with_faults(CellFaults {
+                CellSpec::single("c", cpu_program(40)).with_faults(CellFaults {
                     seed: 1,
                     count: 1,
                     horizon: 1_000,
@@ -1494,55 +1462,13 @@ mod tests {
             .collect();
         assert!(keys[0].is_some());
         assert_eq!(keys[0], keys[1], "identical clean cells share a key");
-        assert_eq!(keys[2], None, "per-cell opt-out wins over campaign default");
-        assert_eq!(keys[3], None, "faulted cells never share");
+        assert_eq!(keys[2], None, "faulted cells never share");
         let table = WarmCheckpoints::plan(&ctx, &spec);
         assert_eq!(table.groups.len(), 1, "one group of two members");
         assert_eq!(table.groups.values().next().unwrap().rep_id, 0);
-    }
-
-    /// Sampled and detailed measurements of the same cell must journal
-    /// under *disjoint* content-addressed keys — the cache never serves
-    /// a sampled estimate where an exhaustive measurement was asked for,
-    /// and different sampling schedules never conflate either.
-    #[test]
-    fn sampled_and_detailed_cells_hash_disjoint_keys() {
-        let ctx = tiny_ctx();
-        let spec = CampaignSpec {
-            cells: vec![
-                CellSpec::single("detailed", cpu_program(40)),
-                CellSpec::single("sampled", cpu_program(40))
-                    .with_plan(ExecutionPlan::parse("sampled:2048,8192").unwrap()),
-                CellSpec::single("sampled-other", cpu_program(40))
-                    .with_plan(ExecutionPlan::parse("sampled:4096,8192").unwrap()),
-            ],
-            jobs: 1,
-            seed: 5,
-            reuse_warmup: false,
-        };
-        let keys: Vec<CellKey> = spec
-            .cells
-            .iter()
-            .enumerate()
-            .map(|(id, cell)| cell_key(&ctx, &spec, id, cell))
-            .collect();
-        assert_ne!(keys[0], keys[1], "measure mode is part of the key");
-        assert_ne!(keys[1], keys[2], "the sampling schedule is part of the key");
-
-        // A context-wide sampled plan hashes the same as the equivalent
-        // per-cell override, so serve requests and offline campaigns
-        // share cache entries.
-        let mut sampled_ctx = ctx.clone();
-        sampled_ctx.core.plan = ExecutionPlan::parse("sampled:2048,8192").unwrap();
-        assert_eq!(
-            cell_key(&sampled_ctx, &spec, 0, &spec.cells[0]),
-            keys[1],
-            "ctx-level plan and per-cell override produce one key"
-        );
-        // ...and `warm_reuse` never splits keys (documented wall-clock-only).
-        let mut reuse_ctx = ctx.clone();
-        reuse_ctx.core.plan = ctx.core.plan.with_warm_reuse(true);
-        assert_eq!(cell_key(&reuse_ctx, &spec, 0, &spec.cells[0]), keys[0]);
+        spec.reuse_warmup = false;
+        let table = WarmCheckpoints::plan(&ctx, &spec);
+        assert!(table.groups.is_empty(), "reuse off shares nothing");
     }
 
     /// A campaign run under a sampled plan produces estimates with a
@@ -1561,7 +1487,7 @@ mod tests {
         };
         let run = |plan: &str, jobs: usize| {
             let mut run_ctx = ctx.clone();
-            run_ctx.core.plan = ExecutionPlan::parse(plan).unwrap();
+            run_ctx.core.plan = p5_core::ExecutionPlan::parse(plan).unwrap();
             Campaign::run(
                 &run_ctx,
                 &CampaignSpec {

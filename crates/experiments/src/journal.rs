@@ -61,8 +61,12 @@ use std::sync::Mutex;
 /// (its `Debug` rendering feeds the key hash) and relaxed-quantum chip
 /// plans hash their quantum into the key; 4 = `ExecutionPlan` grew the
 /// `idle_skip` flag (same `Debug`-rendering reason — the flag itself is
-/// normalized out of the key, because skip on/off is bit-identical).
-pub const JOURNAL_SCHEMA_VERSION: u32 = 4;
+/// normalized out of the key, because skip on/off is bit-identical);
+/// 5 = keys hash the typed configurations through their `Hash` impls
+/// instead of `Debug` text, and a relaxed chip quantum no longer splits
+/// a key. A new plan field that changes only wall time is left out of
+/// `ExecutionPlan`'s `Hash` impl and needs no bump.
+pub const JOURNAL_SCHEMA_VERSION: u32 = 5;
 
 /// 64-bit FNV-1a as a [`std::hash::Hasher`], for fingerprints that must
 /// be stable across *runs* (unlike `DefaultHasher`, which is only

@@ -323,11 +323,6 @@ pub struct Experiments {
     /// Worker threads used by the campaign engine (`1` = serial; the
     /// artifacts are byte-identical either way, see [`campaign`]).
     pub jobs: usize,
-    /// Whether the campaign engine may share warm-state checkpoints
-    /// between cells with provably identical warm-ups (see
-    /// [`campaign`]'s warm-reuse notes). Off by default; results are
-    /// byte-identical either way, so this is purely a wall-clock knob.
-    pub reuse_warmup: bool,
     /// Write-ahead result journal: finished cells are recorded here and
     /// journaled cells are replayed instead of re-simulated (the
     /// `--journal`/`--resume` flags). `None` (the default) journals
@@ -365,15 +360,14 @@ impl Experiments {
     }
 
     /// A context from explicit core and FAME configurations, with every
-    /// execution-policy knob (jobs, warm reuse, journal, deadlines,
-    /// cancellation, chaos) at its default.
+    /// execution-policy knob (jobs, journal, deadlines, cancellation,
+    /// chaos) at its default.
     #[must_use]
     pub fn with_configs(core: CoreConfig, fame: FameConfig) -> Experiments {
         Experiments {
             core,
             fame,
             jobs: 1,
-            reuse_warmup: false,
             journal: None,
             cell_deadline: None,
             cancel: None,
@@ -412,22 +406,13 @@ impl Experiments {
 
     /// Returns this context running under the given
     /// [`ExecutionPlan`](p5_core::ExecutionPlan) (the `--plan` flag of
-    /// the binaries): the plan lands on the core configuration, and its
-    /// `warm_reuse` flag doubles as the campaign-level checkpoint-sharing
-    /// default.
+    /// the binaries): the plan lands on the core configuration, where
+    /// every campaign cell reads it, and its `warm_reuse` flag becomes
+    /// the campaign's checkpoint-sharing default
+    /// ([`campaign::CampaignSpec::for_ctx`]).
     #[must_use]
     pub fn with_plan(mut self, plan: p5_core::ExecutionPlan) -> Experiments {
         self.core.plan = plan;
-        self.reuse_warmup = plan.warm_reuse;
-        self
-    }
-
-    /// Returns this context with warm-state checkpoint sharing switched
-    /// on or off (a plan's `+reuse` flag).
-    #[must_use]
-    pub fn with_reuse_warmup(mut self, reuse: bool) -> Experiments {
-        self.reuse_warmup = reuse;
-        self.core.plan.warm_reuse = reuse;
         self
     }
 
@@ -704,6 +689,29 @@ pub fn priority_pair(diff: i32) -> (Priority, Priority) {
         Priority::from_level(p).expect("levels 1..=6 are valid"),
         Priority::from_level(s).expect("levels 1..=6 are valid"),
     )
+}
+
+/// Checks a binary's arguments: `switches` stand alone and
+/// `value_flags` take the next argument as their value.
+///
+/// # Errors
+///
+/// Names the first argument that is neither, and a value flag that is
+/// last or followed by a flag instead of its value (either would
+/// otherwise be ignored and run the defaults).
+pub fn check_args(args: &[String], switches: &[&str], value_flags: &[&str]) -> Result<(), String> {
+    let is_flag = |arg: &str| switches.contains(&arg) || value_flags.contains(&arg);
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if value_flags.contains(&arg.as_str()) {
+            if args.next().is_none_or(|value| is_flag(value)) {
+                return Err(format!("{arg} expects a value"));
+            }
+        } else if !switches.contains(&arg.as_str()) {
+            return Err(format!("unknown argument {arg:?}"));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

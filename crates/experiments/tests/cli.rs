@@ -2,7 +2,7 @@
 //! `--help` text: 0 clean, 1 usage error, 2 completed-with-degradations,
 //! 3 aborted early. CI scripts branch on these codes (the kill-and-
 //! resume gate expects 3 from the interrupted leg), so they are pinned
-//! here.
+//! here, with `calibrate`'s usage errors.
 
 use std::process::Command;
 
@@ -54,6 +54,20 @@ fn unknown_arguments_are_usage_errors() {
         let text = String::from_utf8(out.stdout).expect("stdout is UTF-8");
         assert!(!text.contains("Table 1"), "nothing ran: {text}");
     }
+    // A value flag with its value missing, last or before another
+    // flag, fails the same way instead of running the defaults.
+    for (args, flag) in [
+        (&["--quick", "--only", "table1", "--plan"][..], "--plan"),
+        (&["--quick", "--only", "table1", "--journal"], "--journal"),
+        (&["--plan", "--quick", "--only", "table1"], "--plan"),
+    ] {
+        let out = repro().args(args).output().expect("repro runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?} exits 1");
+        let err = String::from_utf8(out.stderr).expect("stderr is UTF-8");
+        assert!(err.contains(flag), "error names {flag}: {err}");
+        let text = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+        assert!(!text.contains("Table 1"), "nothing ran: {text}");
+    }
 }
 
 #[test]
@@ -94,6 +108,28 @@ fn calibrate_resume_without_journal_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8(out.stderr).expect("stderr is UTF-8");
     assert!(err.contains("--resume requires --journal"));
+}
+
+#[test]
+fn calibrate_rejects_arguments_it_cannot_run() {
+    // A sampled measure and a threaded chip do not fit fixed-window
+    // single-core calibration, the pre-plan flags are gone, and a value
+    // flag needs its value: each fails before anything is simulated,
+    // naming the argument.
+    for (args, named) in [
+        (&["--plan", "sampled"][..], "--plan"),
+        (&["--plan", "detailed+mt"], "--plan"),
+        (&["--fast-forward"], "--fast-forward"),
+        (&["--chip-threads", "2"], "--chip-threads"),
+        (&["--journal"], "--journal"),
+    ] {
+        let out = calibrate().args(args).output().expect("calibrate runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?} exits 1");
+        let err = String::from_utf8(out.stderr).expect("stderr is UTF-8");
+        assert!(err.contains(named), "error names {named}: {err}");
+        let text = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+        assert!(text.is_empty(), "nothing ran: {text}");
+    }
 }
 
 #[test]

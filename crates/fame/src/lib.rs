@@ -49,6 +49,7 @@ use p5_core::{
     CancelToken, Chip, CoreId, MeasureMode, SamplingConfig, SimError, SmtCore, WarmupMode,
 };
 use p5_isa::{AccessPattern, ThreadId};
+use std::hash::{Hash, Hasher};
 
 /// The warm-up cycle budget, folded into one validated struct (it used
 /// to be three loose `warmup_*` fields on [`FameConfig`]).
@@ -56,7 +57,7 @@ use p5_isa::{AccessPattern, ThreadId};
 /// The effective budget for a given workload is
 /// `clamp(ring_passes × ring_lines × cold_access, min_cycles, max_cycles)`
 /// — see [`FameRunner::warm_only`] for the exact derivation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WarmupBudget {
     /// Minimum warm-up cycles even for cache-light programs (fills the
     /// pipeline, trains the predictor).
@@ -140,6 +141,23 @@ pub struct FameConfig {
     pub max_cycles: u64,
     /// Warm-up phase budget.
     pub warmup: WarmupBudget,
+}
+
+/// Every field is part of a measurement's identity; `maiv` hashes by
+/// its bit pattern. The pattern names every field, so a new one does
+/// not compile until its author decides whether it splits a cache key.
+impl Hash for FameConfig {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let FameConfig {
+            maiv,
+            stable_window,
+            min_repetitions,
+            max_cycles,
+            warmup,
+        } = self;
+        maiv.to_bits().hash(state);
+        (stable_window, min_repetitions, max_cycles, warmup).hash(state);
+    }
 }
 
 impl FameConfig {

@@ -1,7 +1,7 @@
 //! Memory-hierarchy configuration.
 
 /// Geometry and latency of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     /// Total capacity in bytes. Must be a multiple of
     /// `line_bytes * associativity`.
@@ -53,7 +53,7 @@ impl CacheConfig {
 }
 
 /// Geometry of the data TLB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TlbConfig {
     /// Number of entries.
     pub entries: usize,
@@ -66,7 +66,7 @@ pub struct TlbConfig {
 }
 
 /// Full memory-hierarchy configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemConfig {
     /// First-level data cache (shared between the two SMT contexts on
     /// POWER5).

@@ -31,9 +31,9 @@ OPTIONS:
                         detailed (default), detailed+ff, or
                         sampled[:INTERVAL,PERIOD]; sampled and detailed
                         results occupy disjoint cache entries. Chip
-                        suffixes apply too: +mt (deterministic, shares
-                        the serial cache entries) or +mt:Q (relaxed
-                        quantum, its own cache entries)
+                        suffixes apply too: +mt (deterministic) or
+                        +mt:Q (relaxed quantum); every served cell runs
+                        on one core, so both share the serial entries
     --chip-threads N    1 = serial chip, 2 = deterministic threaded
                         (same as appending +mt to --plan)
     --no-cache          force every cell to simulate server-side

@@ -5,10 +5,12 @@
 //! records are keyed by the same
 //! [`p5_experiments::campaign::cell_key`] digest (schema version,
 //! program fingerprints, normalized priorities, warmup engine, fault
-//! schedule, full core + FAME configuration), so *any* two requests
-//! that would measure the same bytes share one record — across
-//! clients, across connections, and (with a journal directory) across
-//! daemon restarts. The daemon attaches the cache's journal to each
+//! schedule, and the core + FAME configuration through their typed
+//! `Hash` impls), so *any* two requests that would measure the same
+//! bytes share one record — across clients, across connections, across
+//! plans that differ only in wall-time settings (warm reuse, the idle
+//! skip, the chip mode), and (with a journal directory) across daemon
+//! restarts. The daemon attaches the cache's journal to each
 //! request's [`Experiments`](p5_experiments::Experiments) context and
 //! looks every cell up with
 //! [`p5_experiments::campaign::replay_cell`] on the connection's

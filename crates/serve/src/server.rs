@@ -438,9 +438,8 @@ fn build_campaign(
     shared: &Shared,
 ) -> (Arc<Experiments>, Arc<CampaignSpec>) {
     // The plan lands on the context exactly as `repro --plan` applies
-    // it offline; cell keys cover the effective warmup and measure
-    // modes, so sampled and detailed requests populate disjoint cache
-    // entries.
+    // it offline; cell keys cover its warmup and measure modes, so
+    // sampled and detailed requests populate disjoint cache entries.
     let mut ctx = request
         .fidelity
         .context()

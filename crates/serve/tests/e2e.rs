@@ -280,10 +280,32 @@ fn bad_requests_get_protocol_errors() {
 }
 
 #[test]
-fn sampled_and_detailed_plans_use_disjoint_cache_entries() {
+fn only_the_fidelity_splits_cache_entries() {
     let (endpoint, handle) = start_server(2, ResultCache::in_memory());
     let detailed = client::run_campaign(&endpoint, &request(true)).expect("detailed");
     assert_eq!(detailed.cached, 0);
+
+    // Settings that change only wall time (idle skip off, warm reuse, a
+    // relaxed chip quantum no single-core cell reads) share the
+    // detailed entries: every cell replays, bit-identical, and nothing
+    // simulates.
+    let misses = client::stats(&endpoint).expect("stats").misses;
+    let wall_time_only = CampaignRequest {
+        plan: p5_core::ExecutionPlan::parse("detailed+noskip+reuse+mt:4096").unwrap(),
+        ..request(true)
+    };
+    let replayed = client::run_campaign(&endpoint, &wall_time_only).expect("wall-time plan");
+    assert_eq!(
+        replayed.cached,
+        cells().len(),
+        "wall-time settings hit the cache"
+    );
+    assert_bit_identical(&detailed.result, &replayed.result, "wall-time plan");
+    assert_eq!(
+        client::stats(&endpoint).expect("stats").misses,
+        misses,
+        "nothing simulated"
+    );
 
     // Same cells under a sampled plan: the effective measure mode is
     // part of the cell key, so nothing the detailed run paid for may

@@ -133,19 +133,20 @@ fi
 rm artifacts/chip_mt.diff
 
 # Relaxed-quantum setting vs single-core cells: no Chip is built here
-# either, so the table must stay within the sampled plan's tolerance band
-# (it is in fact identical; only its cell keys differ). The relaxed
-# chip's own tolerance is gated by tests/parallel_chip.rs (DESIGN.md §16).
+# either, so a relaxed quantum cannot change a byte (and shares the
+# serial cells' cache keys). The relaxed chip's own tolerance is gated
+# by tests/parallel_chip.rs (DESIGN.md §16).
 echo "== relaxed-quantum setting: --plan detailed+mt:4096 table3 (single-core cells) vs serial =="
 mkdir -p artifacts/chip_relaxed
 cargo run --release --offline -p p5-experiments --bin repro -- \
   --quick --only table3 --jobs 1 --plan detailed+mt:4096 \
   --csv-dir artifacts/chip_relaxed --json-dir artifacts/chip_relaxed > /dev/null
-if ! python3 scripts/check_sampled_tolerance.py \
-  artifacts/jobs1/table3.json artifacts/chip_relaxed/table3.json; then
-  echo "RELAXED-CHIP GATE FAILED: --plan detailed+mt:4096 table3 out of tolerance vs serial"
+if ! diff -r artifacts/jobs1 artifacts/chip_relaxed > artifacts/chip_relaxed.diff; then
+  echo "RELAXED-CHIP GATE FAILED: --plan detailed+mt:4096 artifacts differ from serial"
+  cat artifacts/chip_relaxed.diff
   exit 1
 fi
+rm artifacts/chip_relaxed.diff
 
 # Kill-and-resume determinism: abort the journaled table3 campaign at
 # cell 21 of 42 (exit 3 by the repro exit-code contract), then resume

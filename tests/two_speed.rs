@@ -132,42 +132,35 @@ fn fast_forward_campaign_is_bit_identical_across_worker_counts() {
     }
 }
 
-/// A cell-level override beats the context default in both directions.
+/// Every campaign cell runs under its context's plan: the same cell
+/// under a functional-warmup context and a detailed-warmup one.
 #[test]
-fn cell_warmup_override_beats_context_default() {
-    let detailed_ctx = ctx(1, WarmupMode::Detailed);
-    let forced = CellSpec::pair(
-        "forced functional",
-        MicroBenchmark::CpuInt.program(),
-        MicroBenchmark::LdintL2.program(),
-        (
-            Priority::from_level(4).unwrap(),
-            Priority::from_level(4).unwrap(),
-        ),
-    )
-    .with_plan(p5repro::core::ExecutionPlan::parse("detailed+ff").expect("valid plan"));
-    let inherited = CellSpec::pair(
-        "inherited detailed",
-        MicroBenchmark::CpuInt.program(),
-        MicroBenchmark::LdintL2.program(),
-        (
-            Priority::from_level(4).unwrap(),
-            Priority::from_level(4).unwrap(),
-        ),
-    );
-    let result = Campaign::run(
-        &detailed_ctx,
-        &CampaignSpec::for_ctx(&detailed_ctx, vec![forced, inherited]),
-    );
+fn functional_warmup_context_agrees_with_detailed() {
+    let run = |warmup| {
+        let c = ctx(1, warmup);
+        let cell = CellSpec::pair(
+            format!("{warmup:?} warmup"),
+            MicroBenchmark::CpuInt.program(),
+            MicroBenchmark::LdintL2.program(),
+            (
+                Priority::from_level(4).unwrap(),
+                Priority::from_level(4).unwrap(),
+            ),
+        );
+        Campaign::run(&c, &CampaignSpec::for_ctx(&c, vec![cell]))
+            .cells
+            .remove(0)
+    };
+    let result = [run(WarmupMode::Functional), run(WarmupMode::Detailed)];
     // Both cells converge to real measurements; the functional cell's
     // warmup took a different (fast-forward) path so its measurement is
     // statistically, not bitwise, equivalent.
-    for cell in &result.cells {
+    for cell in &result {
         let ipc = cell.measured.ipc(ThreadId::T0).expect("converged");
         assert!(ipc > 0.0, "cell {} measured a real IPC", cell.label);
     }
-    let a = result.cells[0].measured.ipc(ThreadId::T0).unwrap();
-    let b = result.cells[1].measured.ipc(ThreadId::T0).unwrap();
+    let a = result[0].measured.ipc(ThreadId::T0).unwrap();
+    let b = result[1].measured.ipc(ThreadId::T0).unwrap();
     let rel = (a - b).abs() / b;
     assert!(
         rel < 0.05,

@@ -5,7 +5,7 @@
 //! worker count. Reuse is a wall-clock optimisation only; any observable
 //! difference is a bug.
 
-use p5repro::core::{CoreConfig, SmtCore, WarmupMode};
+use p5repro::core::{CoreConfig, ExecutionPlan, SmtCore, WarmupMode};
 use p5repro::experiments::campaign::{Campaign, CampaignSpec, CellFaults, CellSpec};
 use p5repro::experiments::{export, table3, Experiments};
 use p5repro::fame::{FameConfig, FameRunner};
@@ -29,7 +29,7 @@ fn ctx(jobs: usize, reuse: bool) -> Experiments {
         },
     )
     .with_jobs(jobs)
-    .with_reuse_warmup(reuse)
+    .with_plan(ExecutionPlan::detailed().with_warm_reuse(reuse))
 }
 
 /// Restore-then-measure equals warm-then-measure, bit for bit, for every
