@@ -5,7 +5,6 @@ use crate::error::{DiagnosticSnapshot, SimError, StuckResource, ThreadDiag};
 use crate::queues::{ExecKind, FinishTable, IssueQueues, LoadMissQueue, QEntry};
 use crate::stats::{CoreStats, DecodeBlock, RepetitionRecord};
 use crate::thread::{Group, ThreadState};
-use crate::trace::{Trace, TraceEvent, TraceKind};
 use p5_branch::{BranchPredictorOps, BranchStats, Predictor};
 use p5_isa::{
     decode_policy, BranchBehavior, DecodePolicy, FuClass, Op, Priority, PrivilegeLevel,
@@ -73,10 +72,10 @@ pub struct SmtCore {
     /// unpipelined ops like fixed-point multiply).
     fu_busy: [Vec<u64>; 4],
     rng: u64,
-    tracer: Option<Trace>,
-    /// Performance-monitoring unit, when enabled. Boxed so the disabled
-    /// case costs one pointer-sized `None` check per cycle and nothing
-    /// else; no `dyn` dispatch anywhere on the hot path.
+    /// Performance-monitoring unit, when enabled: the core's only
+    /// observer. Boxed so the disabled case costs one pointer-sized
+    /// `None` check per cycle and nothing else; no `dyn` dispatch
+    /// anywhere on the hot path.
     pmu: Option<Box<Pmu>>,
     /// XORed into every stream base address; distinguishes the address
     /// spaces of the two cores of a chip.
@@ -111,9 +110,9 @@ pub struct SmtCore {
 ///
 /// The snapshot pins the [`CoreConfig`] and address-space salt it was
 /// taken under; restoring into an incompatible core is refused. The
-/// tracer and PMU are deliberately *not* part of the snapshot: they are
-/// observers, attached per measurement, and FAME enables them only
-/// after the warmup boundary.
+/// PMU is deliberately *not* part of the snapshot: it is an observer,
+/// attached per measurement, and FAME enables it only after the warmup
+/// boundary.
 ///
 /// Cloning is cheap relative to re-simulating the warmup (the dominant
 /// payload is the cache line arrays); campaign workers share one
@@ -214,7 +213,6 @@ impl SmtCore {
             } else {
                 config.rng_seed
             },
-            tracer: None,
             pmu: None,
             address_space_salt,
             last_commit_cycle: 0,
@@ -225,31 +223,14 @@ impl SmtCore {
         }
     }
 
-    /// Starts recording pipeline events into a bounded ring of
-    /// `capacity` entries (replacing any previous trace).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.tracer = Some(Trace::new(capacity));
-    }
-
-    /// Stops recording and returns the trace collected so far, if any.
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        self.tracer.take()
-    }
-
-    /// The trace recorded so far, if tracing is enabled.
-    #[must_use]
-    pub fn trace(&self) -> Option<&Trace> {
-        self.tracer.as_ref()
-    }
-
     /// Enables the performance-monitoring unit (replacing any previous
-    /// one) and attaches its memory-counter cell to the hierarchy.
+    /// one) and attaches its memory-counter cell to the hierarchy. The
+    /// PMU's committed-instruction baseline is the core's count at
+    /// attach time, so a PMU attached mid-run samples only what commits
+    /// after it.
     pub fn enable_pmu(&mut self, config: PmuConfig) {
-        let pmu = Box::new(Pmu::new(config));
+        let mut pmu = Box::new(Pmu::new(config));
+        pmu.set_committed_baseline(ThreadId::ALL.map(|t| self.stats.committed(t)));
         self.mem.attach_pmu_counters(pmu.mem_counters());
         self.pmu = Some(pmu);
     }
@@ -273,14 +254,12 @@ impl SmtCore {
         self.pmu.as_deref_mut()
     }
 
-    fn emit(&mut self, thread: ThreadId, seq: u64, kind: TraceKind) {
-        if let Some(t) = &mut self.tracer {
-            t.push(TraceEvent {
-                cycle: self.cycle,
-                thread,
-                seq,
-                kind,
-            });
+    /// Records a discrete event on the attached PMU, if any: the one
+    /// path every engine instant (priority change, fault injection)
+    /// takes onto the timeline.
+    fn record_instant(&mut self, thread: Option<ThreadId>, kind: PmuEventKind) {
+        if let Some(p) = &mut self.pmu {
+            p.record_instant(thread, kind);
         }
     }
 
@@ -327,21 +306,12 @@ impl SmtCore {
     /// `p5-os` layers privilege semantics on top).
     pub fn set_priority(&mut self, thread: ThreadId, priority: Priority) {
         self.priorities[thread.index()] = priority;
-        self.emit(
-            thread,
-            0,
-            TraceKind::PriorityChanged {
+        self.record_instant(
+            Some(thread),
+            PmuEventKind::PriorityChanged {
                 level: priority.level(),
             },
         );
-        if let Some(p) = &mut self.pmu {
-            p.record_instant(
-                Some(thread),
-                PmuEventKind::PriorityChanged {
-                    level: priority.level(),
-                },
-            );
-        }
     }
 
     /// Current priority of `thread`.
@@ -421,8 +391,8 @@ impl SmtCore {
     /// typically at the warmup→measurement boundary, so the (expensive)
     /// warmup can be replayed for free by
     /// [`restore_warm_state`](SmtCore::restore_warm_state) on any
-    /// identically-configured core. The tracer and PMU are not captured
-    /// (they are attached per measurement, after the boundary).
+    /// identically-configured core. The PMU is not captured (it is
+    /// attached per measurement, after the boundary).
     #[must_use]
     pub fn snapshot_warm_state(&self) -> WarmState {
         WarmState {
@@ -450,7 +420,7 @@ impl SmtCore {
     /// bit-identical to the one [`snapshot_warm_state`](Self::snapshot_warm_state)
     /// captured, including its RNG position, so a measurement run from
     /// here matches a measurement run from the original warmup exactly.
-    /// The tracer and PMU attached to *this* core are left as they are.
+    /// The PMU attached to *this* core is left as it is.
     ///
     /// # Errors
     ///
@@ -928,12 +898,24 @@ impl SmtCore {
         if let Some(t) = self.threads[thread.index()].as_mut() {
             t.fetch_stall_until = t.fetch_stall_until.max(until);
         }
+        self.record_instant(
+            Some(thread),
+            PmuEventKind::FaultInjected {
+                what: "decode stall",
+            },
+        );
     }
 
     /// Fault hook: blocks both cache ports for the next `cycles` cycles
     /// — no load or store can issue until they unblock.
     pub fn inject_cache_port_block(&mut self, cycles: u64) {
         self.cache_port_blocked_until = self.cache_port_blocked_until.max(self.cycle + cycles);
+        self.record_instant(
+            None,
+            PmuEventKind::FaultInjected {
+                what: "cache port block",
+            },
+        );
     }
 
     /// Fault hook: makes the load-miss queue report "no free entry" for
@@ -941,6 +923,7 @@ impl SmtCore {
     /// MSHR (models LMQ saturation).
     pub fn inject_lmq_block(&mut self, cycles: u64) {
         self.lmq_blocked_until = self.lmq_blocked_until.max(self.cycle + cycles);
+        self.record_instant(None, PmuEventKind::FaultInjected { what: "lmq block" });
     }
 
     /// Advances the simulation by one cycle.
@@ -1142,8 +1125,6 @@ impl SmtCore {
                 if thread.redirect_pending == Some(entry.seq) {
                     thread.redirect_pending = None;
                 }
-                let resume_cycle = thread.fetch_stall_until;
-                self.emit(tid, entry.seq, TraceKind::Redirect { resume_cycle });
                 finish
             }
             ExecKind::Load { addr } => {
@@ -1194,7 +1175,6 @@ impl SmtCore {
             group.issued += 1;
             group.done_at = group.done_at.max(finish);
         }
-        self.emit(tid, entry.seq, TraceKind::Issued { finish_cycle: finish });
         Some(occupancy)
     }
 
@@ -1374,14 +1354,12 @@ impl SmtCore {
                     if requested.settable_by(thread.privilege) {
                         self.priorities[tid.index()] = requested;
                         self.stats.threads[tid.index()].priority_changes += 1;
-                        if let Some(p) = &mut self.pmu {
-                            p.record_instant(
-                                Some(tid),
-                                PmuEventKind::PriorityChanged {
-                                    level: requested.level(),
-                                },
-                            );
-                        }
+                        self.record_instant(
+                            Some(tid),
+                            PmuEventKind::PriorityChanged {
+                                level: requested.level(),
+                            },
+                        );
                     } else {
                         self.stats.threads[tid.index()].priority_nops += 1;
                     }
@@ -1459,7 +1437,6 @@ impl SmtCore {
                     kind,
                 },
             );
-            self.emit(tid, seq, TraceKind::Decoded { group_id });
             decoded += 1;
             self.stats.threads[tid.index()].decoded += 1;
 
@@ -1510,17 +1487,6 @@ impl SmtCore {
                 let head = thread.groups.pop_front().expect("front checked");
                 self.last_commit_cycle = self.cycle;
                 retired_any = true;
-                if let Some(t) = &mut self.tracer {
-                    t.push(TraceEvent {
-                        cycle: self.cycle,
-                        thread: tid,
-                        seq: 0,
-                        kind: TraceKind::GroupRetired {
-                            group_id: head.id,
-                            instructions: head.total,
-                        },
-                    });
-                }
                 let st = &mut self.stats.threads[i];
                 st.committed += u64::from(head.total);
                 for _ in 0..head.rep_ends {
@@ -2464,58 +2430,47 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_full_instruction_lifecycle() {
+    fn fault_injections_land_in_the_pmu() {
         let mut c = core();
-        c.load_program(ThreadId::T0, cpu_program(9, 10));
-        c.enable_trace(4096);
-        c.run_cycles(500);
-        let trace = c.take_trace().expect("tracing was enabled");
-        assert!(!trace.is_empty());
-        let kinds: Vec<_> = trace.iter().map(|e| e.kind).collect();
-        assert!(kinds
+        c.load_program(ThreadId::T0, cpu_program(9, 100));
+        c.enable_pmu(p5_pmu::PmuConfig::counters_only());
+        c.inject_decode_stall(ThreadId::T0, 100);
+        c.inject_cache_port_block(100);
+        c.inject_lmq_block(100);
+        let pmu = c.take_pmu().expect("pmu was enabled");
+        let faults: Vec<_> = pmu
+            .events()
             .iter()
-            .any(|k| matches!(k, crate::trace::TraceKind::Decoded { .. })));
-        assert!(kinds
-            .iter()
-            .any(|k| matches!(k, crate::trace::TraceKind::Issued { .. })));
-        assert!(kinds
-            .iter()
-            .any(|k| matches!(k, crate::trace::TraceKind::GroupRetired { .. })));
-        // Decode of a given seq precedes its issue.
-        let decode_cycle = trace
-            .iter()
-            .find(|e| matches!(e.kind, crate::trace::TraceKind::Decoded { .. }) && e.seq == 1)
-            .map(|e| e.cycle)
-            .expect("seq 1 decoded");
-        let issue_cycle = trace
-            .iter()
-            .find(|e| matches!(e.kind, crate::trace::TraceKind::Issued { .. }) && e.seq == 1)
-            .map(|e| e.cycle)
-            .expect("seq 1 issued");
-        assert!(issue_cycle > decode_cycle);
-        // Disabled tracing costs nothing and returns None.
-        assert!(c.trace().is_none());
+            .map(|e| match e.kind {
+                PmuEventKind::FaultInjected { what } => (e.thread, what),
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            faults,
+            [
+                (Some(ThreadId::T0), "decode stall"),
+                (None, "cache port block"),
+                (None, "lmq block"),
+            ]
+        );
     }
 
     #[test]
-    fn trace_captures_priority_changes_and_redirects() {
+    fn pmu_attached_mid_run_samples_only_what_commits_after() {
         let mut c = core();
-        let mut b = Program::builder("br");
-        b.push(StaticInst::new(Op::Branch(BranchBehavior::Random { taken_permille: 500 })));
-        b.iterations(50);
-        c.load_program(ThreadId::T0, b.build().unwrap());
-        c.enable_trace(4096);
-        c.set_priority(ThreadId::T0, Priority::High);
-        c.run_cycles(2_000);
-        let trace = c.take_trace().unwrap();
-        assert!(trace.iter().any(|e| matches!(
-            e.kind,
-            crate::trace::TraceKind::PriorityChanged { level: 6 }
-        )));
-        assert!(trace.iter().any(|e| matches!(
-            e.kind,
-            crate::trace::TraceKind::Redirect { .. }
-        )));
+        c.load_program(ThreadId::T0, cpu_program(9, 10_000));
+        c.load_program(ThreadId::T1, cpu_program(9, 10_000));
+        c.run_cycles(10_000);
+        let before = ThreadId::ALL.map(|t| c.stats().committed(t));
+        c.enable_pmu(p5_pmu::PmuConfig::sampling(1));
+        c.run_cycles(8);
+        let pmu = c.take_pmu().expect("pmu was enabled");
+        assert_eq!(pmu.samples().len(), 8);
+        for t in ThreadId::ALL {
+            let sampled: u64 = pmu.samples().iter().map(|s| s.committed[t.index()]).sum();
+            assert_eq!(sampled, c.stats().committed(t) - before[t.index()], "{t}");
+        }
     }
 
     /// The satellite-2 invariant: every granted decode cycle is either

@@ -101,7 +101,6 @@ mod error;
 mod queues;
 mod stats;
 mod thread;
-mod trace;
 
 pub use cancel::CancelToken;
 pub use chip::{Chip, CoreId};
@@ -113,4 +112,3 @@ pub use engine::{RunOutcome, SmtCore, WarmState};
 pub use error::{DiagnosticSnapshot, SimError, StuckResource, ThreadDiag};
 pub use stats::{CoreStats, DecodeBlock, RepetitionRecord, ThreadStats};
 pub use thread::stream_base_address;
-pub use trace::{Trace, TraceEvent, TraceKind};

@@ -30,9 +30,9 @@
 //! chip on separate OS threads in determinism mode (bit-identical to
 //! serial); `+mt:Q` relaxes the synchronization to a Q-cycle quantum
 //! (DESIGN.md §16 — a chip's results then carry a bounded interleaving
-//! error; campaign cells run on one core and are unaffected).
-//! `--chip-threads 2` is shorthand for `+mt`. Any argument `--help`
-//! does not list, and a flag missing its value, is a usage error.
+//! error; campaign cells run on one core and are unaffected). Any
+//! argument `--help` does not list, and a flag missing its value, is a
+//! usage error.
 //!
 //! `--pmu` adds the per-cell CPI-stack section; `--trace <path>`
 //! additionally captures the priority-switch transient and writes it as
@@ -58,8 +58,8 @@
 //! campaign aborted early (time budget or abort).
 
 use p5_experiments::{
-    claims, export, fig2, fig3, fig4, fig5, fig6, mpi, noise, pmu, sweep, table1, table2, table3,
-    table4, Experiments,
+    ablations, claims, export, fig2, fig3, fig4, fig5, fig6, mpi, noise, pmu, sweep, table1,
+    table2, table3, table4, Experiments,
 };
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -99,7 +99,8 @@ USAGE:
 OPTIONS:
     --quick                 reduced-fidelity smoke run
     --only LIST             comma-separated sections (table1,table2,table3,
-                            fig2,fig3,fig4,fig5,fig6,table4,mpi,noise,pmu,claims)
+                            fig2,fig3,fig4,fig5,fig6,table4,mpi,noise,
+                            ablations,pmu,claims)
     --csv-dir DIR           export CSV artifacts into DIR
     --json-dir DIR          export JSON artifacts into DIR
     --jobs N                campaign worker threads (default: all cores);
@@ -113,8 +114,6 @@ OPTIONS:
                             append +mt (deterministic, bit-identical) or
                             +mt:Q (relaxed Q-cycle quantum, DESIGN.md §16)
                             to run chip simulations on two threads
-    --chip-threads N        1 = serial chip (default), 2 = deterministic
-                            threaded chip (same as appending +mt to --plan)
     --pmu                   add the per-cell CPI-stack section
     --trace PATH            write the priority-switch Chrome trace to PATH
     --journal DIR           journal finished cells to DIR/journal.jsonl
@@ -140,9 +139,9 @@ EXIT CODES:
 ";
 
 /// Every section `--only` accepts, in the order `--help` lists them.
-const SECTIONS: [&str; 13] = [
+const SECTIONS: [&str; 14] = [
     "table1", "table2", "table3", "fig2", "fig3", "fig4", "fig5", "fig6", "table4", "mpi", "noise",
-    "pmu", "claims",
+    "ablations", "pmu", "claims",
 ];
 
 /// The flags `--help` lists that stand alone, in its order.
@@ -150,9 +149,9 @@ const SWITCHES: [&str; 5] = ["--quick", "--pmu", "--resume", "-h", "--help"];
 
 /// The flags `--help` lists that take the next argument as their value,
 /// in its order.
-const VALUE_FLAGS: [&str; 12] = [
-    "--only", "--csv-dir", "--json-dir", "--jobs", "--plan", "--chip-threads", "--trace",
-    "--journal", "--time-budget-ms", "--cell-deadline-ms", "--chaos-abort-after", "--chaos-panic",
+const VALUE_FLAGS: [&str; 11] = [
+    "--only", "--csv-dir", "--json-dir", "--jobs", "--plan", "--trace", "--journal",
+    "--time-budget-ms", "--cell-deadline-ms", "--chaos-abort-after", "--chaos-panic",
 ];
 
 /// Parses the `--only` list, exiting with a usage error on a missing
@@ -215,7 +214,7 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .map(PathBuf::from);
     let pmu_flag = args.iter().any(|a| a == "--pmu");
-    let mut plan = match args
+    let plan = match args
         .iter()
         .position(|a| a == "--plan")
         .and_then(|i| args.get(i + 1))
@@ -229,21 +228,6 @@ fn main() {
         },
         None => p5_core::ExecutionPlan::detailed(),
     };
-    // A post-parse plan edit, so it composes with --plan. Relaxed
-    // quanta are deliberately not reachable from this flag — they
-    // change results and must be spelled out as `--plan ...+mt:Q`.
-    match parsed_flag(&args, "--chip-threads") {
-        None => {}
-        Some(1) => plan.chip = p5_core::ChipParallelism::Serial,
-        Some(2) => plan.chip = p5_core::ChipParallelism::Threaded { quantum: 1 },
-        Some(n) => {
-            eprintln!(
-                "--chip-threads expects 1 (serial) or 2 (deterministic threaded), got {n}; \
-                 for a relaxed quantum use --plan ...+mt:Q"
-            );
-            std::process::exit(1);
-        }
-    }
     let jobs: usize = match args
         .iter()
         .position(|a| a == "--jobs")
@@ -519,6 +503,14 @@ fn main() {
 
     if wants("noise") {
         section("Measurement isolation", || noise::run(&ctx).render());
+    }
+
+    if wants("ablations") {
+        let t = Instant::now();
+        let r = ablations::run(&ctx);
+        println!("{}   (ablations took {:.1?})\n", r.render(), t.elapsed());
+        degraded_total += r.degraded.len();
+        counts += r.counts;
     }
 
     // The PMU section is opt-in: `--pmu`, or an explicit `--only` list

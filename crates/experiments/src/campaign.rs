@@ -827,7 +827,7 @@ fn run_cell(
     let plan = cell
         .faults
         .map(|f| FaultPlan::generate(f.seed, f.horizon, f.count));
-    cell_ctx.measure_resilient_warm_cancel(
+    cell_ctx.measure_resilient(
         move |core| {
             setup_cell(core, cell);
             if let Some(plan) = &plan {

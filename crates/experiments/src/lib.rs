@@ -16,6 +16,7 @@
 //! | [`fig6`]   | Figure 6 — transparent (background) execution |
 //! | [`mpi`]    | Section 5.4 — MPI imbalance re-balancing |
 //! | [`noise`]  | Section 4.1 — measurement isolation on the dual-core chip |
+//! | [`ablations`] | design-choice ablations (balancer, decode slots, GCT, LMQ, prefetch) |
 //! | [`claims`] | headline quantitative claims, checked programmatically |
 //! | [`pmu`]    | per-cell CPI stacks + priority-switch Chrome trace (observability) |
 //!
@@ -45,6 +46,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod ablations;
 pub mod campaign;
 pub mod claims;
 pub mod export;
@@ -230,7 +232,7 @@ pub enum CellStatus {
 }
 
 /// Result of one resilient measurement (see
-/// [`Experiments::measure_pair_resilient`]): the report, how it was
+/// [`Experiments::measure_resilient`]): the report, how it was
 /// obtained, and — for degraded cells — the error that limited it.
 #[derive(Debug, Clone)]
 pub struct Measured {
@@ -469,14 +471,6 @@ impl Experiments {
         SmtCore::try_new(self.core.clone())
     }
 
-    /// FAME-measures a single program in single-thread mode.
-    #[must_use]
-    pub fn measure_single(&self, program: Program) -> FameReport {
-        let mut core = self.new_core();
-        core.load_program(ThreadId::T0, program);
-        FameRunner::new(self.fame).measure(&mut core)
-    }
-
     /// FAME-measures a pair of programs under the given priorities.
     #[must_use]
     pub fn measure_pair(
@@ -498,66 +492,39 @@ impl Experiments {
     /// before marking the cell degraded.
     #[must_use]
     pub fn measure_single_resilient(&self, program: Program) -> Measured {
-        self.measure_resilient(move |core| {
-            core.load_program(ThreadId::T0, program.clone());
-        })
+        self.measure_resilient(
+            move |core| core.load_program(ThreadId::T0, program.clone()),
+            None,
+            None,
+        )
     }
 
-    /// Resilient pair measurement: never panics, retries a failed or
-    /// unconverged run once with an escalated cycle budget before marking
-    /// the cell degraded.
-    #[must_use]
-    pub fn measure_pair_resilient(
-        &self,
-        primary: Program,
-        secondary: Program,
-        priorities: (Priority, Priority),
-    ) -> Measured {
-        self.measure_resilient(move |core| {
-            core.load_program(ThreadId::T0, primary.clone());
-            core.load_program(ThreadId::T1, secondary.clone());
-            core.set_priority(ThreadId::T0, priorities.0);
-            core.set_priority(ThreadId::T1, priorities.1);
-        })
-    }
-
-    /// The retry/escalation wrapper all resilient measurements share.
+    /// The retry/escalation path every resilient measurement shares.
     ///
-    /// Attempt 1 runs on a fresh core with the configured budget. If it
-    /// errors retryably (watchdog stall, exhausted budget) or returns an
-    /// unconverged report, attempt 2 runs on another fresh core with the
-    /// budgets multiplied by [`Experiments::RETRY_ESCALATION`]. A cell
-    /// that still has no converged report after that is `Degraded`; it
-    /// keeps the best report observed plus the error that limited it.
-    fn measure_resilient(&self, setup: impl Fn(&mut SmtCore)) -> Measured {
-        self.measure_resilient_warm(setup, None)
-    }
-
-    /// The resilient measure/retry path with an optional
-    /// warm-state checkpoint: when `warm` is `Some((state, cycles))`, the
-    /// first attempt restores `state` (a checkpoint taken at
+    /// Attempt 1 runs on a fresh core prepared by `setup`, with the
+    /// configured budget. If it errors retryably (watchdog stall,
+    /// exhausted budget) or returns an unconverged report, attempt 2
+    /// runs on another fresh core with the budgets multiplied by
+    /// [`Experiments::RETRY_ESCALATION`]. A cell that still has no
+    /// converged report after that is `Degraded`; it keeps the best
+    /// report observed plus the error that limited it.
+    ///
+    /// When `warm` is `Some((state, cycles))`, the first attempt
+    /// restores `state` (a checkpoint taken at
     /// [`FameRunner::warm_only`]'s boundary for an identically-prepared
     /// core) instead of re-running the warm-up, which is bit-identical
     /// and much cheaper. A checkpoint that does not fit the cell — or a
     /// first attempt that needs the escalated-budget retry — falls back
     /// to the full warm-in-place path, so results never depend on
     /// whether a checkpoint was supplied.
-    pub fn measure_resilient_warm(
-        &self,
-        setup: impl Fn(&mut SmtCore),
-        warm: Option<(&p5_core::WarmState, u64)>,
-    ) -> Measured {
-        self.measure_resilient_warm_cancel(setup, warm, None)
-    }
-
-    /// [`Experiments::measure_resilient_warm`] under an optional
-    /// [`CancelToken`](p5_core::CancelToken): every attempt's FAME
+    ///
+    /// Under a [`CancelToken`](p5_core::CancelToken) every attempt's FAME
     /// runner checks the token between simulation chunks, so an expired
     /// token stops the measurement at a clean boundary with a
     /// (non-retryable) [`SimError::Deadline`] and the cell degrades
-    /// instead of running forever. `None` is exactly the tokenless
-    /// path — bit-reproducible, never wall-clock-dependent.
-    pub fn measure_resilient_warm_cancel(
+    /// instead of running forever. `None` is the tokenless path —
+    /// bit-reproducible, never wall-clock-dependent.
+    pub fn measure_resilient(
         &self,
         setup: impl Fn(&mut SmtCore),
         warm: Option<(&p5_core::WarmState, u64)>,

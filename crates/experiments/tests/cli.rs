@@ -41,11 +41,14 @@ fn help_documents_the_plan_flag() {
 #[test]
 fn unknown_arguments_are_usage_errors() {
     // A flag `--help` does not list (`--fast-forward` is calibrate's,
-    // not repro's) and a typo must fail before anything runs, naming
-    // the argument, instead of being ignored.
-    for arg in ["--fast-forward", "--fast-froward"] {
+    // not repro's; `--chip-threads` is spelled `--plan ...+mt`) and a
+    // typo must fail before anything runs, naming the argument, instead
+    // of being ignored.
+    for args in [&["--fast-forward"][..], &["--fast-froward"], &["--chip-threads", "2"]] {
+        let arg = args[0];
         let out = repro()
-            .args(["--quick", "--only", "table1", arg])
+            .args(["--quick", "--only", "table1"])
+            .args(args)
             .output()
             .expect("repro runs");
         assert_eq!(out.status.code(), Some(1), "{arg} exits 1");

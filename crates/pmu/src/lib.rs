@@ -286,6 +286,15 @@ impl Pmu {
         }
     }
 
+    /// Sets the cumulative committed-instruction counts the first
+    /// sample's deltas are taken from. [`CycleRecord::committed`] is
+    /// the core's running total, so a PMU attached to a core that has
+    /// already committed work must start from that total, not from
+    /// zero, or its first sample would absorb the whole history.
+    pub fn set_committed_baseline(&mut self, committed: [u64; 2]) {
+        self.last_committed = committed;
+    }
+
     /// The configuration in force.
     #[must_use]
     pub fn config(&self) -> &PmuConfig {

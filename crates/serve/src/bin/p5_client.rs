@@ -3,7 +3,9 @@
 //! Fetched campaigns are reassembled client-side into the exact
 //! aggregation an offline run produces; with `--grid table3` and
 //! `--csv-dir`/`--json-dir` the exported artifacts are byte-identical
-//! to `repro --only table3` under the matching fidelity flag.
+//! to `repro --only table3` under the matching fidelity flag. Any
+//! argument `--help` does not list, and a flag missing its value, is a
+//! usage error before anything connects.
 
 use p5_experiments::{export, table3};
 use p5_serve::client::{self, Endpoint};
@@ -34,21 +36,29 @@ OPTIONS:
                         suffixes apply too: +mt (deterministic) or
                         +mt:Q (relaxed quantum); every served cell runs
                         on one core, so both share the serial entries
-    --chip-threads N    1 = serial chip, 2 = deterministic threaded
-                        (same as appending +mt to --plan)
     --no-cache          force every cell to simulate server-side
     --csv-dir DIR       with --grid table3: write table3.csv into DIR
     --json-dir DIR      with --grid table3: write table3.json into DIR
     --wait-ready MS     poll until the daemon answers, up to MS ms
     --stats             print cache statistics and exit
     --shutdown          ask the daemon to exit
-    --help              print this help and exit
+    -h, --help          print this help and exit
 
 EXIT CODES:
     0    campaign completed with no degraded cells
     1    usage, connection, or protocol error
     2    campaign completed, but some cells degraded
 ";
+
+/// The flags `--help` lists that stand alone, in its order.
+const SWITCHES: [&str; 5] = ["--no-cache", "--stats", "--shutdown", "-h", "--help"];
+
+/// The flags `--help` lists that take the next argument as their value,
+/// in its order.
+const VALUE_FLAGS: [&str; 10] = [
+    "--unix", "--tcp", "--grid", "--cell", "--fidelity", "--seed", "--plan", "--csv-dir",
+    "--json-dir", "--wait-ready",
+];
 
 fn value_of(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -97,6 +107,10 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         print!("{HELP}");
         return;
+    }
+    if let Err(e) = p5_experiments::check_args(&args, &SWITCHES, &VALUE_FLAGS) {
+        eprintln!("{e} (see --help)");
+        std::process::exit(1);
     }
     let endpoint = match (
         value_of(&args, "--unix").map(PathBuf::from),
@@ -161,18 +175,12 @@ fn main() {
     };
     let grid = value_of(&args, "--grid");
     let mut cells = Vec::new();
-    for (i, arg) in args.iter().enumerate() {
-        if arg == "--cell" {
-            let Some(spec) = args.get(i + 1) else {
-                eprintln!("--cell expects a spec");
+    for spec in args.windows(2).filter(|w| w[0] == "--cell").map(|w| &w[1]) {
+        match parse_cell(spec) {
+            Ok(cell) => cells.push(cell),
+            Err(e) => {
+                eprintln!("{e}");
                 std::process::exit(1);
-            };
-            match parse_cell(spec) {
-                Ok(cell) => cells.push(cell),
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(1);
-                }
             }
         }
     }
@@ -187,7 +195,7 @@ fn main() {
             std::process::exit(1);
         }
     });
-    let mut plan = match value_of(&args, "--plan") {
+    let plan = match value_of(&args, "--plan") {
         Some(spec) => match p5_core::ExecutionPlan::parse(&spec) {
             Ok(plan) => plan,
             Err(e) => {
@@ -197,21 +205,6 @@ fn main() {
         },
         None => p5_core::ExecutionPlan::detailed(),
     };
-    // Post-parse plan edit, mirroring repro: relaxed quanta must be
-    // spelled out as --plan ...+mt:Q.
-    if let Some(n) = value_of(&args, "--chip-threads") {
-        match n.parse::<u64>() {
-            Ok(1) => plan.chip = p5_core::ChipParallelism::Serial,
-            Ok(2) => plan.chip = p5_core::ChipParallelism::Threaded { quantum: 1 },
-            _ => {
-                eprintln!(
-                    "--chip-threads expects 1 (serial) or 2 (deterministic threaded), got {n:?}; \
-                     for a relaxed quantum use --plan ...+mt:Q"
-                );
-                std::process::exit(1);
-            }
-        }
-    }
     let request = CampaignRequest {
         fidelity,
         grid: grid.clone(),

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
-# Offline CI gate: build, test, lint. No network access required — the
-# workspace has no external dependencies (crates/bench, which needs
-# criterion, is excluded from the default members).
+# Offline CI gate: build, test, lint. No network access required — no
+# manifest in the repository has an external dependency.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -115,18 +114,19 @@ if ! python3 scripts/check_sampled_tolerance.py \
 fi
 
 # Chip setting vs single-core cells: every table3 cell runs on one
-# SmtCore, so no Chip is built here. This leg checks that --chip-threads 2
-# leaves single-core cells byte-identical to the serial jobs-1 reference.
+# SmtCore, so no Chip is built here. This leg checks that --plan
+# detailed+mt leaves single-core cells byte-identical to the serial
+# jobs-1 reference.
 # The chip's own serial-vs-threaded contract is gated by
 # tests/parallel_chip.rs and the FAME chip golden in tests/engine_golden.rs
 # (DESIGN.md §16).
-echo "== chip setting: --chip-threads 2 table3 (single-core cells) vs serial =="
+echo "== chip setting: --plan detailed+mt table3 (single-core cells) vs serial =="
 mkdir -p artifacts/chip_mt
 cargo run --release --offline -p p5-experiments --bin repro -- \
-  --quick --only table3 --jobs 1 --chip-threads 2 \
+  --quick --only table3 --jobs 1 --plan detailed+mt \
   --csv-dir artifacts/chip_mt --json-dir artifacts/chip_mt > /dev/null
 if ! diff -r artifacts/jobs1 artifacts/chip_mt > artifacts/chip_mt.diff; then
-  echo "PARALLEL-CHIP GATE FAILED: --chip-threads 2 artifacts differ from serial"
+  echo "PARALLEL-CHIP GATE FAILED: --plan detailed+mt artifacts differ from serial"
   cat artifacts/chip_mt.diff
   exit 1
 fi
@@ -239,10 +239,6 @@ if ! grep -q "(42 from server cache)" artifacts/serve4.out; then
 fi
 rm -f artifacts/serve1.out artifacts/serve2.out artifacts/serve3.out \
   artifacts/serve4.out artifacts/serve.log
-
-echo "== serve_bench: multi-client load + hit-rate/bit-identity check =="
-cargo run --release --offline -p p5-serve --bin serve_bench -- \
-  --quick --check --out artifacts/BENCH_serve_quick.json
 
 # Benchmark build + smoke: perfbench/ is a workspace of its own, so the
 # workspace build above never compiles it, yet it calls the public API
