@@ -1,6 +1,7 @@
 //! Core pipeline configuration.
 
 use crate::error::SimError;
+use crate::queues::MAX_QUEUE_SLOTS;
 use p5_mem::MemConfig;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -528,13 +529,13 @@ pub struct CoreConfig {
     pub lsu_units: usize,
     /// Branch units.
     pub bru_units: usize,
-    /// Fixed-point issue-queue capacity (shared).
+    /// Fixed-point issue-queue capacity (shared, 1 to 64 entries).
     pub fxq_size: usize,
-    /// Floating-point issue-queue capacity (shared).
+    /// Floating-point issue-queue capacity (shared, 1 to 64 entries).
     pub fpq_size: usize,
-    /// Load/store issue-queue capacity (shared).
+    /// Load/store issue-queue capacity (shared, 1 to 64 entries).
     pub lsq_size: usize,
-    /// Branch issue-queue capacity (shared).
+    /// Branch issue-queue capacity (shared, 1 to 64 entries).
     pub brq_size: usize,
     /// Load-miss-queue (MSHR) entries shared by both contexts.
     ///
@@ -628,8 +629,9 @@ impl CoreConfig {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] naming the offending field if
-    /// any width, queue or table size is zero (other than the LMQ) or
-    /// the watchdog window is absurdly small.
+    /// any width, queue or table size is zero (other than the LMQ), an
+    /// issue queue has more than 64 entries, or the watchdog window is
+    /// absurdly small.
     pub fn try_validate(&self) -> Result<(), SimError> {
         fn nonzero(field: &'static str, n: usize) -> Result<(), SimError> {
             if n == 0 {
@@ -656,10 +658,20 @@ impl CoreConfig {
         nonzero("fpu", self.fpu_units)?;
         nonzero("lsu", self.lsu_units)?;
         nonzero("bru", self.bru_units)?;
-        nonzero("fxq", self.fxq_size)?;
-        nonzero("fpq", self.fpq_size)?;
-        nonzero("lsq", self.lsq_size)?;
-        nonzero("brq", self.brq_size)?;
+        for (field, size) in [
+            ("fxq", self.fxq_size),
+            ("fpq", self.fpq_size),
+            ("lsq", self.lsq_size),
+            ("brq", self.brq_size),
+        ] {
+            nonzero(field, size)?;
+            if size > MAX_QUEUE_SLOTS {
+                return Err(SimError::InvalidConfig {
+                    field,
+                    message: format!("{field} size {size} exceeds {MAX_QUEUE_SLOTS} slots"),
+                });
+            }
+        }
         if self.low_power_decode_period == 0 {
             return Err(SimError::InvalidConfig {
                 field: "low_power_decode_period",
@@ -1041,6 +1053,28 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err.field, "latencies.int_mul_occupancy");
+    }
+
+    #[test]
+    fn issue_queues_hold_at_most_64_entries() {
+        for field in ["fxq", "fpq", "lsq", "brq"] {
+            let sized = |n: usize| {
+                let mut c = CoreConfig::power5_like();
+                match field {
+                    "fxq" => c.fxq_size = n,
+                    "fpq" => c.fpq_size = n,
+                    "lsq" => c.lsq_size = n,
+                    _ => c.brq_size = n,
+                }
+                c
+            };
+            assert!(sized(64).try_validate().is_ok(), "{field} of 64");
+            let err = sized(65).try_validate().unwrap_err();
+            assert!(
+                matches!(err, SimError::InvalidConfig { field: f, .. } if f == field),
+                "{field} of 65: {err}"
+            );
+        }
     }
 
     #[test]

@@ -2,13 +2,13 @@
 
 use crate::config::CoreConfig;
 use crate::error::{DiagnosticSnapshot, SimError, StuckResource, ThreadDiag};
-use crate::queues::{ExecKind, FinishTable, IssueQueues, LoadMissQueue, QEntry};
+use crate::queues::{ExecKind, IssueQueues, LoadMissQueue, Producer, QEntry};
 use crate::stats::{CoreStats, DecodeBlock, RepetitionRecord};
 use crate::thread::{Group, ThreadState};
 use p5_branch::{BranchPredictorOps, BranchStats, Predictor};
 use p5_isa::{
-    decode_policy, BranchBehavior, DecodePolicy, FuClass, Op, Priority, PrivilegeLevel,
-    Program, ThreadId,
+    decode_policy, BranchBehavior, DecodePolicy, FuClass, Op, Priority, PrivilegeLevel, Program,
+    Reg, ThreadId,
 };
 use p5_mem::{HitLevel, MemoryHierarchy};
 use p5_pmu::{CpiComponent, CycleRecord, IdleSpanRecord, Pmu, PmuConfig, PmuEventKind};
@@ -65,9 +65,11 @@ pub struct SmtCore {
     cycle: u64,
     next_seq: u64,
     queues: IssueQueues,
-    finish: FinishTable,
     lmq: LoadMissQueue,
     stats: CoreStats,
+    /// Cycles the idle skip jumped over (outside [`CoreStats`], which is
+    /// identical with the skip on and off).
+    skipped_cycles: u64,
     /// Per-class, per-unit cycle until which the unit is busy (models
     /// unpipelined ops like fixed-point multiply).
     fu_busy: [Vec<u64>; 4],
@@ -101,12 +103,12 @@ pub struct SmtCore {
 /// [`SmtCore::restore_warm_state`]: per-thread architectural state
 /// (program, PC, registers-in-flight bookkeeping, repetition counts,
 /// privilege), the priority registers, every in-flight pipeline
-/// structure (GCT groups with their issue progress, issue queues,
-/// finish table, LMQ, functional-unit busy horizons), the RNG, the cycle
-/// clock and statistics, plus the full memory hierarchy and
-/// branch-predictor contents. A restored core is bit-identical to the
-/// snapshotted one — stepping both produces the same state and the same
-/// statistics cycle for cycle.
+/// structure (GCT groups with their issue progress, register producers,
+/// issue-queue slots and wakeup masks, LMQ, functional-unit busy
+/// horizons), the RNG, the cycle clock and statistics, plus the full
+/// memory hierarchy and branch-predictor contents. A restored core is
+/// bit-identical to the snapshotted one — stepping both produces the
+/// same state and the same statistics cycle for cycle.
 ///
 /// The snapshot pins the [`CoreConfig`] and address-space salt it was
 /// taken under; restoring into an incompatible core is refused. The
@@ -128,9 +130,9 @@ pub struct WarmState {
     cycle: u64,
     next_seq: u64,
     queues: IssueQueues,
-    finish: FinishTable,
     lmq: LoadMissQueue,
     stats: CoreStats,
+    skipped_cycles: u64,
     fu_busy: [Vec<u64>; 4],
     rng: u64,
     last_commit_cycle: u64,
@@ -193,15 +195,15 @@ impl SmtCore {
             priorities: [Priority::Medium, Priority::Medium],
             cycle: 0,
             next_seq: 1,
-            queues: IssueQueues::new(
+            queues: IssueQueues::new([
                 config.fxq_size,
                 config.fpq_size,
                 config.lsq_size,
                 config.brq_size,
-            ),
-            finish: FinishTable::new(16 * 1024),
+            ]),
             lmq: LoadMissQueue::new(config.lmq_entries),
             stats: CoreStats::default(),
+            skipped_cycles: 0,
             fu_busy: [
                 vec![0; config.fxu_units],
                 vec![0; config.fpu_units],
@@ -279,6 +281,7 @@ impl SmtCore {
             line,
             thread,
             self.address_space_salt,
+            self.next_seq,
         ));
         // New work starts a fresh watchdog window.
         self.last_commit_cycle = self.cycle;
@@ -384,7 +387,16 @@ impl SmtCore {
     /// model the FAME methodology requires.
     pub fn reset_stats(&mut self) {
         self.stats = CoreStats::default();
+        self.skipped_cycles = 0;
         self.mem.reset_stats();
+    }
+
+    /// Cycles the idle skip advanced without stepping since the last
+    /// [`reset_stats`](SmtCore::reset_stats) (0 under `+noskip`): on the
+    /// detailed engine, `stats().cycles` less the stepped cycles.
+    #[must_use]
+    pub fn skipped_cycles(&self) -> u64 {
+        self.skipped_cycles
     }
 
     /// Captures a [`WarmState`] checkpoint of the core as it stands —
@@ -405,9 +417,9 @@ impl SmtCore {
             cycle: self.cycle,
             next_seq: self.next_seq,
             queues: self.queues.clone(),
-            finish: self.finish.clone(),
             lmq: self.lmq.clone(),
             stats: self.stats.clone(),
+            skipped_cycles: self.skipped_cycles,
             fu_busy: self.fu_busy.clone(),
             rng: self.rng,
             last_commit_cycle: self.last_commit_cycle,
@@ -463,9 +475,9 @@ impl SmtCore {
         self.cycle = state.cycle;
         self.next_seq = state.next_seq;
         self.queues.clone_from(&state.queues);
-        self.finish.clone_from(&state.finish);
         self.lmq.clone_from(&state.lmq);
         self.stats.clone_from(&state.stats);
+        self.skipped_cycles = state.skipped_cycles;
         self.fu_busy.clone_from(&state.fu_busy);
         self.rng = state.rng;
         self.last_commit_cycle = state.last_commit_cycle;
@@ -853,7 +865,10 @@ impl SmtCore {
         // An LMQ that cannot accept a miss blocks every memory-bound
         // thread at issue; capacity zero means it never can.
         if self.lmq.occupancy() >= self.config.lmq_entries
-            && self.queues.lsq.iter().any(|e| matches!(e.kind, ExecKind::Load { .. }))
+            && self
+                .queues
+                .entries(FuClass::Lsu)
+                .any(|e| matches!(e.kind, ExecKind::Load { .. }))
         {
             return StuckResource::LoadMissQueue;
         }
@@ -1028,86 +1043,40 @@ impl SmtCore {
     fn issue(&mut self, now: u64) -> bool {
         let mut issued_any = false;
         for (class_idx, class) in FuClass::ALL.into_iter().enumerate() {
-            // Nothing in the class can be ready before its wake-up bound.
-            if self.queues.queue(class).is_empty() || now < self.queues.wake[class_idx] {
-                continue;
-            }
-            let mut free_units: usize = self.fu_busy[class_idx]
-                .iter()
-                .filter(|&&busy_until| busy_until <= now)
-                .count();
-            if free_units == 0 {
-                continue;
-            }
-            // Oldest-first scan with `remove` on issue. This looks like
-            // an O(n²) smell, but it measures *faster* than read/write
-            // compaction rewrites (~12% whole-sim, see PERF.md): issues
-            // per cycle are bounded by the unit count, so `remove` is
-            // rare and shifts a short tail, while the common
-            // nothing-issues scan stays read-only — compaction variants
-            // tax every scanned entry with a store. An unready entry is
-            // tested where it lies and costs one register `min` toward
-            // the class's wake-up bound; only a ready one is copied into
-            // `try_issue`. Against copying every entry into `try_issue`
-            // with no bound, this scan and the per-group completion
-            // horizons ran the tiny table3 fill plus two writer blocks
-            // 1.36× faster on a 2-vCPU Xeon; caching a ready cycle in
-            // each entry (0.93×) or a branch-free ready mask (0.94×)
-            // store or compute per scanned entry and measured slower
-            // (PERF.md). `mem::take` detaches the queue (a pointer swap,
-            // no allocation) so `try_issue` can borrow the rest of the
-            // core.
-            let mut queue = std::mem::take(self.queues.queue(class));
-            let mut wake = u64::MAX;
-            let mut i = 0usize;
-            while i < queue.len() && free_units > 0 {
-                let entry = &queue[i];
-                // The first unready producer bounds the entry's wake-up.
-                let mut ready_from = self.finish.ready_from(entry.dep1);
-                if ready_from <= now {
-                    ready_from = self.finish.ready_from(entry.dep2);
-                }
-                if ready_from > now {
-                    wake = wake.min(ready_from);
-                    i += 1;
-                    continue;
-                }
-                match self.try_issue(now, queue[i]) {
-                    Some(occupancy) => {
-                        queue.remove(i);
-                        free_units -= 1;
+            let mut left = self.queues.ready(class, now);
+            // Oldest first over the age list, past entries still waiting
+            // on an operand, until the units or the ready entries run out.
+            let mut from = 0;
+            while left != 0 {
+                let Some(unit) = self.fu_busy[class_idx].iter().position(|&b| b <= now) else {
+                    break;
+                };
+                let Some((pos, slot, e)) = self.queues.next_ready(class, from, &mut left) else {
+                    break;
+                };
+                match self.try_issue(now, e, Producer::queued(class, slot)) {
+                    Some((finish, occupancy)) => {
+                        self.queues.issue(class, pos, finish);
                         issued_any = true;
-                        // Claim a free unit for `occupancy` cycles.
-                        let unit = self.fu_busy[class_idx]
-                            .iter_mut()
-                            .find(|busy_until| **busy_until <= now)
-                            .expect("free unit counted above");
-                        *unit = now + occupancy.max(1);
+                        // Claim the unit for `occupancy` cycles.
+                        self.fu_busy[class_idx][unit] = now + occupancy.max(1);
+                        from = pos;
                     }
-                    None => {
-                        // Held back by a port or LMQ gate, which can
-                        // open without any issue: rescan next cycle.
-                        wake = 0;
-                        i += 1;
-                    }
+                    // Held back by a port or LMQ gate.
+                    None => from = pos + 1,
                 }
             }
-            if i < queue.len() {
-                // The units ran out before the scan reached the end.
-                wake = 0;
-            }
-            *self.queues.queue(class) = queue;
-            self.queues.wake[class_idx] = wake;
         }
         issued_any
     }
 
-    /// Attempts to issue one entry whose producers are both ready; on
-    /// success returns the number of cycles the functional unit stays
-    /// occupied.
-    fn try_issue(&mut self, now: u64, entry: QEntry) -> Option<u64> {
+    /// Attempts to issue an entry whose producers have all finished,
+    /// named `queued` by the scoreboard; on success returns its finish
+    /// cycle and how many cycles its functional unit stays occupied.
+    fn try_issue(&mut self, now: u64, entry: QEntry, queued: Producer) -> Option<(u64, u64)> {
         let tid = entry.thread;
         let mut occupancy = 1u64;
+        let mut redirect = false;
         let finish = match entry.kind {
             ExecKind::Fixed {
                 latency,
@@ -1117,15 +1086,8 @@ impl SmtCore {
                 now + latency.max(1)
             }
             ExecKind::MispredictedBranch { latency } => {
-                let finish = now + latency.max(1);
-                let thread = self.threads[tid.index()]
-                    .as_mut()
-                    .expect("branch issued from empty context");
-                thread.fetch_stall_until = finish + self.config.mispredict_penalty;
-                if thread.redirect_pending == Some(entry.seq) {
-                    thread.redirect_pending = None;
-                }
-                finish
+                redirect = true;
+                now + latency.max(1)
             }
             ExecKind::Load { addr } => {
                 if now < self.cache_port_blocked_until {
@@ -1166,16 +1128,31 @@ impl SmtCore {
                 now + self.config.latencies.store.max(1)
             }
         };
-        self.finish.set(entry.seq, finish);
-        self.queues.note_issue(finish);
-        // A context unloaded mid-flight leaves its queued work to drain
-        // with no group to account it to.
-        if let Some(thread) = self.threads[tid.index()].as_mut() {
+        // A context unloaded or reloaded since the entry was decoded
+        // leaves it to drain with no group, register or fetch to touch.
+        let live = self.threads[tid.index()]
+            .as_mut()
+            .filter(|t| entry.seq >= t.first_seq);
+        if let Some(thread) = live {
+            if redirect {
+                thread.fetch_stall_until = finish + self.config.mispredict_penalty;
+                if thread.redirect_pending == Some(entry.seq) {
+                    thread.redirect_pending = None;
+                }
+            }
             let group = thread.group_mut(entry.group_id);
             group.issued += 1;
             group.done_at = group.done_at.max(finish);
+            // Consumers decoded from now on read the finish cycle here,
+            // unless a younger producer of the register took its place.
+            if let Some(dst) = entry.dst {
+                let latest = &mut thread.reg_producer[dst.index()];
+                if *latest == queued {
+                    *latest = Producer(finish);
+                }
+            }
         }
-        Some(occupancy)
+        Some((finish, occupancy))
     }
 
     // ---------------------------------------------------------------- decode
@@ -1314,12 +1291,9 @@ impl SmtCore {
             let seq = self.next_seq;
             self.next_seq += 1;
 
-            let dep1 = inst
-                .src1
-                .map_or(0, |r| thread.reg_producer[r.index()]);
-            let dep2 = inst
-                .src2
-                .map_or(0, |r| thread.reg_producer[r.index()]);
+            let producer =
+                |src: Option<Reg>| src.map_or(Producer(0), |r| thread.reg_producer[r.index()]);
+            let sources = [producer(inst.src1), producer(inst.src2)];
 
             let is_branch = inst.op.is_branch();
             let kind = match inst.op {
@@ -1417,26 +1391,25 @@ impl SmtCore {
                 }
             };
 
-            let thread = self.threads[tid.index()].as_mut().expect("active");
-            if let Some(dst) = inst.dst {
-                thread.reg_producer[dst.index()] = seq;
-            }
-            if thread.at_repetition_end() {
-                rep_ends += 1;
-            }
-            thread.advance();
-
-            self.queues.push(
+            let slot = self.queues.push(
                 class,
                 QEntry {
                     seq,
                     thread: tid,
                     group_id,
-                    dep1,
-                    dep2,
+                    dst: inst.dst,
                     kind,
                 },
+                sources,
             );
+            let thread = self.threads[tid.index()].as_mut().expect("active");
+            if let Some(dst) = inst.dst {
+                thread.reg_producer[dst.index()] = Producer::queued(class, slot);
+            }
+            if thread.at_repetition_end() {
+                rep_ends += 1;
+            }
+            thread.advance();
             decoded += 1;
             self.stats.threads[tid.index()].decoded += 1;
 
@@ -1656,12 +1629,10 @@ impl SmtCore {
     /// before the **next-event horizon** — the earliest future cycle at
     /// which any pipeline state can change:
     ///
-    /// - the earliest dependency wake-up among queued entries whose
-    ///   producers have both issued (an entry with an unissued producer
-    ///   cannot issue before that producer does, so the first issue of
-    ///   the span comes from an entry counted here) — or, for a class
-    ///   whose last scan found nothing ready, its wake-up bound
-    ///   (`IssueQueues::wake`), which no entry of the class beats,
+    /// - the earliest ready cycle among queued entries whose producers
+    ///   have all issued (an entry with an unissued producer cannot
+    ///   issue before that producer does, so the first issue of the
+    ///   span comes from an entry counted here),
     /// - the `done_at` of each thread's fully issued head group (its
     ///   retire cycle; a group with unissued instructions cannot retire
     ///   before they issue),
@@ -1723,6 +1694,7 @@ impl SmtCore {
         }
         self.cycle = end;
         self.stats.cycles += n;
+        self.skipped_cycles += n;
 
         if self.pmu.is_some() {
             let mut blocked_attr = [CpiComponent::Idle; 2];
@@ -1819,36 +1791,10 @@ impl SmtCore {
         if horizon <= next {
             return (next, causes);
         }
-        let queues = &self.queues;
-        for (class, queue) in [&queues.fxq, &queues.fpq, &queues.lsq, &queues.brq]
-            .into_iter()
-            .enumerate()
-        {
-            // A class's wake-up bounds every entry in it.
-            let wake = queues.wake[class];
-            if wake > now {
-                if wake == next {
-                    return (next, causes);
-                }
-                horizon = horizon.min(wake);
-                continue;
-            }
-            for entry in queue {
-                // `u64::MAX` (an unissued producer) leaves the horizon
-                // as it is. A wake-up at or before `now` is an entry
-                // held back by a unit, port or LMQ gate, whose release
-                // is a source above.
-                let wake = self
-                    .finish
-                    .ready_from(entry.dep1)
-                    .max(self.finish.ready_from(entry.dep2));
-                if wake == next {
-                    return (next, causes);
-                }
-                if wake > now {
-                    horizon = horizon.min(wake);
-                }
-            }
+        // A ready entry that did not issue is held back by a unit, port
+        // or LMQ gate, whose release is a source above.
+        if let Some(ready) = self.queues.next_wakeup() {
+            horizon = horizon.min(ready);
         }
         (horizon, causes)
     }
@@ -2430,6 +2376,56 @@ mod tests {
     }
 
     #[test]
+    fn an_unloaded_contexts_entries_drain_apart_from_its_reloaded_program() {
+        let mut c = core();
+        c.load_program(ThreadId::T0, cpu_program(9, 1_000_000));
+        c.load_program(ThreadId::T1, {
+            let mut b = Program::builder("chase-then-random-branch");
+            let s = b.stream(StreamSpec::pointer_chase(256 * 1024));
+            let ptr = Reg::new(1);
+            b.push(
+                StaticInst::new(Op::Load {
+                    stream: s,
+                    kind: DataKind::Int,
+                })
+                .dst(ptr)
+                .src1(ptr),
+            );
+            b.push(StaticInst::new(Op::IntAlu).dst(Reg::new(2)).src1(ptr));
+            b.push(StaticInst::new(Op::Branch(BranchBehavior::Random {
+                taken_permille: 500,
+            })));
+            b.iterations(1_000_000);
+            b.build().unwrap()
+        });
+        // Unload while a mispredicted branch and loads behind a miss are
+        // queued: they drain with no context to redirect or account to.
+        while c.threads[1].as_ref().unwrap().redirect_pending.is_none() {
+            c.step();
+        }
+        c.unload_program(ThreadId::T1);
+        c.run_cycles(2);
+        // Reload while they still drain: the new program numbers its
+        // instructions past every old entry, so none of the old entries
+        // counts toward its groups or publishes to its registers.
+        c.load_program(ThreadId::T1, chase_program(256 * 1024, 1_000_000));
+        let first_seq = c.threads[1].as_ref().unwrap().first_seq;
+        let old_queued = |c: &SmtCore| {
+            FuClass::ALL
+                .into_iter()
+                .flat_map(|class| c.queues.entries(class))
+                .filter(|e| e.thread == ThreadId::T1 && e.seq < first_seq)
+                .count()
+        };
+        assert!(old_queued(&c) > 0, "the reload must overlap the drain");
+        c.run_cycles(20_000);
+        assert_eq!(old_queued(&c), 0, "the old entries drained");
+        let t1 = c.threads[1].as_ref().unwrap();
+        assert!(t1.groups.iter().all(|g| g.issued <= g.total));
+        assert!(c.stats().committed(ThreadId::T1) > 0);
+    }
+
+    #[test]
     fn fault_injections_land_in_the_pmu() {
         let mut c = core();
         c.load_program(ThreadId::T0, cpu_program(9, 100));
@@ -2736,6 +2732,39 @@ mod tests {
         assert!(!c.idle_skip, "+noskip plan must disable the fast path");
         let c = SmtCore::new(CoreConfig::tiny_for_tests());
         assert!(c.idle_skip, "default plan must enable the fast path");
+    }
+
+    #[test]
+    fn stepped_and_skipped_cycles_add_up_to_the_cycle_count() {
+        let starved = |skip: bool| {
+            let mut cfg = CoreConfig::tiny_for_tests();
+            cfg.plan.idle_skip = skip;
+            let mut c = SmtCore::new(cfg);
+            c.load_program(ThreadId::T0, chase_program(256 * 1024, 10_000));
+            c.load_program(ThreadId::T1, cpu_program(9, 10_000));
+            c.set_priority(ThreadId::T0, Priority::High);
+            c.set_priority(ThreadId::T1, Priority::VeryLow);
+            c
+        };
+        // `run_cycles`' loop, counting the cycles it steps.
+        let mut c = starved(true);
+        let end = 50_000;
+        let mut stepped = 0;
+        while c.cycle < end {
+            stepped += 1;
+            if !c.step_internal() {
+                c.skip_idle_span(end);
+            }
+        }
+        assert!(c.skipped_cycles() > 0, "the starved pair must skip");
+        assert_eq!(stepped + c.skipped_cycles(), c.stats().cycles);
+        c.reset_stats();
+        assert_eq!(c.skipped_cycles(), 0);
+
+        let mut c = starved(false);
+        c.run_cycles(end);
+        assert_eq!(c.skipped_cycles(), 0, "+noskip steps every cycle");
+        assert_eq!(c.stats().cycles, end);
     }
 
     #[test]

@@ -1,6 +1,10 @@
-//! Issue queues, the writeback (finish) table, and the load-miss queue.
+//! Issue queues with producer-to-consumer wakeup, and the load-miss
+//! queue.
 
-use p5_isa::{FuClass, ThreadId};
+use p5_isa::{FuClass, Reg, ThreadId};
+
+/// The most entries an issue queue may hold: its slot sets are `u64` masks.
+pub(crate) const MAX_QUEUE_SLOTS: usize = 64;
 
 /// What an issue-queue entry does when it issues.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,134 +28,226 @@ pub(crate) struct QEntry {
     pub(crate) seq: u64,
     pub(crate) thread: ThreadId,
     pub(crate) group_id: u64,
-    /// Producer sequence numbers this instruction waits on (0 = none).
-    pub(crate) dep1: u64,
-    pub(crate) dep2: u64,
+    /// The register the instruction writes, if any.
+    pub(crate) dst: Option<Reg>,
     pub(crate) kind: ExecKind,
 }
 
-/// The four shared issue queues.
+/// A register's latest producer: the cycle its value is available from
+/// (0 if none wrote it) or, with `QUEUED` set, its class and slot. One
+/// word, as a two-field enum stalled decode on store forwarding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Producer(pub(crate) u64);
+
+impl Producer {
+    const QUEUED: u64 = 1 << 63;
+
+    pub(crate) const fn queued(class: FuClass, slot: u8) -> Producer {
+        Producer(Producer::QUEUED | (class as u64) << 8 | slot as u64)
+    }
+}
+
+/// One class's issue queue: an entry keeps its slot from decode to issue,
+/// and per-slot state sits in parallel arrays.
+#[derive(Debug, Clone)]
+struct ClassQueue {
+    entries: Vec<QEntry>,
+    /// Per slot, the latest finish among its issued producers.
+    ready_at: Vec<u64>,
+    /// Per slot, its producers that have not issued.
+    waiting: Vec<u8>,
+    /// Per slot and class, the consumer slots waiting on it.
+    consumers: Vec<[u64; 4]>,
+    /// Occupied slots, oldest first.
+    age: Vec<u8>,
+    free: u64,
+    /// Slots whose producers have all issued and finished by `now`.
+    ready: u64,
+    /// Slots woken in the cycle before `soon_at`, ready from it on.
+    soon: u64,
+    soon_at: u64,
+    /// Slots whose producers have all issued but finish later; the
+    /// earliest finish is `next_ready` (`u64::MAX` if none).
+    timed: u64,
+    next_ready: u64,
+}
+
+impl ClassQueue {
+    /// Marks `slot` ready from `ready_at`, waking it in cycle `now`.
+    fn wake(&mut self, slot: u32, ready_at: u64, now: u64) {
+        if ready_at > now + 1 {
+            self.timed |= 1 << slot;
+            self.next_ready = self.next_ready.min(ready_at);
+            return;
+        }
+        if self.soon_at <= now {
+            self.ready |= self.soon;
+            self.soon = 0;
+        }
+        self.soon |= 1 << slot;
+        self.soon_at = now + 1;
+    }
+}
+
+/// The four shared issue queues. An entry waits on the producers of its
+/// sources that had not issued when it was decoded, and each producer's
+/// issue wakes its consumers: the issue stage never tests an entry that
+/// cannot issue, nor searches for a producer.
 #[derive(Debug, Clone)]
 pub(crate) struct IssueQueues {
-    pub(crate) fxq: Vec<QEntry>,
-    pub(crate) fpq: Vec<QEntry>,
-    pub(crate) lsq: Vec<QEntry>,
-    pub(crate) brq: Vec<QEntry>,
-    caps: [usize; 4],
-    /// Per class (indexed by `FuClass as usize`), a cycle before which
-    /// no entry of the queue can pass its dependency check: the issue
-    /// scan skips the class until then, and the idle skip takes it as
-    /// the class's horizon. A scan that tests every entry it leaves in
-    /// the queue sets it to the earliest finish cycle of an entry's
-    /// first unready producer, or to 0 if the units ran out first or a
-    /// ready entry was held back by a port or LMQ gate. A producer that
-    /// issues later lowers it to its own finish cycle
-    /// ([`note_issue`](IssueQueues::note_issue)), and a new entry
-    /// resets it to 0 ([`push`](IssueQueues::push)).
-    pub(crate) wake: [u64; 4],
+    classes: [ClassQueue; 4],
+    /// The cycle of the last [`ready`](Self::ready) call: the current
+    /// one, as the issue stage calls it first every cycle.
+    now: u64,
 }
 
 impl IssueQueues {
-    pub(crate) fn new(fxq: usize, fpq: usize, lsq: usize, brq: usize) -> IssueQueues {
+    /// Queues of `sizes` slots, indexed by `FuClass as usize`.
+    pub(crate) fn new(sizes: [usize; 4]) -> IssueQueues {
+        let vacant = QEntry {
+            seq: 0,
+            thread: ThreadId::T0,
+            group_id: 0,
+            dst: None,
+            kind: ExecKind::Store { addr: 0 },
+        };
         IssueQueues {
-            fxq: Vec::with_capacity(fxq),
-            fpq: Vec::with_capacity(fpq),
-            lsq: Vec::with_capacity(lsq),
-            brq: Vec::with_capacity(brq),
-            caps: [fxq, fpq, lsq, brq],
-            wake: [0; 4],
+            classes: sizes.map(|size| ClassQueue {
+                entries: vec![vacant; size],
+                ready_at: vec![0; size],
+                waiting: vec![0; size],
+                consumers: vec![[0; 4]; size],
+                age: Vec::with_capacity(size),
+                free: u64::MAX >> (MAX_QUEUE_SLOTS - size),
+                ready: 0,
+                soon: 0,
+                soon_at: 0,
+                timed: 0,
+                next_ready: u64::MAX,
+            }),
+            now: 0,
         }
     }
 
-    /// Appends a decoded instruction to its class's queue.
-    pub(crate) fn push(&mut self, class: FuClass, entry: QEntry) {
-        self.queue(class).push(entry);
-        self.wake[class as usize] = 0;
+    /// Queues `entry` in `class`, waiting on `sources` (a producer named
+    /// twice is waited on once), and returns its slot.
+    #[inline]
+    pub(crate) fn push(&mut self, class: FuClass, entry: QEntry, sources: [Producer; 2]) -> u8 {
+        let c = class as usize;
+        let slot = self.classes[c].free.trailing_zeros();
+        let (mut ready_at, mut waiting) = (0, 0);
+        for (i, Producer(source)) in sources.into_iter().enumerate() {
+            if source & Producer::QUEUED == 0 {
+                ready_at = ready_at.max(source);
+            } else if i == 0 || source != sources[0].0 {
+                let producer = &mut self.classes[(source >> 8) as u8 as usize];
+                let at = usize::from(source as u8);
+                debug_assert!(producer.free & (1 << at) == 0, "producer slot is free");
+                producer.consumers[at][c] |= 1 << slot;
+                waiting += 1;
+            }
+        }
+        let q = &mut self.classes[c];
+        let i = slot as usize;
+        q.entries[i] = entry;
+        q.ready_at[i] = ready_at;
+        q.waiting[i] = waiting;
+        q.free &= !(1 << slot);
+        if waiting == 0 {
+            q.wake(slot, ready_at, self.now);
+        }
+        q.age.push(slot as u8);
+        slot as u8
     }
 
-    /// Records that an instruction finishing at `finish` issued: any
-    /// queued consumer of it may be ready from then on.
-    pub(crate) fn note_issue(&mut self, finish: u64) {
-        for wake in &mut self.wake {
-            *wake = (*wake).min(finish);
+    /// The slots of `class` whose entries can issue at `now`. The issue
+    /// stage calls this for every class every cycle.
+    #[inline]
+    pub(crate) fn ready(&mut self, class: FuClass, now: u64) -> u64 {
+        self.now = now;
+        let q = &mut self.classes[class as usize];
+        if q.soon_at <= now {
+            q.ready |= q.soon;
+            q.soon = 0;
+        }
+        if now >= q.next_ready {
+            q.next_ready = u64::MAX;
+            let mut timed = q.timed;
+            while timed != 0 {
+                let slot = timed.trailing_zeros();
+                timed &= timed - 1;
+                let ready_at = q.ready_at[slot as usize];
+                if ready_at <= now {
+                    q.timed &= !(1 << slot);
+                    q.ready |= 1 << slot;
+                } else {
+                    q.next_ready = q.next_ready.min(ready_at);
+                }
+            }
+        }
+        q.ready
+    }
+
+    /// The oldest entry of `class` at or after position `from` of its
+    /// age list whose slot is in `left`, which loses that slot: its
+    /// position, slot and entry.
+    #[inline]
+    pub(crate) fn next_ready(
+        &self,
+        class: FuClass,
+        from: usize,
+        left: &mut u64,
+    ) -> Option<(usize, u8, QEntry)> {
+        let q = &self.classes[class as usize];
+        let pos = from + q.age[from..].iter().position(|&s| *left & (1 << s) != 0)?;
+        let slot = q.age[pos];
+        *left &= !(1 << slot);
+        Some((pos, slot, q.entries[usize::from(slot)]))
+    }
+
+    /// Removes the entry at `pos` of `class`'s age list, which issued
+    /// and finishes at `finish`, and wakes the consumers waiting on it.
+    #[inline]
+    pub(crate) fn issue(&mut self, class: FuClass, pos: usize, finish: u64) {
+        let q = &mut self.classes[class as usize];
+        let slot = q.age.remove(pos);
+        q.free |= 1 << slot;
+        q.ready &= !(1 << slot);
+        let consumers = std::mem::take(&mut q.consumers[usize::from(slot)]);
+        for (q, mut mask) in self.classes.iter_mut().zip(consumers) {
+            while mask != 0 {
+                let k = mask.trailing_zeros();
+                mask &= mask - 1;
+                let i = k as usize;
+                q.ready_at[i] = q.ready_at[i].max(finish);
+                q.waiting[i] -= 1;
+                if q.waiting[i] == 0 {
+                    q.wake(k, q.ready_at[i], self.now);
+                }
+            }
         }
     }
 
-    pub(crate) fn queue(&mut self, class: FuClass) -> &mut Vec<QEntry> {
-        match class {
-            FuClass::Fxu => &mut self.fxq,
-            FuClass::Fpu => &mut self.fpq,
-            FuClass::Lsu => &mut self.lsq,
-            FuClass::Bru => &mut self.brq,
-        }
+    /// The earliest cycle at which an entry whose producers have all
+    /// issued becomes ready, if any: exact after a cycle in which nothing
+    /// issued or decoded, whose `ready` calls left `soon` empty.
+    pub(crate) fn next_wakeup(&self) -> Option<u64> {
+        let next = self.classes.iter().map(|q| q.next_ready).min()?;
+        (next != u64::MAX).then_some(next)
+    }
+
+    /// The entries queued in `class`, oldest first.
+    pub(crate) fn entries(&self, class: FuClass) -> impl Iterator<Item = &QEntry> {
+        let q = &self.classes[class as usize];
+        q.age.iter().map(|&slot| &q.entries[usize::from(slot)])
     }
 
     pub(crate) fn has_room(&self, class: FuClass) -> bool {
-        let (len, cap) = match class {
-            FuClass::Fxu => (self.fxq.len(), self.caps[0]),
-            FuClass::Fpu => (self.fpq.len(), self.caps[1]),
-            FuClass::Lsu => (self.lsq.len(), self.caps[2]),
-            FuClass::Bru => (self.brq.len(), self.caps[3]),
-        };
-        len < cap
+        self.classes[class as usize].free != 0
     }
 
     pub(crate) fn occupancy(&self) -> usize {
-        self.fxq.len() + self.fpq.len() + self.lsq.len() + self.brq.len()
-    }
-}
-
-/// Records the finish (writeback) cycle of issued instructions, indexed by
-/// sequence number in a ring.
-///
-/// Disambiguation: the slot for sequence `s` can hold the record of `s`
-/// itself, of an older wrapped sequence (`s - k*N`, meaning `s` has not
-/// issued yet), or of a newer one (`s + k*N`, meaning `s` finished long
-/// ago). Since the in-flight window is bounded by the GCT (far below `N`),
-/// comparing the stored sequence against the queried one resolves all
-/// three cases.
-#[derive(Debug, Clone)]
-pub(crate) struct FinishTable {
-    slots: Vec<(u64, u64)>, // (seq, finish_cycle)
-    mask: u64,
-}
-
-impl FinishTable {
-    pub(crate) fn new(capacity_pow2: usize) -> FinishTable {
-        assert!(capacity_pow2.is_power_of_two());
-        FinishTable {
-            slots: vec![(0, 0); capacity_pow2],
-            mask: capacity_pow2 as u64 - 1,
-        }
-    }
-
-    pub(crate) fn set(&mut self, seq: u64, finish: u64) {
-        self.slots[(seq & self.mask) as usize] = (seq, finish);
-    }
-
-    /// Returns the cycle at which the value produced by `seq` is
-    /// available, or `None` if `seq` has not issued yet.
-    pub(crate) fn get(&self, seq: u64) -> Option<u64> {
-        let (stored, finish) = self.slots[(seq & self.mask) as usize];
-        if stored == seq {
-            Some(finish)
-        } else if stored > seq {
-            // Overwritten by a much newer instruction: `seq` finished in
-            // the distant past.
-            Some(0)
-        } else {
-            None
-        }
-    }
-
-    /// The cycle from which the value of `dep` is available: 0 for no
-    /// dependency (`dep == 0`), `u64::MAX` while its producer has not
-    /// issued.
-    pub(crate) fn ready_from(&self, dep: u64) -> u64 {
-        if dep == 0 {
-            return 0;
-        }
-        self.get(dep).unwrap_or(u64::MAX)
+        self.classes.iter().map(|q| q.age.len()).sum()
     }
 }
 
@@ -231,34 +327,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn finish_table_unissued_is_none() {
-        let t = FinishTable::new(16);
-        assert_eq!(t.get(5), None);
-        assert_eq!(t.ready_from(5), u64::MAX);
-        assert_eq!(t.ready_from(0), 0, "dep 0 means no dependency");
-    }
-
-    #[test]
-    fn finish_table_set_get() {
-        let mut t = FinishTable::new(16);
-        t.set(5, 42);
-        assert_eq!(t.get(5), Some(42));
-        assert_eq!(t.ready_from(5), 42);
-    }
-
-    #[test]
-    fn finish_table_wrap_disambiguation() {
-        let mut t = FinishTable::new(16);
-        t.set(5, 42);
-        t.set(21, 100); // 21 = 5 + 16: overwrites slot 5
-        // Querying the old seq now reports "finished long ago".
-        assert_eq!(t.get(5), Some(0));
-        assert_eq!(t.ready_from(5), 0);
-        // Querying a future seq in the same slot reports "not issued".
-        assert_eq!(t.get(37), None);
-    }
-
-    #[test]
     fn lmq_room_and_expiry() {
         let mut q = LoadMissQueue::new(2);
         assert!(q.has_room());
@@ -288,44 +356,103 @@ mod tests {
         assert_eq!(q.outstanding_deep(ThreadId::T1), 1);
     }
 
-    #[test]
-    fn issue_queue_capacity() {
-        let mut q = IssueQueues::new(2, 2, 2, 2);
-        assert!(q.has_room(FuClass::Fxu));
-        let e = QEntry {
-            seq: 1,
+    fn entry(seq: u64, dst: Option<Reg>) -> QEntry {
+        QEntry {
+            seq,
             thread: ThreadId::T0,
             group_id: 1,
-            dep1: 0,
-            dep2: 0,
-            kind: ExecKind::Fixed { latency: 1, occupancy: 1 },
-        };
-        q.push(FuClass::Fxu, e);
-        q.push(FuClass::Fxu, QEntry { seq: 2, ..e });
-        assert!(!q.has_room(FuClass::Fxu));
-        assert!(q.has_room(FuClass::Fpu));
-        assert_eq!(q.occupancy(), 2);
+            dst,
+            kind: ExecKind::Fixed {
+                latency: 1,
+                occupancy: 1,
+            },
+        }
+    }
+
+    const NONE: [Producer; 2] = [Producer(0); 2];
+
+    /// The sequence numbers of `class`'s entries that can issue at
+    /// `now`, oldest first.
+    fn ready_seqs(q: &mut IssueQueues, class: FuClass, now: u64) -> Vec<u64> {
+        let mut left = q.ready(class, now);
+        let mut seqs = Vec::new();
+        let mut from = 0;
+        while let Some((pos, _, e)) = q.next_ready(class, from, &mut left) {
+            seqs.push(e.seq);
+            from = pos + 1;
+        }
+        seqs
     }
 
     #[test]
-    fn issue_queue_wake_tracks_pushes_and_issues() {
-        let mut q = IssueQueues::new(2, 2, 2, 2);
-        q.wake = [u64::MAX, 50, 40, 30];
-        q.note_issue(45);
-        assert_eq!(
-            q.wake,
-            [45, 45, 40, 30],
-            "an issue lowers every class to its finish"
+    fn issue_queue_capacity() {
+        let mut q = IssueQueues::new([2, 2, 2, 2]);
+        assert!(q.has_room(FuClass::Fxu));
+        q.push(FuClass::Fxu, entry(1, None), NONE);
+        q.push(FuClass::Fxu, entry(2, None), NONE);
+        assert!(!q.has_room(FuClass::Fxu));
+        assert!(q.has_room(FuClass::Fpu));
+        assert_eq!(q.occupancy(), 2);
+        q.issue(FuClass::Fxu, 0, 5);
+        assert!(q.has_room(FuClass::Fxu), "an issue frees its slot");
+        let seqs: Vec<u64> = q.entries(FuClass::Fxu).map(|e| e.seq).collect();
+        assert_eq!(seqs, [2]);
+    }
+
+    #[test]
+    fn a_full_64_slot_queue_reuses_freed_slots_oldest_first() {
+        let mut q = IssueQueues::new([MAX_QUEUE_SLOTS, 1, 1, 1]);
+        for seq in 1..=64 {
+            q.push(FuClass::Fxu, entry(seq, None), NONE);
+        }
+        assert!(!q.has_room(FuClass::Fxu));
+        q.issue(FuClass::Fxu, 10, 1);
+        assert_eq!(q.push(FuClass::Fxu, entry(65, None), NONE), 10);
+        let seqs = ready_seqs(&mut q, FuClass::Fxu, 1);
+        let expected: Vec<u64> = (1..=65).filter(|&seq| seq != 11).collect();
+        assert_eq!(seqs, expected, "the reused slot holds the youngest entry");
+    }
+
+    #[test]
+    fn a_consumer_of_two_producers_is_ready_at_the_later_finish() {
+        let mut q = IssueQueues::new([4, 4, 4, 4]);
+        let load = q.push(FuClass::Lsu, entry(1, Some(Reg::new(1))), NONE);
+        let add = q.push(FuClass::Fxu, entry(2, Some(Reg::new(2))), NONE);
+        q.push(
+            FuClass::Fxu,
+            entry(3, None),
+            [
+                Producer::queued(FuClass::Lsu, load),
+                Producer::queued(FuClass::Fxu, add),
+            ],
         );
-        let e = QEntry {
-            seq: 1,
-            thread: ThreadId::T0,
-            group_id: 1,
-            dep1: 0,
-            dep2: 0,
-            kind: ExecKind::Store { addr: 0 },
-        };
-        q.push(FuClass::Lsu, e);
-        assert_eq!(q.wake, [45, 45, 0, 30], "a new entry forces a scan");
+        assert_eq!(ready_seqs(&mut q, FuClass::Lsu, 10), [1]);
+        assert_eq!(ready_seqs(&mut q, FuClass::Fxu, 10), [2], "3 waits on both");
+        assert_eq!(q.next_wakeup(), None, "nothing is in flight yet");
+        // The load issues first and finishes at 40, the add at 12.
+        q.issue(FuClass::Lsu, 0, 40);
+        assert_eq!(
+            ready_seqs(&mut q, FuClass::Fxu, 10),
+            [2],
+            "3 still waits on the add"
+        );
+        q.issue(FuClass::Fxu, 0, 12);
+        assert_eq!(q.next_wakeup(), Some(40));
+        assert!(ready_seqs(&mut q, FuClass::Fxu, 39).is_empty());
+        assert_eq!(ready_seqs(&mut q, FuClass::Fxu, 40), [3]);
+        assert_eq!(q.next_wakeup(), None);
+    }
+
+    #[test]
+    fn a_producer_named_by_both_sources_is_waited_on_once() {
+        let mut q = IssueQueues::new([4, 4, 4, 4]);
+        let p = q.push(FuClass::Fxu, entry(1, Some(Reg::new(7))), NONE);
+        let twice = [Producer::queued(FuClass::Fxu, p); 2];
+        q.push(FuClass::Fxu, entry(2, None), twice);
+        assert_eq!(ready_seqs(&mut q, FuClass::Fxu, 1), [1]);
+        q.issue(FuClass::Fxu, 0, 3);
+        // Waited on twice, the consumer would never wake.
+        assert_eq!(q.next_wakeup(), Some(3));
+        assert_eq!(ready_seqs(&mut q, FuClass::Fxu, 3), [2]);
     }
 }

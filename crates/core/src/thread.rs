@@ -1,6 +1,7 @@
 //! Per-context state: program cursor, address-stream generators,
 //! register producers, and in-flight dispatch groups.
 
+use crate::queues::Producer;
 use p5_isa::{AccessPattern, PrivilegeLevel, Program, StreamSpec, ThreadId};
 use std::collections::VecDeque;
 
@@ -129,11 +130,14 @@ pub(crate) struct ThreadState {
     /// Current micro-iteration within the repetition.
     pub(crate) iter: u64,
     pub(crate) cursors: Vec<StreamCursor>,
-    /// Sequence number of the most recent producer of each architectural
-    /// register (0 = no in-flight producer). A fixed inline array: the
-    /// dependency lookup is on the per-instruction decode path and must
-    /// not chase a heap pointer.
-    pub(crate) reg_producer: [u64; p5_isa::Reg::COUNT],
+    /// The most recent producer of each architectural register. A fixed
+    /// inline array: the dependency lookup is on the per-instruction
+    /// decode path and must not chase a heap pointer.
+    pub(crate) reg_producer: [Producer; p5_isa::Reg::COUNT],
+    /// Sequence number of the program's first decoded instruction: queued
+    /// entries below it belong to a program unloaded or replaced since,
+    /// and drain without touching this one's groups or registers.
+    pub(crate) first_seq: u64,
     /// Decode is stalled until this cycle (branch redirect).
     pub(crate) fetch_stall_until: u64,
     /// A mispredicted branch was decoded and has not yet resolved; decode
@@ -150,6 +154,7 @@ impl ThreadState {
         line_bytes: u64,
         thread: ThreadId,
         salt: u64,
+        first_seq: u64,
     ) -> ThreadState {
         let cursors = program
             .streams()
@@ -163,7 +168,8 @@ impl ThreadState {
             pc: 0,
             iter: 0,
             cursors,
-            reg_producer: [0; p5_isa::Reg::COUNT],
+            reg_producer: [Producer(0); p5_isa::Reg::COUNT],
+            first_seq,
             fetch_stall_until: 0,
             redirect_pending: None,
             groups: VecDeque::new(),
@@ -278,7 +284,7 @@ mod tests {
 
     #[test]
     fn advance_wraps_iterations() {
-        let mut t = ThreadState::new(program(2, 3), 128, ThreadId::T0, 0);
+        let mut t = ThreadState::new(program(2, 3), 128, ThreadId::T0, 0, 1);
         assert!(!t.at_repetition_end());
         for _ in 0..5 {
             t.advance();
@@ -292,7 +298,7 @@ mod tests {
 
     #[test]
     fn group_lookup_by_id() {
-        let mut t = ThreadState::new(program(1, 1), 128, ThreadId::T0, 0);
+        let mut t = ThreadState::new(program(1, 1), 128, ThreadId::T0, 0, 1);
         t.groups.push_back(Group {
             id: 7,
             total: 5,

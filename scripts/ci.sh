@@ -113,6 +113,22 @@ if ! python3 scripts/check_sampled_tolerance.py \
   exit 1
 fi
 
+# Idle-skip determinism on the priority sweep: the quick Figure 2 cells
+# include the starved +/-5 pairs, where the skip jumps the most, so the
+# event horizon is held byte-for-byte there too, not only on table3's
+# (4,4) grid. Diffs the detailed fig2 artifacts built just above.
+echo "== idle-skip determinism: --plan detailed+noskip fig2 vs default =="
+mkdir -p artifacts/idle_skip_off/fig2
+cargo run --release --offline -p p5-experiments --bin repro -- \
+  --quick --only fig2 --jobs 2 --plan detailed+noskip \
+  --csv-dir artifacts/idle_skip_off/fig2 --json-dir artifacts/idle_skip_off/fig2 > /dev/null
+if ! diff -r artifacts/fig2_detailed artifacts/idle_skip_off/fig2 > artifacts/fig2_idle_skip.diff; then
+  echo "IDLE-SKIP GATE FAILED: --plan detailed+noskip fig2 artifacts differ from the skip-on run"
+  cat artifacts/fig2_idle_skip.diff
+  exit 1
+fi
+rm artifacts/fig2_idle_skip.diff
+
 # Chip setting vs single-core cells: every table3 cell runs on one
 # SmtCore, so no Chip is built here. This leg checks that --plan
 # detailed+mt leaves single-core cells byte-identical to the serial

@@ -16,7 +16,8 @@
 //!   cycles. The last test holds the constants and that table in step.
 //! - Fixed-length core runs for the decode policies whose FAME cells
 //!   take millions of cycles to measure: low-power (1,1) and
-//!   single-thread priority 7.
+//!   single-thread priority 7; and one on the full-size core whose
+//!   starved thread keeps instructions queued for thousands of decodes.
 //! - One fixed-length run with PMU sampling attached, whose CPI stacks
 //!   are pinned as well.
 //! - FAME reports of the paths no campaign cell above takes: single-core
@@ -82,6 +83,17 @@ const CORE_RUNS: &[Golden] = &[
     golden("cpu_int+ldint_l2@1,1", 0, 0x7a8d_b0d6_e895_05c1, 100_000),
     golden("cpu_int+cpu_fp@7,4", 0, 0x15a9_e511_23a8_eaa5, 100_000),
 ];
+
+/// A fixed-length run on the full-size core (`CoreConfig::power5_like`)
+/// of a pair whose starved thread's oldest queued instruction trails the
+/// newest decode by thousands of instructions (4,503 at cycle 244,530 of
+/// this run), far more than its share of the GCT holds.
+const LONG_SPAN_RUNS: &[Golden] = &[golden(
+    "cpu_int+ldint_mem@6,1",
+    0,
+    0xda3b_971c_b66b_f982,
+    300_000,
+)];
 
 /// FAME reports of single-core pairs, named `plan pair`: the campaign
 /// cells above all warm and measure in detail. The digest covers every
@@ -210,12 +222,17 @@ fn campaign_cells_match_their_golden_digests() {
     });
 }
 
-/// A tiny core under `plan` running pair `name` from cycle 0, each
-/// thread's program built by `program`.
-fn pair_core(name: &str, plan: ExecutionPlan, program: fn(&str) -> Program) -> SmtCore {
-    let (a, b, (p, s)) = parse_pair(name);
+/// A tiny core under `plan`.
+fn tiny_core(plan: ExecutionPlan) -> CoreConfig {
     let mut cfg = CoreConfig::tiny_for_tests();
     cfg.plan = plan;
+    cfg
+}
+
+/// A core of `cfg` running pair `name` from cycle 0, each thread's
+/// program built by `program`.
+fn pair_core(name: &str, cfg: CoreConfig, program: fn(&str) -> Program) -> SmtCore {
+    let (a, b, (p, s)) = parse_pair(name);
     let mut core = SmtCore::new(cfg);
     core.load_program(ThreadId::T0, program(a));
     core.load_program(ThreadId::T1, program(b));
@@ -224,13 +241,25 @@ fn pair_core(name: &str, plan: ExecutionPlan, program: fn(&str) -> Program) -> S
     core
 }
 
+/// Runs pair `g.name` on a core of `cfg` for `g.cycles` and digests it.
+fn fixed_length_run(cfg: CoreConfig, g: &Golden) -> (u64, u64) {
+    let mut core = pair_core(g.name, cfg, bench);
+    core.run_cycles(g.cycles);
+    let ipc = ThreadId::ALL.map(|t| Some(core.stats().ipc(t)));
+    (digest(CellStatus::Ok, ipc), core.cycle())
+}
+
 #[test]
 fn fixed_length_core_runs_match_their_golden_digests() {
     check("core runs", CORE_RUNS, |g| {
-        let mut core = pair_core(g.name, ExecutionPlan::detailed(), bench);
-        core.run_cycles(g.cycles);
-        let ipc = ThreadId::ALL.map(|t| Some(core.stats().ipc(t)));
-        (digest(CellStatus::Ok, ipc), core.cycle())
+        fixed_length_run(tiny_core(ExecutionPlan::detailed()), g)
+    });
+}
+
+#[test]
+fn long_span_core_run_matches_its_golden_digest() {
+    check("long-span core run", LONG_SPAN_RUNS, |g| {
+        fixed_length_run(CoreConfig::power5_like(), g)
     });
 }
 
@@ -279,7 +308,7 @@ fn fame_run<'a>(name: &'a str, suffix: &str) -> (ExecutionPlan, &'a str) {
 fn fame_core_reports_match_their_golden_digests() {
     check("FAME core reports", FAME_CORE_RUNS, |g| {
         let (plan, pair) = fame_run(g.name, "");
-        let mut core = pair_core(pair, plan, short_bench);
+        let mut core = pair_core(pair, tiny_core(plan), short_bench);
         let runner = FameRunner::new(FameConfig::quick());
         fame_digest(&[runner.try_measure(&mut core).expect("healthy pair")])
     });
@@ -328,7 +357,7 @@ const PMU_COMMITTED: [u64; 2] = [9996, 5040];
 
 #[test]
 fn sampled_pmu_run_matches_its_golden_cpi_stacks() {
-    let mut core = pair_core(PMU_RUN, ExecutionPlan::detailed(), bench);
+    let mut core = pair_core(PMU_RUN, tiny_core(ExecutionPlan::detailed()), bench);
     core.enable_pmu(PmuConfig::sampling(4096));
     core.run_cycles(PMU_RUN_CYCLES);
     let pmu = core.take_pmu().expect("PMU was enabled");
