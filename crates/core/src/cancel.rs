@@ -131,13 +131,19 @@ mod tests {
         assert!(child.expired(), "child deadline applies to the child");
         assert!(!parent.expired(), "child deadline never expires the parent");
         parent.cancel();
-        assert!(child.is_cancelled(), "parent cancellation reaches the child");
+        assert!(
+            child.is_cancelled(),
+            "parent cancellation reaches the child"
+        );
     }
 
     #[test]
     fn child_deadline_clamps_to_parent() {
         let parent = CancelToken::with_budget(Duration::ZERO);
         let child = parent.child_with_budget(Duration::from_secs(3600));
-        assert!(child.expired(), "child cannot outlive its parent's deadline");
+        assert!(
+            child.expired(),
+            "child cannot outlive its parent's deadline"
+        );
     }
 }

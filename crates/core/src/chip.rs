@@ -216,9 +216,7 @@ impl Chip {
                 }
                 ran
             }
-            ChipParallelism::Threaded { quantum } => {
-                self.run_threaded(n, quantum.max(1), cancel)
-            }
+            ChipParallelism::Threaded { quantum } => self.run_threaded(n, quantum.max(1), cancel),
         }
     }
 
@@ -352,10 +350,7 @@ impl Turnstile {
                 if st.turn == me {
                     break;
                 }
-                st = self
-                    .cv
-                    .wait(st)
-                    .unwrap_or_else(PoisonError::into_inner);
+                st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
             if me == 0 && cancel.is_some() {
                 since_check += 1;
@@ -500,10 +495,7 @@ impl QuantumBarrier {
         }
         let generation = st.generation;
         while st.generation == generation && !st.aborted {
-            st = self
-                .cv
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
+            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
         if st.aborted {
             QuantumVerdict::Aborted
@@ -763,10 +755,7 @@ mod tests {
                 chip.cycle(),
             )
         };
-        assert_eq!(
-            run(CoreConfig::tiny_for_tests()),
-            run(threaded_config(256))
-        );
+        assert_eq!(run(CoreConfig::tiny_for_tests()), run(threaded_config(256)));
     }
 
     #[test]
@@ -877,8 +866,8 @@ mod tests {
         chip.core_mut(CoreId::C1)
             .load_program(ThreadId::T0, cpu_program());
         chip.run_cycles(10_000);
-        let sum = chip.core(CoreId::C0).stats().total_ipc()
-            + chip.core(CoreId::C1).stats().total_ipc();
+        let sum =
+            chip.core(CoreId::C0).stats().total_ipc() + chip.core(CoreId::C1).stats().total_ipc();
         assert!((chip.total_ipc() - sum).abs() < 1e-12);
     }
 }

@@ -21,7 +21,11 @@ pub struct ConfigError {
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid core configuration ({}): {}", self.field, self.message)
+        write!(
+            f,
+            "invalid core configuration ({}): {}",
+            self.field, self.message
+        )
     }
 }
 
@@ -916,8 +920,16 @@ impl CoreConfigBuilder {
             }
         }
         for (field, occupancy, latency) in [
-            ("latencies.int_mul_occupancy", l.int_mul_occupancy, l.int_mul),
-            ("latencies.int_div_occupancy", l.int_div_occupancy, l.int_div),
+            (
+                "latencies.int_mul_occupancy",
+                l.int_mul_occupancy,
+                l.int_mul,
+            ),
+            (
+                "latencies.int_div_occupancy",
+                l.int_div_occupancy,
+                l.int_div,
+            ),
             ("latencies.fp_div_occupancy", l.fp_div_occupancy, l.fp_div),
         ] {
             if occupancy == 0 || occupancy > latency {
@@ -1087,7 +1099,13 @@ mod tests {
     fn config_error_converts_to_sim_error() {
         let err = CoreConfig::builder().gct_entries(1).build().unwrap_err();
         let sim: SimError = err.into();
-        assert!(matches!(sim, SimError::InvalidConfig { field: "gct_entries", .. }));
+        assert!(matches!(
+            sim,
+            SimError::InvalidConfig {
+                field: "gct_entries",
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -1163,7 +1181,11 @@ mod tests {
         assert!(!ExecutionPlan::parse("sampled+noskip").unwrap().idle_skip);
         let plan = ExecutionPlan::parse("detailed+noskip+skip").unwrap();
         assert!(plan.idle_skip, "later flag wins");
-        assert_eq!(plan.to_string(), "detailed", "+skip is the default, not emitted");
+        assert_eq!(
+            plan.to_string(),
+            "detailed",
+            "+skip is the default, not emitted"
+        );
         assert_eq!(
             ExecutionPlan::detailed().with_idle_skip(false),
             ExecutionPlan::parse("detailed+noskip").unwrap()
@@ -1173,13 +1195,15 @@ mod tests {
     #[test]
     fn zero_chip_quantum_rejected_by_validate() {
         let cfg = CoreConfig {
-            plan: ExecutionPlan::detailed()
-                .with_chip(ChipParallelism::Threaded { quantum: 0 }),
+            plan: ExecutionPlan::detailed().with_chip(ChipParallelism::Threaded { quantum: 0 }),
             ..CoreConfig::power5_like()
         };
         assert!(matches!(
             cfg.try_validate(),
-            Err(SimError::InvalidConfig { field: "plan.chip", .. })
+            Err(SimError::InvalidConfig {
+                field: "plan.chip",
+                ..
+            })
         ));
     }
 
@@ -1198,7 +1222,10 @@ mod tests {
         };
         assert!(matches!(
             cfg.try_validate(),
-            Err(SimError::InvalidConfig { field: "plan.measure", .. })
+            Err(SimError::InvalidConfig {
+                field: "plan.measure",
+                ..
+            })
         ));
     }
 

@@ -4,11 +4,11 @@ use crate::config::CoreConfig;
 use crate::error::{DiagnosticSnapshot, SimError, StuckResource, ThreadDiag};
 use crate::queues::{ExecKind, IssueQueues, LoadMissQueue, Producer, QEntry};
 use crate::stats::{CoreStats, DecodeBlock, RepetitionRecord};
-use crate::thread::{Group, ThreadState};
+use crate::thread::{Action, Group, ThreadState};
 use p5_branch::{BranchPredictorOps, BranchStats, Predictor};
 use p5_isa::{
-    decode_policy, BranchBehavior, DecodePolicy, FuClass, Op, Priority, PrivilegeLevel, Program,
-    Reg, ThreadId,
+    decode_policy, BranchBehavior, DecodePolicy, FuClass, Priority, PrivilegeLevel, Program, Reg,
+    ThreadId,
 };
 use p5_mem::{HitLevel, MemoryHierarchy};
 use p5_pmu::{CpiComponent, CycleRecord, IdleSpanRecord, Pmu, PmuConfig, PmuEventKind};
@@ -62,6 +62,9 @@ pub struct SmtCore {
     predictor: Predictor,
     threads: [Option<ThreadState>; 2],
     priorities: [Priority; 2],
+    /// The decode policy of `priorities` and the active contexts,
+    /// recomputed wherever either changes.
+    policy: DecodePolicy,
     cycle: u64,
     next_seq: u64,
     queues: IssueQueues,
@@ -73,6 +76,9 @@ pub struct SmtCore {
     /// Per-class, per-unit cycle until which the unit is busy (models
     /// unpipelined ops like fixed-point multiply).
     fu_busy: [Vec<u64>; 4],
+    /// The latest cycle in `fu_busy`: at or before `now`, every unit is
+    /// free and the idle-skip probe reads none of them.
+    fu_busy_max: u64,
     rng: u64,
     /// Performance-monitoring unit, when enabled: the core's only
     /// observer. Boxed so the disabled case costs one pointer-sized
@@ -193,6 +199,7 @@ impl SmtCore {
             predictor: Predictor::power5_like(),
             threads: [None, None],
             priorities: [Priority::Medium, Priority::Medium],
+            policy: DecodePolicy::BothOff,
             cycle: 0,
             next_seq: 1,
             queues: IssueQueues::new([
@@ -210,6 +217,7 @@ impl SmtCore {
                 vec![0; config.lsu_units],
                 vec![0; config.bru_units],
             ],
+            fu_busy_max: 0,
             rng: if config.rng_seed == 0 {
                 0x9E37_79B9_7F4A_7C15
             } else {
@@ -275,14 +283,14 @@ impl SmtCore {
     /// architectural state. The sibling context and all shared state
     /// (caches, predictor) are untouched.
     pub fn load_program(&mut self, thread: ThreadId, program: Program) {
-        let line = self.config.mem.l1d.line_bytes;
         self.threads[thread.index()] = Some(ThreadState::new(
             program,
-            line,
+            &self.config,
             thread,
             self.address_space_salt,
             self.next_seq,
         ));
+        self.refresh_policy();
         // New work starts a fresh watchdog window.
         self.last_commit_cycle = self.cycle;
     }
@@ -290,6 +298,7 @@ impl SmtCore {
     /// Unloads the program from `thread`, switching the context off.
     pub fn unload_program(&mut self, thread: ThreadId) {
         self.threads[thread.index()] = None;
+        self.refresh_policy();
     }
 
     /// Whether `thread` has a program loaded.
@@ -309,6 +318,7 @@ impl SmtCore {
     /// `p5-os` layers privilege semantics on top).
     pub fn set_priority(&mut self, thread: ThreadId, priority: Priority) {
         self.priorities[thread.index()] = priority;
+        self.refresh_policy();
         self.record_instant(
             Some(thread),
             PmuEventKind::PriorityChanged {
@@ -363,11 +373,7 @@ impl SmtCore {
     /// Current GCT occupancy in groups (both threads).
     #[must_use]
     pub fn gct_occupancy(&self) -> usize {
-        self.threads
-            .iter()
-            .flatten()
-            .map(|t| t.groups.len())
-            .sum()
+        self.threads.iter().flatten().map(|t| t.groups.len()).sum()
     }
 
     /// Current load-miss-queue occupancy.
@@ -472,6 +478,7 @@ impl SmtCore {
         }
         self.threads.clone_from(&state.threads);
         self.priorities = state.priorities;
+        self.refresh_policy();
         self.cycle = state.cycle;
         self.next_seq = state.next_seq;
         self.queues.clone_from(&state.queues);
@@ -479,6 +486,7 @@ impl SmtCore {
         self.stats.clone_from(&state.stats);
         self.skipped_cycles = state.skipped_cycles;
         self.fu_busy.clone_from(&state.fu_busy);
+        self.fu_busy_max = self.fu_busy.iter().flatten().copied().max().unwrap_or(0);
         self.rng = state.rng;
         self.last_commit_cycle = state.last_commit_cycle;
         self.cache_port_blocked_until = state.cache_port_blocked_until;
@@ -490,7 +498,14 @@ impl SmtCore {
     /// contexts (a context with no program behaves as switched off).
     #[must_use]
     pub fn effective_policy(&self) -> DecodePolicy {
-        match (self.is_active(ThreadId::T0), self.is_active(ThreadId::T1)) {
+        self.policy
+    }
+
+    /// Recomputes [`effective_policy`](SmtCore::effective_policy) from
+    /// the priority registers and the active contexts: called wherever
+    /// either changes, so the decode stage never derives it per cycle.
+    fn refresh_policy(&mut self) {
+        self.policy = match (self.is_active(ThreadId::T0), self.is_active(ThreadId::T1)) {
             (false, false) => DecodePolicy::BothOff,
             (true, false) => DecodePolicy::SingleThread {
                 runner: ThreadId::T0,
@@ -499,7 +514,7 @@ impl SmtCore {
                 runner: ThreadId::T1,
             },
             (true, true) => decode_policy(self.priorities[0], self.priorities[1]),
-        }
+        };
     }
 
     /// Advances the simulation by `n` cycles.
@@ -570,6 +585,7 @@ impl SmtCore {
             let (cost, policy_changed) = self.functional_step(ThreadId::from_index(i), costs[i]);
             consumed[i] += cost;
             if policy_changed {
+                self.refresh_policy();
                 costs = self.functional_decode_costs();
             }
         }
@@ -619,12 +635,12 @@ impl SmtCore {
         let thread = self.threads[i]
             .as_mut()
             .expect("functional_step requires an active context");
-        let inst = thread.program.body()[thread.pc];
+        let action = thread.decoded[thread.pc].action;
         let mut cost = decode_cost;
         let mut policy_changed = false;
-        match inst.op {
-            Op::IntAlu | Op::IntMul | Op::IntDiv | Op::FpAlu | Op::FpDiv | Op::Nop => {}
-            Op::OrNop(requested) => {
+        match action {
+            Action::Fixed(_) => {}
+            Action::OrNop(requested) => {
                 // Same semantics as the detailed decode stage: the change
                 // takes effect in program order, or is silently ignored
                 // without the required privilege.
@@ -636,20 +652,20 @@ impl SmtCore {
                     self.stats.threads[i].priority_nops += 1;
                 }
             }
-            Op::Load { stream, .. } => {
-                let addr = thread.cursors[stream.index()].next_load_addr();
+            Action::Load(stream) => {
+                let addr = thread.cursors[stream].next_load_addr();
                 let access = self.mem.access(tid, addr, false);
                 #[allow(clippy::cast_precision_loss)]
                 let latency = access.latency.max(1) as f64;
                 cost = cost.max(latency);
                 self.stats.threads[i].loads += 1;
             }
-            Op::Store { stream, .. } => {
-                let addr = thread.cursors[stream.index()].store_addr();
+            Action::Store(stream) => {
+                let addr = thread.cursors[stream].store_addr();
                 let _ = self.mem.access(tid, addr, true);
                 self.stats.threads[i].stores += 1;
             }
-            Op::Branch(behavior) => {
+            Action::Branch { behavior, .. } => {
                 let pc_addr = 0x1_0000 + (thread.pc as u64) * 4;
                 let taken = match behavior {
                     BranchBehavior::LoopBack => thread.iter + 1 < thread.program.iterations(),
@@ -1059,7 +1075,9 @@ impl SmtCore {
                         self.queues.issue(class, pos, finish);
                         issued_any = true;
                         // Claim the unit for `occupancy` cycles.
-                        self.fu_busy[class_idx][unit] = now + occupancy.max(1);
+                        let busy_until = now + occupancy.max(1);
+                        self.fu_busy[class_idx][unit] = busy_until;
+                        self.fu_busy_max = self.fu_busy_max.max(busy_until);
                         from = pos;
                     }
                     // Held back by a port or LMQ gate.
@@ -1140,9 +1158,7 @@ impl SmtCore {
                     thread.redirect_pending = None;
                 }
             }
-            let group = thread.group_mut(entry.group_id);
-            group.issued += 1;
-            group.done_at = group.done_at.max(finish);
+            thread.groups.note_issue(entry.group_id, finish);
             // Consumers decoded from now on read the finish cycle here,
             // unless a younger producer of the register took its place.
             if let Some(dst) = entry.dst {
@@ -1158,8 +1174,8 @@ impl SmtCore {
     // ---------------------------------------------------------------- decode
 
     /// Which context owns this decode cycle, and how wide the decode is.
-    fn designated(&mut self, now: u64) -> Option<(ThreadId, usize)> {
-        match self.effective_policy() {
+    fn designated(&self, now: u64) -> Option<(ThreadId, usize)> {
+        match self.policy {
             DecodePolicy::BothOff => None,
             DecodePolicy::SingleThread { runner } => Some((runner, self.config.decode_width)),
             DecodePolicy::LowPower => {
@@ -1177,7 +1193,9 @@ impl SmtCore {
                 favoured_slots,
                 period,
             } => {
-                let slot = (now % u64::from(period)) as u32;
+                // `decode_policy` periods are powers of two.
+                debug_assert!(period.is_power_of_two());
+                let slot = (now & u64::from(period - 1)) as u32;
                 let t = if slot < favoured_slots {
                     favoured
                 } else {
@@ -1274,7 +1292,8 @@ impl SmtCore {
         let group_id = self.threads[tid.index()]
             .as_ref()
             .expect("checked active above")
-            .next_group_id;
+            .groups
+            .next_id();
         let mut decoded = 0u32;
         let mut rep_ends = 0u32;
 
@@ -1282,9 +1301,8 @@ impl SmtCore {
             let Some(thread) = self.threads[tid.index()].as_mut() else {
                 break;
             };
-            let inst = thread.program.body()[thread.pc];
-            let class = inst.op.fu_class();
-            if !self.queues.has_room(class) {
+            let inst = thread.decoded[thread.pc];
+            if !self.queues.has_room(inst.class) {
                 break;
             }
 
@@ -1293,40 +1311,17 @@ impl SmtCore {
 
             let producer =
                 |src: Option<Reg>| src.map_or(Producer(0), |r| thread.reg_producer[r.index()]);
-            let sources = [producer(inst.src1), producer(inst.src2)];
+            let sources = inst.src.map(producer);
 
-            let is_branch = inst.op.is_branch();
-            let kind = match inst.op {
-                Op::IntAlu => ExecKind::Fixed {
-                    latency: self.config.latencies.int_alu,
-                    occupancy: 1,
-                },
-                Op::IntMul => ExecKind::Fixed {
-                    latency: self.config.latencies.int_mul,
-                    occupancy: self.config.latencies.int_mul_occupancy,
-                },
-                Op::IntDiv => ExecKind::Fixed {
-                    latency: self.config.latencies.int_div,
-                    occupancy: self.config.latencies.int_div_occupancy,
-                },
-                Op::FpAlu => ExecKind::Fixed {
-                    latency: self.config.latencies.fp_alu,
-                    occupancy: 1,
-                },
-                Op::FpDiv => ExecKind::Fixed {
-                    latency: self.config.latencies.fp_div,
-                    occupancy: self.config.latencies.fp_div_occupancy,
-                },
-                Op::Nop => ExecKind::Fixed {
-                    latency: 1,
-                    occupancy: 1,
-                },
-                Op::OrNop(requested) => {
+            let kind = match inst.action {
+                Action::Fixed(kind) => kind,
+                Action::OrNop(requested) => {
                     // The priority change takes effect as the or-nop flows
                     // through decode — or is silently ignored without the
                     // required privilege (paper Section 3.2).
                     if requested.settable_by(thread.privilege) {
                         self.priorities[tid.index()] = requested;
+                        self.refresh_policy();
                         self.stats.threads[tid.index()].priority_changes += 1;
                         self.record_instant(
                             Some(tid),
@@ -1342,20 +1337,16 @@ impl SmtCore {
                         occupancy: 1,
                     }
                 }
-                Op::Load { stream, .. } => {
-                    let addr = thread.cursors[stream.index()].next_load_addr();
-                    ExecKind::Load { addr }
-                }
-                Op::Store { stream, .. } => {
-                    let addr = thread.cursors[stream.index()].store_addr();
-                    ExecKind::Store { addr }
-                }
-                Op::Branch(behavior) => {
+                Action::Load(stream) => ExecKind::Load {
+                    addr: thread.cursors[stream].next_load_addr(),
+                },
+                Action::Store(stream) => ExecKind::Store {
+                    addr: thread.cursors[stream].store_addr(),
+                },
+                Action::Branch { behavior, latency } => {
                     let pc_addr = 0x1_0000 + (thread.pc as u64) * 4;
                     let taken = match behavior {
-                        BranchBehavior::LoopBack => {
-                            thread.iter + 1 < thread.program.iterations()
-                        }
+                        BranchBehavior::LoopBack => thread.iter + 1 < thread.program.iterations(),
                         BranchBehavior::ConstantTaken => true,
                         BranchBehavior::ConstantNotTaken => false,
                         BranchBehavior::Random { taken_permille } => {
@@ -1379,12 +1370,10 @@ impl SmtCore {
                     if mispredicted {
                         st.mispredicts += 1;
                         thread.redirect_pending = Some(seq);
-                        ExecKind::MispredictedBranch {
-                            latency: self.config.latencies.branch,
-                        }
+                        ExecKind::MispredictedBranch { latency }
                     } else {
                         ExecKind::Fixed {
-                            latency: self.config.latencies.branch,
+                            latency,
                             occupancy: 1,
                         }
                     }
@@ -1392,7 +1381,7 @@ impl SmtCore {
             };
 
             let slot = self.queues.push(
-                class,
+                inst.class,
                 QEntry {
                     seq,
                     thread: tid,
@@ -1404,7 +1393,7 @@ impl SmtCore {
             );
             let thread = self.threads[tid.index()].as_mut().expect("active");
             if let Some(dst) = inst.dst {
-                thread.reg_producer[dst.index()] = Producer::queued(class, slot);
+                thread.reg_producer[dst.index()] = Producer::queued(inst.class, slot);
             }
             if thread.at_repetition_end() {
                 rep_ends += 1;
@@ -1414,16 +1403,14 @@ impl SmtCore {
             self.stats.threads[tid.index()].decoded += 1;
 
             // Dispatch groups end at branches, as on POWER5.
-            if is_branch {
+            if inst.class == FuClass::Bru {
                 break;
             }
         }
 
         if decoded > 0 {
             let thread = self.threads[tid.index()].as_mut().expect("active");
-            thread.next_group_id += 1;
             thread.groups.push_back(Group {
-                id: group_id,
                 total: decoded,
                 issued: 0,
                 done_at: 0,
@@ -1453,11 +1440,8 @@ impl SmtCore {
             };
             // One group per thread per cycle, once its last instruction
             // has finished.
-            let Some(head) = thread.groups.front() else {
-                continue;
-            };
-            if head.issued == head.total && head.done_at <= self.cycle {
-                let head = thread.groups.pop_front().expect("front checked");
+            if thread.groups.retire_at() <= self.cycle {
+                let head = thread.groups.pop_front();
                 self.last_commit_cycle = self.cycle;
                 retired_any = true;
                 let st = &mut self.stats.threads[i];
@@ -1512,8 +1496,7 @@ impl SmtCore {
         if self.gct_occupancy() >= self.config.gct_entries {
             return Some(DecodeBlock::GctFull);
         }
-        let inst = thread.program.body()[thread.pc];
-        if !self.queues.has_room(inst.op.fu_class()) {
+        if !self.queues.has_room(thread.decoded[thread.pc].class) {
             return Some(DecodeBlock::QueueFull);
         }
         None
@@ -1543,12 +1526,17 @@ impl SmtCore {
                 let period = u64::from(period);
                 let fav = u64::from(favoured_slots);
                 // `tid` owns slots [lo, hi) of each period.
-                let (lo, hi) = if tid == favoured { (0, fav) } else { (fav, period) };
+                let (lo, hi) = if tid == favoured {
+                    (0, fav)
+                } else {
+                    (fav, period)
+                };
                 if lo >= hi {
                     return None;
                 }
                 let c = now + 1;
-                let slot = c % period;
+                // `decode_policy` periods are powers of two.
+                let slot = c & (period - 1);
                 Some(if slot < lo {
                     c + (lo - slot)
                 } else if slot < hi {
@@ -1606,11 +1594,12 @@ impl SmtCore {
                 favoured_slots,
                 period,
             } => {
+                let shift = period.trailing_zeros();
                 let period = u64::from(period);
                 let fav = u64::from(favoured_slots);
                 // F(x) = favoured cycles in [0, x]; the favoured slots of
-                // each period are the first `fav`.
-                let f = |x: u64| (x / period) * fav + (x % period + 1).min(fav);
+                // each period (a power of two) are the first `fav`.
+                let f = |x: u64| (x >> shift) * fav + ((x & (period - 1)) + 1).min(fav);
                 let fav_in_span = f(end) - f(now);
                 if tid == favoured {
                     fav_in_span
@@ -1730,23 +1719,46 @@ impl SmtCore {
     /// The next-event horizon of the frozen state at `now` (its sources
     /// are listed on [`skip_idle_span`](SmtCore::skip_idle_span)), with
     /// the cause that blocks each thread's decode (`None` if it could
-    /// decode when next designated). Sources are taken cheapest first,
-    /// and the probe stops as soon as one lands on `now + 1`: no source
-    /// is earlier, and that horizon leaves no span to skip.
+    /// decode when next designated). The sources that need no decode
+    /// probe come first, and the probe stops if one of them lands on
+    /// `now + 1`: no source is earlier, and that horizon leaves no span
+    /// to skip, so the causes go unread.
     fn event_horizon(&self, now: u64, policy: DecodePolicy) -> (u64, [Option<DecodeBlock>; 2]) {
         let next = now + 1;
-        let mut horizon = u64::MAX;
-        let mut causes: [Option<DecodeBlock>; 2] = [None, None];
-        let mut any_can_decode = false;
-        for tid in ThreadId::ALL {
-            let i = tid.index();
-            if let Some(t) = self.threads[i].as_ref() {
-                if t.fetch_stall_until > now {
-                    horizon = horizon.min(t.fetch_stall_until + 1);
+        // `expire(now)` kept only LMQ entries with release > now.
+        let mut horizon = self.lmq.next_release().unwrap_or(u64::MAX);
+        for t in self.threads.iter().flatten() {
+            horizon = horizon.min(t.groups.retire_at());
+            if t.fetch_stall_until > now {
+                horizon = horizon.min(t.fetch_stall_until + 1);
+            }
+        }
+        if self.fu_busy_max > now {
+            for &busy_until in self.fu_busy.iter().flatten() {
+                if busy_until > now {
+                    horizon = horizon.min(busy_until);
                 }
             }
+        }
+        if self.cache_port_blocked_until > now {
+            horizon = horizon.min(self.cache_port_blocked_until);
+        }
+        if self.lmq_blocked_until > now {
+            horizon = horizon.min(self.lmq_blocked_until);
+        }
+        // A ready entry that did not issue is held back by a unit, port
+        // or LMQ gate, whose release is a source above.
+        if let Some(ready) = self.queues.next_wakeup() {
+            horizon = horizon.min(ready);
+        }
+        let mut causes: [Option<DecodeBlock>; 2] = [None, None];
+        if horizon <= next {
+            return (next, causes);
+        }
+        let mut any_can_decode = false;
+        for tid in ThreadId::ALL {
             match self.probe_decode_block(tid) {
-                Some(block) => causes[i] = Some(block),
+                Some(block) => causes[tid.index()] = Some(block),
                 None => {
                     any_can_decode = true;
                     if let Some(c) = self.next_designated_cycle(policy, tid, now) {
@@ -1760,42 +1772,6 @@ impl SmtCore {
                 horizon = horizon.min(c);
             }
         }
-        if let Some(release) = self.lmq.next_release() {
-            // `expire(now)` kept only entries with release > now, so
-            // this is always in the future.
-            horizon = horizon.min(release);
-        }
-        if self.cache_port_blocked_until > now {
-            horizon = horizon.min(self.cache_port_blocked_until);
-        }
-        if self.lmq_blocked_until > now {
-            horizon = horizon.min(self.lmq_blocked_until);
-        }
-        for class in &self.fu_busy {
-            for &busy_until in class {
-                if busy_until > now {
-                    horizon = horizon.min(busy_until);
-                }
-            }
-        }
-        for head in self
-            .threads
-            .iter()
-            .flatten()
-            .filter_map(|t| t.groups.front())
-        {
-            if head.issued == head.total {
-                horizon = horizon.min(head.done_at);
-            }
-        }
-        if horizon <= next {
-            return (next, causes);
-        }
-        // A ready entry that did not issue is held back by a unit, port
-        // or LMQ gate, whose release is a source above.
-        if let Some(ready) = self.queues.next_wakeup() {
-            horizon = horizon.min(ready);
-        }
         (horizon, causes)
     }
 }
@@ -1804,7 +1780,7 @@ impl SmtCore {
 mod tests {
     use super::*;
     use crate::config::BalancerConfig;
-    use p5_isa::{DataKind, Reg, StaticInst, StreamSpec};
+    use p5_isa::{DataKind, Op, Reg, StaticInst, StreamSpec};
 
     /// `n` independent single-cycle integer ops per iteration.
     fn cpu_program(n: usize, iters: u64) -> Program {
@@ -1857,7 +1833,10 @@ mod tests {
     fn observable(c: &SmtCore) -> (u64, [u64; 2], [u64; 2], p5_mem::MemStats, BranchStats) {
         (
             c.cycle(),
-            [c.stats().committed(ThreadId::T0), c.stats().committed(ThreadId::T1)],
+            [
+                c.stats().committed(ThreadId::T0),
+                c.stats().committed(ThreadId::T1),
+            ],
             [
                 c.stats().thread(ThreadId::T0).decoded,
                 c.stats().thread(ThreadId::T1).decoded,
@@ -2089,7 +2068,12 @@ mod tests {
         hit.load_program(ThreadId::T0, mk(BranchBehavior::ConstantTaken));
         hit.run_cycles(30_000);
         let mut miss = core();
-        miss.load_program(ThreadId::T0, mk(BranchBehavior::Random { taken_permille: 500 }));
+        miss.load_program(
+            ThreadId::T0,
+            mk(BranchBehavior::Random {
+                taken_permille: 500,
+            }),
+        );
         miss.run_cycles(30_000);
         let ipc_hit = hit.stats().ipc(ThreadId::T0);
         let ipc_miss = miss.stats().ipc(ThreadId::T0);
@@ -2375,6 +2359,76 @@ mod tests {
         assert_eq!(c.stats().committed(ThreadId::T1), before);
     }
 
+    /// The decode policy recomputed from the priority registers and
+    /// which contexts hold a program.
+    fn recomputed_policy(c: &SmtCore) -> DecodePolicy {
+        match (c.is_active(ThreadId::T0), c.is_active(ThreadId::T1)) {
+            (false, false) => DecodePolicy::BothOff,
+            (true, false) => DecodePolicy::SingleThread {
+                runner: ThreadId::T0,
+            },
+            (false, true) => DecodePolicy::SingleThread {
+                runner: ThreadId::T1,
+            },
+            (true, true) => decode_policy(c.priority(ThreadId::T0), c.priority(ThreadId::T1)),
+        }
+    }
+
+    #[test]
+    fn effective_policy_tracks_every_priority_and_activity_change() {
+        let check = |c: &SmtCore, what: &str| {
+            assert_eq!(c.effective_policy(), recomputed_policy(c), "after {what}");
+        };
+        // Or-nops that walk T0 through every policy against T1 at 1.
+        let walker = || {
+            let mut b = Program::builder("walker");
+            for p in [
+                Priority::High,
+                Priority::VeryLow,
+                Priority::VeryHigh,
+                Priority::MediumLow,
+            ] {
+                b.push(StaticInst::new(Op::OrNop(p)));
+                b.push(StaticInst::new(Op::IntAlu).dst(Reg::new(40)));
+            }
+            b.iterations(1_000_000);
+            b.build().unwrap()
+        };
+        let mut c = core();
+        check(&c, "construction");
+        c.load_program(ThreadId::T0, walker());
+        check(&c, "load_program");
+        c.load_program(ThreadId::T1, cpu_program(9, 1_000_000));
+        check(&c, "a second load_program");
+        c.set_priority(ThreadId::T1, Priority::VeryLow);
+        check(&c, "set_priority");
+        let mut seen = Vec::new();
+        for _ in 0..5_000 {
+            c.step();
+            check(&c, "an or-nop in the detailed decode");
+            if !seen.contains(&c.effective_policy()) {
+                seen.push(c.effective_policy());
+            }
+        }
+        assert!(seen.len() >= 4, "the walker visits every policy: {seen:?}");
+        for _ in 0..500 {
+            c.functional_warmup(3);
+            check(&c, "an or-nop in the functional warm-up");
+        }
+        let snap = c.snapshot_warm_state();
+        c.unload_program(ThreadId::T1);
+        check(&c, "unload_program");
+        c.set_priority(ThreadId::T0, Priority::Off);
+        check(&c, "set_priority on the only active context");
+        c.restore_warm_state(&snap).unwrap();
+        check(&c, "restore_warm_state");
+        c.unload_program(ThreadId::T0);
+        c.unload_program(ThreadId::T1);
+        check(&c, "unloading both contexts");
+        c.restore_warm_state(&snap).unwrap();
+        check(&c, "restoring into an empty core");
+    }
+
     #[test]
     fn an_unloaded_contexts_entries_drain_apart_from_its_reloaded_program() {
         let mut c = core();
@@ -2498,10 +2552,8 @@ mod tests {
             c.run_cycles(30_000);
             for tid in ThreadId::ALL {
                 let st = c.stats().thread(tid);
-                let blocked = st.blocked_branch
-                    + st.blocked_gct
-                    + st.blocked_queue
-                    + st.blocked_balancer;
+                let blocked =
+                    st.blocked_branch + st.blocked_gct + st.blocked_queue + st.blocked_balancer;
                 assert_eq!(
                     st.decode_cycles_used + blocked,
                     st.decode_cycles_granted,
@@ -2580,18 +2632,15 @@ mod tests {
         let run = || {
             let mut c = core();
             c.load_program(ThreadId::T0, cpu_program(9, 100));
-            c.load_program(
-                ThreadId::T1,
-                {
-                    let mut b = Program::builder("rand-br");
-                    b.push(StaticInst::new(Op::Branch(BranchBehavior::Random {
-                        taken_permille: 500,
-                    })));
-                    b.push(StaticInst::new(Op::Branch(BranchBehavior::LoopBack)));
-                    b.iterations(100);
-                    b.build().unwrap()
-                },
-            );
+            c.load_program(ThreadId::T1, {
+                let mut b = Program::builder("rand-br");
+                b.push(StaticInst::new(Op::Branch(BranchBehavior::Random {
+                    taken_permille: 500,
+                })));
+                b.push(StaticInst::new(Op::Branch(BranchBehavior::LoopBack)));
+                b.iterations(100);
+                b.build().unwrap()
+            });
             c.run_cycles(10_000);
             (
                 c.stats().committed(ThreadId::T0),

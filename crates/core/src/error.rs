@@ -370,10 +370,7 @@ mod tests {
         let e = SimError::ForwardProgressStall {
             snapshot: Box::new(snapshot()),
         };
-        assert_eq!(
-            e.snapshot().unwrap().culprit,
-            StuckResource::LoadMissQueue
-        );
+        assert_eq!(e.snapshot().unwrap().culprit, StuckResource::LoadMissQueue);
         assert!(SimError::NoActiveThread.snapshot().is_none());
     }
 }

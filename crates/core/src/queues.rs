@@ -27,7 +27,8 @@ pub(crate) enum ExecKind {
 pub(crate) struct QEntry {
     pub(crate) seq: u64,
     pub(crate) thread: ThreadId,
-    pub(crate) group_id: u64,
+    /// The entry's dispatch group in its thread's ring.
+    pub(crate) group_id: u32,
     /// The register the instruction writes, if any.
     pub(crate) dst: Option<Reg>,
     pub(crate) kind: ExecKind,
@@ -166,6 +167,11 @@ impl IssueQueues {
     pub(crate) fn ready(&mut self, class: FuClass, now: u64) -> u64 {
         self.now = now;
         let q = &mut self.classes[class as usize];
+        // Nothing to promote or issue: the common case of a class whose
+        // entries all wait on unissued producers, or of an empty one.
+        if q.ready | q.soon | q.timed == 0 {
+            return 0;
+        }
         if q.soon_at <= now {
             q.ready |= q.soon;
             q.soon = 0;
@@ -259,6 +265,9 @@ pub(crate) struct LoadMissQueue {
     capacity: usize,
     /// Earliest release cycle among `entries` (`u64::MAX` when empty).
     next_release: u64,
+    /// Per thread, its entries and how many of them are beyond-L2.
+    owned: [usize; 2],
+    owned_deep: [usize; 2],
 }
 
 impl LoadMissQueue {
@@ -267,6 +276,8 @@ impl LoadMissQueue {
             entries: Vec::with_capacity(capacity),
             capacity,
             next_release: u64::MAX,
+            owned: [0; 2],
+            owned_deep: [0; 2],
         }
     }
 
@@ -276,7 +287,15 @@ impl LoadMissQueue {
         if now < self.next_release {
             return;
         }
-        self.entries.retain(|&(release, _, _)| release > now);
+        let (owned, owned_deep) = (&mut self.owned, &mut self.owned_deep);
+        self.entries.retain(|&(release, thread, deep)| {
+            let due = release <= now;
+            if due {
+                owned[thread.index()] -= 1;
+                owned_deep[thread.index()] -= usize::from(deep);
+            }
+            !due
+        });
         self.next_release = self
             .entries
             .iter()
@@ -291,22 +310,21 @@ impl LoadMissQueue {
 
     /// Outstanding misses owned by `thread`.
     pub(crate) fn outstanding(&self, thread: ThreadId) -> usize {
-        self.entries.iter().filter(|&&(_, t, _)| t == thread).count()
+        self.owned[thread.index()]
     }
 
     /// Outstanding *beyond-L2* misses owned by `thread` (the balancer's
     /// L2-miss congestion signal).
     pub(crate) fn outstanding_deep(&self, thread: ThreadId) -> usize {
-        self.entries
-            .iter()
-            .filter(|&&(_, t, deep)| t == thread && deep)
-            .count()
+        self.owned_deep[thread.index()]
     }
 
     pub(crate) fn push(&mut self, release: u64, thread: ThreadId, deep: bool) {
         debug_assert!(self.entries.len() < self.capacity);
         self.entries.push((release, thread, deep));
         self.next_release = self.next_release.min(release);
+        self.owned[thread.index()] += 1;
+        self.owned_deep[thread.index()] += usize::from(deep);
     }
 
     /// Earliest release cycle among the outstanding entries, if any —
@@ -354,6 +372,16 @@ mod tests {
         assert_eq!(q.outstanding(ThreadId::T0), 1);
         assert_eq!(q.outstanding(ThreadId::T1), 2);
         assert_eq!(q.outstanding_deep(ThreadId::T1), 1);
+        q.push(50, ThreadId::T1, true);
+        q.expire(50);
+        assert_eq!(q.outstanding(ThreadId::T1), 2, "expiry releases the count");
+        assert_eq!(q.outstanding_deep(ThreadId::T1), 1);
+        q.expire(100);
+        assert_eq!(
+            [q.outstanding(ThreadId::T0), q.outstanding(ThreadId::T1)],
+            [0, 0]
+        );
+        assert_eq!(q.outstanding_deep(ThreadId::T1), 0);
     }
 
     fn entry(seq: u64, dst: Option<Reg>) -> QEntry {

@@ -1,9 +1,13 @@
-//! Per-context state: program cursor, address-stream generators,
-//! register producers, and in-flight dispatch groups.
+//! Per-context state: the pre-decoded program and its cursor,
+//! address-stream generators, register producers, and in-flight
+//! dispatch groups.
 
-use crate::queues::Producer;
-use p5_isa::{AccessPattern, PrivilegeLevel, Program, StreamSpec, ThreadId};
-use std::collections::VecDeque;
+use crate::config::{CoreConfig, OpLatencies};
+use crate::queues::{ExecKind, Producer};
+use p5_isa::{
+    AccessPattern, BranchBehavior, FuClass, Op, Priority, PrivilegeLevel, Program, Reg, StreamSpec,
+    ThreadId,
+};
 
 /// Base virtual address of a thread's address stream.
 ///
@@ -104,10 +108,65 @@ fn coprime_stride(n: u64) -> u64 {
     s
 }
 
+/// What decoding an instruction does beyond queueing it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Action {
+    /// Queues as this fixed-latency kind.
+    Fixed(ExecKind),
+    /// Requests a priority change, then queues as a one-cycle op.
+    OrNop(Priority),
+    /// Draws the next address of this stream.
+    Load(usize),
+    /// Stores to this stream's last loaded address.
+    Store(usize),
+    /// Resolves its direction and consults the predictor; it resolves
+    /// `latency` cycles after issue.
+    Branch {
+        behavior: BranchBehavior,
+        latency: u64,
+    },
+}
+
+/// One instruction of a loaded program, decoded once at load with the
+/// core's latencies resolved: everything the decode stage reads of it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DecodedInst {
+    pub(crate) class: FuClass,
+    pub(crate) dst: Option<Reg>,
+    pub(crate) src: [Option<Reg>; 2],
+    pub(crate) action: Action,
+}
+
+impl DecodedInst {
+    fn new(inst: p5_isa::StaticInst, lat: &OpLatencies) -> DecodedInst {
+        let fixed = |latency, occupancy| Action::Fixed(ExecKind::Fixed { latency, occupancy });
+        let action = match inst.op {
+            Op::IntAlu => fixed(lat.int_alu, 1),
+            Op::IntMul => fixed(lat.int_mul, lat.int_mul_occupancy),
+            Op::IntDiv => fixed(lat.int_div, lat.int_div_occupancy),
+            Op::FpAlu => fixed(lat.fp_alu, 1),
+            Op::FpDiv => fixed(lat.fp_div, lat.fp_div_occupancy),
+            Op::Nop => fixed(1, 1),
+            Op::OrNop(requested) => Action::OrNop(requested),
+            Op::Load { stream, .. } => Action::Load(stream.index()),
+            Op::Store { stream, .. } => Action::Store(stream.index()),
+            Op::Branch(behavior) => Action::Branch {
+                behavior,
+                latency: lat.branch,
+            },
+        };
+        DecodedInst {
+            class: inst.op.fu_class(),
+            dst: inst.dst,
+            src: [inst.src1, inst.src2],
+            action,
+        }
+    }
+}
+
 /// One dispatch group occupying a GCT entry.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Group {
-    pub(crate) id: u64,
     /// Instructions dispatched into the group.
     pub(crate) total: u32,
     /// Instructions issued so far.
@@ -120,10 +179,104 @@ pub(crate) struct Group {
     pub(crate) rep_ends: u32,
 }
 
+/// A context's in-flight dispatch groups, oldest first. Group ids count
+/// up from 0, and a group sits in slot `id & mask` from decode to
+/// retire: the ring is a power of two no smaller than the GCT, which
+/// bounds the groups in flight.
+#[derive(Debug, Clone)]
+pub(crate) struct GroupRing {
+    slots: Vec<Group>,
+    /// Id of the oldest in-flight group.
+    head: u32,
+    /// Id the next decoded group takes (ids wrap around).
+    tail: u32,
+    /// The cycle the oldest group can retire from: its `done_at` once
+    /// all its instructions have issued, else `u64::MAX`.
+    retire_at: u64,
+}
+
+impl GroupRing {
+    fn new(gct_entries: usize) -> GroupRing {
+        GroupRing {
+            slots: vec![Group::default(); gct_entries.next_power_of_two()],
+            head: 0,
+            tail: 0,
+            retire_at: u64::MAX,
+        }
+    }
+
+    fn slot(&self, id: u32) -> usize {
+        id as usize & (self.slots.len() - 1)
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.tail.wrapping_sub(self.head) as usize
+    }
+
+    /// The id the next pushed group takes.
+    pub(crate) fn next_id(&self) -> u32 {
+        self.tail
+    }
+
+    /// The cycle the oldest group can retire from (`u64::MAX` while it
+    /// has unissued instructions, or no group is in flight).
+    pub(crate) fn retire_at(&self) -> u64 {
+        self.retire_at
+    }
+
+    /// Removes and returns the oldest group.
+    pub(crate) fn pop_front(&mut self) -> Group {
+        debug_assert!(self.head != self.tail, "no group in flight");
+        let group = self.slots[self.slot(self.head)];
+        self.head = self.head.wrapping_add(1);
+        self.retire_at = u64::MAX;
+        if self.head != self.tail {
+            let next = self.slots[self.slot(self.head)];
+            if next.issued == next.total {
+                self.retire_at = next.done_at;
+            }
+        }
+        group
+    }
+
+    /// Appends a group with nothing issued yet.
+    pub(crate) fn push_back(&mut self, group: Group) {
+        debug_assert!(self.len() < self.slots.len(), "group ring overflow");
+        debug_assert!(group.issued < group.total);
+        let slot = self.slot(self.tail);
+        self.slots[slot] = group;
+        self.tail = self.tail.wrapping_add(1);
+    }
+
+    /// Records that an instruction of in-flight group `id` issued and
+    /// finishes at `finish`.
+    pub(crate) fn note_issue(&mut self, id: u32, finish: u64) {
+        debug_assert!(
+            id.wrapping_sub(self.head) < self.tail.wrapping_sub(self.head),
+            "group {id} not in flight"
+        );
+        let slot = self.slot(id);
+        let group = &mut self.slots[slot];
+        group.issued += 1;
+        group.done_at = group.done_at.max(finish);
+        if id == self.head && group.issued == group.total {
+            self.retire_at = group.done_at;
+        }
+    }
+
+    /// The in-flight groups, oldest first.
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Group> {
+        (0..self.len() as u32).map(|k| &self.slots[self.slot(self.head.wrapping_add(k))])
+    }
+}
+
 /// Architectural state of one hardware thread context.
 #[derive(Debug, Clone)]
 pub(crate) struct ThreadState {
     pub(crate) program: Program,
+    /// `program`'s body, decoded once at load.
+    pub(crate) decoded: Vec<DecodedInst>,
     pub(crate) privilege: PrivilegeLevel,
     /// Index of the next instruction to decode within the loop body.
     pub(crate) pc: usize,
@@ -144,26 +297,32 @@ pub(crate) struct ThreadState {
     /// stops until the engine converts this into a `fetch_stall_until`.
     pub(crate) redirect_pending: Option<u64>,
     /// In-flight dispatch groups, oldest first.
-    pub(crate) groups: VecDeque<Group>,
-    pub(crate) next_group_id: u64,
+    pub(crate) groups: GroupRing,
 }
 
 impl ThreadState {
     pub(crate) fn new(
         program: Program,
-        line_bytes: u64,
+        config: &CoreConfig,
         thread: ThreadId,
         salt: u64,
         first_seq: u64,
     ) -> ThreadState {
+        let line_bytes = config.mem.l1d.line_bytes;
         let cursors = program
             .streams()
             .iter()
             .enumerate()
             .map(|(i, spec)| StreamCursor::new(thread, i, *spec, line_bytes, salt))
             .collect();
+        let decoded = program
+            .body()
+            .iter()
+            .map(|&inst| DecodedInst::new(inst, &config.latencies))
+            .collect();
         ThreadState {
             program,
+            decoded,
             privilege: PrivilegeLevel::Hypervisor,
             pc: 0,
             iter: 0,
@@ -172,33 +331,20 @@ impl ThreadState {
             first_seq,
             fetch_stall_until: 0,
             redirect_pending: None,
-            groups: VecDeque::new(),
-            next_group_id: 1,
+            groups: GroupRing::new(config.gct_entries),
         }
-    }
-
-    /// Finds an in-flight group by id (groups retire in id order, so the
-    /// offset from the head id is the index).
-    pub(crate) fn group_mut(&mut self, id: u64) -> &mut Group {
-        let head = self
-            .groups
-            .front()
-            .expect("instruction issued for a thread with no in-flight groups")
-            .id;
-        let idx = (id - head) as usize;
-        &mut self.groups[idx]
     }
 
     /// Whether decoding `pc` now would consume the final instruction of
     /// the final micro-iteration of the current repetition.
     pub(crate) fn at_repetition_end(&self) -> bool {
-        self.pc == self.program.body().len() - 1 && self.iter == self.program.iterations() - 1
+        self.pc == self.decoded.len() - 1 && self.iter == self.program.iterations() - 1
     }
 
     /// Advances the program cursor past the instruction at `pc`.
     pub(crate) fn advance(&mut self) {
         self.pc += 1;
-        if self.pc == self.program.body().len() {
+        if self.pc == self.decoded.len() {
             self.pc = 0;
             self.iter += 1;
             if self.iter == self.program.iterations() {
@@ -212,6 +358,10 @@ impl ThreadState {
 mod tests {
     use super::*;
     use p5_isa::{Op, StaticInst};
+
+    fn config() -> CoreConfig {
+        CoreConfig::tiny_for_tests()
+    }
 
     fn program(iters: u64, body_len: usize) -> Program {
         let mut b = Program::builder("t");
@@ -284,7 +434,7 @@ mod tests {
 
     #[test]
     fn advance_wraps_iterations() {
-        let mut t = ThreadState::new(program(2, 3), 128, ThreadId::T0, 0, 1);
+        let mut t = ThreadState::new(program(2, 3), &config(), ThreadId::T0, 0, 1);
         assert!(!t.at_repetition_end());
         for _ in 0..5 {
             t.advance();
@@ -297,24 +447,41 @@ mod tests {
     }
 
     #[test]
-    fn group_lookup_by_id() {
-        let mut t = ThreadState::new(program(1, 1), 128, ThreadId::T0, 0, 1);
-        t.groups.push_back(Group {
-            id: 7,
-            total: 5,
-            issued: 0,
-            done_at: 0,
-            rep_ends: 0,
-        });
-        t.groups.push_back(Group {
-            id: 8,
-            total: 3,
-            issued: 0,
-            done_at: 0,
-            rep_ends: 0,
-        });
-        t.group_mut(8).issued = 2;
-        assert_eq!(t.groups[1].issued, 2);
-        assert_eq!(t.groups[0].issued, 0);
+    fn groups_keep_their_ring_slot_across_wraps() {
+        let mut t = ThreadState::new(program(1, 1), &config(), ThreadId::T0, 0, 1);
+        let ring = t.groups.slots.len();
+        assert_eq!(ring, config().gct_entries.next_power_of_two());
+        // Start near the end of the id space, so ids wrap as well.
+        t.groups.head = u32::MAX - 3;
+        t.groups.tail = u32::MAX - 3;
+        // Cycle the ring a few times with two groups of two in flight,
+        // issuing one instruction of each at decode.
+        for round in 0..3 * ring as u64 {
+            let id = t.groups.next_id();
+            t.groups.push_back(Group {
+                total: 2,
+                ..Group::default()
+            });
+            t.groups.note_issue(id, 100 + round);
+            if t.groups.len() > 2 {
+                t.groups.pop_front();
+            }
+        }
+        let last = 3 * ring as u64 - 1;
+        let done: Vec<u64> = t.groups.iter().map(|g| g.done_at).collect();
+        assert_eq!(done, [100 + last - 1, 100 + last]);
+        assert_eq!(t.groups.retire_at(), u64::MAX, "the head has one left");
+        let head = t.groups.next_id().wrapping_sub(2);
+        t.groups.note_issue(head, 50);
+        assert_eq!(
+            t.groups.retire_at(),
+            100 + last - 1,
+            "the head's latest finish"
+        );
+        t.groups.note_issue(head.wrapping_add(1), 500);
+        assert_eq!(t.groups.pop_front().done_at, 100 + last - 1);
+        assert_eq!(t.groups.retire_at(), 500, "the next head was complete");
+        t.groups.pop_front();
+        assert_eq!(t.groups.retire_at(), u64::MAX, "no group in flight");
     }
 }

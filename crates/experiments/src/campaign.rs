@@ -728,9 +728,11 @@ fn skipped() -> Measured {
 ///    expired (chaos abort, time budget, a client disconnect) and that
 ///    failed with [`SimError::Deadline`] was stopped by the host, not by
 ///    its own limit: it is `Skipped` like an unclaimed cell. A cell's
-///    own `cell_deadline` degradation is unaffected.
+///    own `cell_deadline` degradation is still reported as `Degraded`.
 /// 7. **Write-ahead journaling** of trustworthy outcomes — never a
-///    skipped cell.
+///    skipped cell, and never a [`SimError::Deadline`]: a wall-clock
+///    limit depends on the host, and `cell_key` leaves it out, so a
+///    journaled one would replay into runs that set no deadline.
 fn execute_cell(
     ctx: &Experiments,
     spec: &CampaignSpec,
@@ -800,8 +802,11 @@ fn execute_cell(
             }
         }
     };
-    if cancelled() && matches!(measured.error, Some(SimError::Deadline { .. })) {
-        return (skipped(), false);
+    if matches!(measured.error, Some(SimError::Deadline { .. })) {
+        if cancelled() {
+            return (skipped(), false);
+        }
+        return (measured, false);
     }
     if let Some(journal) = &ctx.journal {
         journal.record_cell(cell_key(ctx, spec, id, cell), &measured);

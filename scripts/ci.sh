@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# Offline CI gate: build, test, lint. No network access required — no
+# Offline CI gate: format, build, test, lint. No network access required — no
 # manifest in the repository has an external dependency.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
+
+echo "== cargo fmt --check (p5-core) =="
+cargo fmt --check -p p5-core
 
 echo "== cargo build --release =="
 cargo build --release --offline --workspace

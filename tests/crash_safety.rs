@@ -1,15 +1,17 @@
 //! Crash-safety contract for the campaign engine: a panicking cell is
 //! isolated at the cell boundary (neighbors stay bit-identical), a
-//! per-cell deadline degrades only the overrunning cell, an expired
-//! campaign budget skips cleanly, and a mid-campaign abort leaves a
-//! valid partial result.
+//! per-cell deadline degrades only the overrunning cell and is never
+//! journaled, an expired campaign budget skips cleanly, and a
+//! mid-campaign abort leaves a valid partial result.
 
 use p5repro::core::{CancelToken, CoreConfig, SimError};
 use p5repro::experiments::campaign::{Campaign, CampaignSpec, CellSpec};
+use p5repro::experiments::journal::ResultJournal;
 use p5repro::experiments::{CellStatus, Experiments};
 use p5repro::fame::FameConfig;
 use p5repro::fault::ChaosPlan;
 use p5repro::isa::{Op, Priority, Program, Reg, StaticInst, ThreadId};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A fast context on the tiny test core, mirroring the determinism
@@ -115,6 +117,55 @@ fn zero_cell_deadline_degrades_every_cell_but_finishes_the_campaign() {
         );
     }
     assert_eq!(result.skipped, 0, "the campaign itself was never cancelled");
+}
+
+/// A cell's own wall-clock deadline depends on the host, so the
+/// degradation it causes is reported but never journaled: a later run
+/// on the same journal simulates the cell instead of replaying it.
+#[test]
+fn a_cell_deadline_degradation_is_never_journaled() {
+    let journal = Arc::new(ResultJournal::in_memory());
+    let c = ctx(1)
+        .with_cell_deadline(Duration::ZERO)
+        .with_journal(Arc::clone(&journal));
+    let degraded = Campaign::run(&c, &CampaignSpec::for_ctx(&c, cells(3)));
+    for out in &degraded.cells {
+        assert_eq!(
+            out.measured.status,
+            CellStatus::Degraded,
+            "cell {}",
+            out.label
+        );
+        assert!(
+            matches!(out.measured.error, Some(SimError::Deadline { .. })),
+            "cell {} carries the deadline diagnosis, got {:?}",
+            out.label,
+            out.measured.error
+        );
+    }
+    assert_eq!(
+        journal.cell_count(),
+        0,
+        "no deadline degradation is journaled"
+    );
+
+    let c = ctx(1).with_journal(journal);
+    let after = Campaign::run(&c, &CampaignSpec::for_ctx(&c, cells(3)));
+    let fresh = {
+        let c = ctx(1);
+        Campaign::run(&c, &CampaignSpec::for_ctx(&c, cells(3)))
+    };
+    assert_eq!(after.replayed, 0, "nothing was there to replay");
+    for (out, clean) in after.cells.iter().zip(&fresh.cells) {
+        assert_eq!(out.measured.status, CellStatus::Ok, "cell {}", out.label);
+        assert!(!out.replayed, "cell {} was simulated", out.label);
+        assert_eq!(
+            format!("{:?}", out.measured),
+            format!("{:?}", clean.measured),
+            "cell {} is bit-equal to a fresh run",
+            out.label
+        );
+    }
 }
 
 #[test]

@@ -24,17 +24,24 @@
 //!   pairs under functional warm-up and the sampled measure, and the
 //!   two-core chip under every plan, serial and threaded alike. These
 //!   digests cover every field of every report.
+//! - Runs that change mid-run what the decode stage and the balancer
+//!   read: or-nops that walk a context through the decode policies
+//!   (detailed and functional warm-up), `set_priority` between chunks,
+//!   a context unloaded and reloaded, and a balancer-on pair with deep
+//!   misses. These digests cover every core statistic.
 //!
 //! A change that is meant to alter results updates these constants (a
 //! failure prints the values it got) together with the perfbench
 //! reference tables.
 
-use p5repro::core::{Chip, CoreConfig, CoreId, ExecutionPlan, SmtCore};
+use p5repro::core::{BalancerConfig, Chip, CoreConfig, CoreId, ExecutionPlan, SmtCore};
 use p5repro::experiments::campaign::{run_isolated_cell, CampaignSpec, CellSpec};
 use p5repro::experiments::journal::StableHasher;
 use p5repro::experiments::{CellStatus, Experiments, Measured};
 use p5repro::fame::{ChipReport, FameConfig, FameReport, FameRunner};
-use p5repro::isa::{Priority, Program, ThreadId};
+use p5repro::isa::{
+    BranchBehavior, DataKind, Op, Priority, Program, Reg, StaticInst, StreamSpec, ThreadId,
+};
 use p5repro::microbench::MicroBenchmark;
 use p5repro::pmu::PmuConfig;
 use std::hash::Hasher;
@@ -395,4 +402,179 @@ fn golden_cells_agree_with_the_perfbench_reference_table() {
         }
     }
     assert_eq!(matched, CELLS.len() - 1, "every cell but br_miss has a row");
+}
+
+/// Every statistic of `core` (core, memory and branch counters, its
+/// cycle and both priorities), hashed, and its cycle count.
+fn core_digest(core: &SmtCore) -> (u64, u64) {
+    let mut h = StableHasher::new();
+    let text = format!(
+        "{:?} {:?} {:?} {:?}",
+        core.stats(),
+        core.mem().stats(),
+        core.branch_stats(),
+        ThreadId::ALL.map(|t| core.priority(t)),
+    );
+    h.write(text.as_bytes());
+    (h.finish(), core.cycle())
+}
+
+/// A loop whose or-nops walk its context through four decode policies
+/// against a sibling at priority 2: a 6-to-2 ratio, a near tie, single
+/// thread (7) and the sibling favoured (1). Each phase runs a short
+/// dependent ALU chain and a load.
+fn priority_walker() -> Program {
+    let mut b = Program::builder("priority_walker");
+    let s = b.stream(StreamSpec::sequential(24 * 1024, 64));
+    for p in [
+        Priority::High,
+        Priority::MediumLow,
+        Priority::VeryHigh,
+        Priority::VeryLow,
+    ] {
+        b.push(StaticInst::new(Op::OrNop(p)));
+        for i in 0..4u8 {
+            b.push(
+                StaticInst::new(Op::IntAlu)
+                    .dst(Reg::new(40 + i))
+                    .src1(Reg::new(40 + (i + 3) % 4)),
+            );
+        }
+        b.push(
+            StaticInst::new(Op::Load {
+                stream: s,
+                kind: DataKind::Int,
+            })
+            .dst(Reg::new(50)),
+        );
+    }
+    b.push(StaticInst::new(Op::Branch(BranchBehavior::LoopBack)));
+    b.iterations(40);
+    b.build().expect("valid program")
+}
+
+/// FAME reports of the priority walker beside `cpu_int` at priority 2,
+/// named by plan.
+#[rustfmt::skip]
+const OR_NOP_WALKS: &[Golden] = &[
+    golden("detailed", 0, 0x3357_e47a_d172_d2b1, 25_736),
+    golden("detailed+ff", 0, 0x6f55_61ce_2d84_d9f7, 45_960),
+];
+
+#[test]
+fn or_nop_priority_walks_match_their_golden_digests() {
+    check("or-nop priority walks", OR_NOP_WALKS, |g| {
+        let plan = ExecutionPlan::parse(g.name).expect("valid plan");
+        let mut core = SmtCore::new(tiny_core(plan));
+        core.load_program(ThreadId::T0, priority_walker());
+        core.load_program(ThreadId::T1, short_bench("cpu_int"));
+        core.set_priority(ThreadId::T1, Priority::Low);
+        let runner = FameRunner::new(FameConfig::quick());
+        fame_digest(&[runner.try_measure(&mut core).expect("healthy pair")])
+    });
+}
+
+/// Fixed-length scenarios on the tiny core, digested by [`core_digest`].
+#[rustfmt::skip]
+const SCENARIOS: &[Golden] = &[
+    golden("set_priority between chunks", 0, 0x2af9_5739_76ad_4e57, 120_000),
+    golden("unload and reload", 0, 0x225c_ca0f_e971_1b67, 100_000),
+    golden("balancer with deep misses", 0, 0xa9c0_8052_d05d_bbe9, 120_000),
+];
+
+fn scenario(name: &str) -> (u64, u64) {
+    let g = SCENARIOS
+        .iter()
+        .find(|g| g.name == name)
+        .expect("pinned scenario");
+    let got = match name {
+        "set_priority between chunks" => {
+            // Every policy, each entered from a different one: ratios
+            // both ways, low power, single thread by 7 and by 0, and
+            // decode switched off.
+            let mut core = pair_core(
+                "ldint_l2+cpu_int@4,4",
+                tiny_core(ExecutionPlan::detailed()),
+                bench,
+            );
+            for (p, s) in [
+                (6, 1),
+                (1, 1),
+                (7, 4),
+                (2, 6),
+                (0, 3),
+                (0, 0),
+                (5, 4),
+                (4, 0),
+            ] {
+                core.set_priority(ThreadId::T0, Priority::from_level(p).unwrap());
+                core.set_priority(ThreadId::T1, Priority::from_level(s).unwrap());
+                core.run_cycles(15_000);
+            }
+            core_digest(&core)
+        }
+        "unload and reload" => {
+            let mut core = pair_core(
+                "cpu_int+ldint_l2@6,1",
+                tiny_core(ExecutionPlan::detailed()),
+                bench,
+            );
+            core.run_cycles(30_000);
+            core.unload_program(ThreadId::T1);
+            core.run_cycles(10_000);
+            core.load_program(ThreadId::T1, bench("ldint_mem"));
+            core.run_cycles(30_000);
+            core.unload_program(ThreadId::T0);
+            core.run_cycles(5_000);
+            core.load_program(ThreadId::T0, bench("cpu_fp"));
+            core.set_priority(ThreadId::T0, Priority::Low);
+            core.run_cycles(25_000);
+            core_digest(&core)
+        }
+        "balancer with deep misses" => {
+            // Tight caps so the deep-miss cap and the miss cap both gate.
+            let mut cfg = tiny_core(ExecutionPlan::detailed());
+            cfg.balancer = BalancerConfig {
+                enabled: true,
+                gct_cap_per_thread: 8,
+                miss_cap_per_thread: 2,
+                gct_cap_deep_miss: 3,
+            };
+            let mut core = pair_core("ldint_mem+cpu_int@4,4", cfg, bench);
+            core.enable_pmu(PmuConfig::counters_only());
+            core.run_cycles(120_000);
+            let pmu = core.take_pmu().expect("PMU was enabled");
+            assert!(
+                core.stats().thread(ThreadId::T0).blocked_balancer > 0,
+                "the balancer must gate the memory-bound thread"
+            );
+            let (digest, cycles) = core_digest(&core);
+            let mut h = StableHasher::new();
+            h.write_u64(digest);
+            for t in ThreadId::ALL {
+                for &n in pmu.stack(t).counts() {
+                    h.write_u64(n);
+                }
+            }
+            (h.finish(), cycles)
+        }
+        other => panic!("unknown scenario {other}"),
+    };
+    check("scenario", std::slice::from_ref(g), |_| got);
+    got
+}
+
+#[test]
+fn set_priority_between_chunks_matches_its_golden_digest() {
+    scenario("set_priority between chunks");
+}
+
+#[test]
+fn unloading_and_reloading_contexts_matches_its_golden_digest() {
+    scenario("unload and reload");
+}
+
+#[test]
+fn balancer_on_pair_with_deep_misses_matches_its_golden_digest() {
+    scenario("balancer with deep misses");
 }
