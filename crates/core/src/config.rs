@@ -216,49 +216,9 @@ pub enum MeasureMode {
     Sampled(SamplingConfig),
 }
 
-/// How the two cores of a [`Chip`](crate::Chip) are scheduled relative
-/// to each other.
-///
-/// The chip's shared levels (L2, L3, the shared memory counters) are
-/// behind poison-recovering locks either way; this knob only decides
-/// *when* the two cores' cycle loops run:
-///
-/// - [`Serial`](ChipParallelism::Serial): one thread ticks core 0 then
-///   core 1 every cycle — the engine's historical behaviour and the
-///   reference ordering for all presented artifacts.
-/// - [`Threaded`](ChipParallelism::Threaded) with `quantum == 1`:
-///   **deterministic mode**. Each core runs on its own OS thread, but a
-///   turnstile hands the shared-boundary cycle from core 0 to core 1 in
-///   strict alternation, so every shared-lock acquisition happens in
-///   the serial order and results stay *bit-identical* to `Serial`
-///   (DESIGN.md §16).
-/// - `Threaded` with `quantum > 1`: **relaxed mode**, the
-///   parti-gem5 idiom. Both cores free-run concurrently for `quantum`
-///   cycles between barriers at the shared L2/L3 boundary. Within a
-///   quantum the cores' shared-cache accesses interleave
-///   scheduling-dependently, so results are statistically equivalent
-///   but not bit-identical (`tests/parallel_chip.rs` holds them within
-///   5% of serial). Only [`Chip::new`](crate::Chip::new) reads this
-///   mode, so it is not part of a single-core cell's cache key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ChipParallelism {
-    /// Tick both cores from one thread, core 0 first (the default).
-    #[default]
-    Serial,
-    /// Run each core on its own OS thread, synchronizing every
-    /// `quantum` cycles at the shared-cache boundary. `quantum == 1`
-    /// is the deterministic turnstile; larger quanta relax the
-    /// interleaving for speed.
-    Threaded {
-        /// Cycles each core runs between synchronization points. Must
-        /// be nonzero ([`CoreConfig::try_validate`] rejects zero).
-        quantum: u64,
-    },
-}
-
 /// The unified three-speed execution plan: how a core is warmed, how the
 /// measured phase runs, whether campaigns may share warm-state
-/// checkpoints between cells, and how a two-core chip is scheduled.
+/// checkpoints between cells, and whether the engine skips idle spans.
 /// Replaces the former loose trio of `warmup_mode` / `--fast-forward` /
 /// `--reuse-warmup` knobs.
 ///
@@ -267,9 +227,8 @@ pub enum ChipParallelism {
 /// `detailed | sampled[:interval,period]` with optional `+ff`
 /// (functional warmup under a detailed measure), `+dw` (detailed warmup
 /// under a sampled measure), `+noskip` (disable the event-horizon idle
-/// skip), `+reuse` (warm-checkpoint sharing) and `+mt[:quantum]`
-/// (threaded chip) suffixes, e.g. `sampled:10000,40000+reuse` or
-/// `detailed+noskip+mt:4096`.
+/// skip) and `+reuse` (warm-checkpoint sharing) suffixes, e.g.
+/// `sampled:10000,40000+reuse` or `detailed+ff+noskip`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutionPlan {
     /// How the warmup phase preceding measurement is executed.
@@ -285,10 +244,6 @@ pub struct ExecutionPlan {
     /// RNG draw count; see DESIGN.md §17). Defaults on; `+noskip` turns
     /// it off for A/B measurement.
     pub idle_skip: bool,
-    /// How a [`Chip`](crate::Chip)'s two cores are scheduled (serial,
-    /// deterministic turnstile, or relaxed-quantum threads). Single-core
-    /// paths ignore it.
-    pub chip: ChipParallelism,
 }
 
 impl Default for ExecutionPlan {
@@ -298,19 +253,14 @@ impl Default for ExecutionPlan {
             measure: MeasureMode::default(),
             warm_reuse: false,
             idle_skip: true,
-            chip: ChipParallelism::default(),
         }
     }
 }
 
 /// A plan's share of a measurement's identity: the warm-up engine and
 /// the measure mode, the two fields that change the measured bytes.
-/// The others are left out by name:
-///
-/// - `warm_reuse` and `idle_skip` change only wall time (both are
-///   bit-identical by construction);
-/// - a single [`SmtCore`](crate::SmtCore) never reads `chip`, and
-///   nothing journals a chip run.
+/// The others, `warm_reuse` and `idle_skip`, are left out by name: they
+/// change only wall time (both are bit-identical by construction).
 ///
 /// The pattern names every field, so a new one does not compile until
 /// its author decides whether it splits a cache key.
@@ -321,7 +271,6 @@ impl Hash for ExecutionPlan {
             measure,
             warm_reuse: _,
             idle_skip: _,
-            chip: _,
         } = self;
         (warmup, measure).hash(state);
     }
@@ -345,7 +294,6 @@ impl ExecutionPlan {
             measure: MeasureMode::Sampled(sampling),
             warm_reuse: false,
             idle_skip: true,
-            chip: ChipParallelism::Serial,
         }
     }
 
@@ -353,13 +301,6 @@ impl ExecutionPlan {
     #[must_use]
     pub fn with_warm_reuse(mut self, reuse: bool) -> ExecutionPlan {
         self.warm_reuse = reuse;
-        self
-    }
-
-    /// Returns a copy with the chip-parallelism mode set.
-    #[must_use]
-    pub fn with_chip(mut self, chip: ChipParallelism) -> ExecutionPlan {
-        self.chip = chip;
         self
     }
 
@@ -384,23 +325,18 @@ impl ExecutionPlan {
     ///          | "+skip"                       (re-enable the idle skip;
     ///                                           the default)
     ///          | "+reuse"                      (share warm checkpoints)
-    ///          | "+mt"                         (threaded chip, quantum 1:
-    ///                                           deterministic turnstile)
-    ///          | "+mt:" quantum                (threaded chip, relaxed
-    ///                                           quantum > 1)
     /// ```
     ///
     /// Flags may appear in any order; later flags win on conflict
     /// (`+ff+dw` ends detailed, `+noskip+skip` ends skipping). `Display`
     /// emits the canonical form — speed, then `+ff`/`+dw` if the warmup
     /// differs from the speed's default, then `+noskip` if the idle skip
-    /// is off, then `+reuse`, then `+mt`/`+mt:quantum` — so
-    /// parse/display round-trips.
+    /// is off, then `+reuse` — so parse/display round-trips.
     ///
     /// ```
-    /// use p5_core::{ChipParallelism, ExecutionPlan, MeasureMode, WarmupMode};
+    /// use p5_core::{ExecutionPlan, MeasureMode, WarmupMode};
     ///
-    /// // The default plan: detailed warmup, detailed measure, serial chip.
+    /// // The default plan: detailed warmup, detailed measure.
     /// let plan = ExecutionPlan::parse("detailed").unwrap();
     /// assert_eq!(plan, ExecutionPlan::detailed());
     ///
@@ -409,21 +345,13 @@ impl ExecutionPlan {
     /// assert_eq!(plan.warmup, WarmupMode::Detailed);
     /// assert!(matches!(plan.measure, MeasureMode::Sampled(s)
     ///     if s.interval == 512 && s.period == 2048));
-    ///
-    /// // `+mt` alone is the deterministic threaded chip (quantum 1) —
-    /// // bit-identical to serial; `+mt:N` relaxes the sync quantum.
-    /// let det = ExecutionPlan::parse("detailed+mt").unwrap();
-    /// assert_eq!(det.chip, ChipParallelism::Threaded { quantum: 1 });
-    /// let relaxed = ExecutionPlan::parse("detailed+ff+mt:4096").unwrap();
-    /// assert_eq!(relaxed.chip, ChipParallelism::Threaded { quantum: 4096 });
-    /// assert_eq!(relaxed.to_string(), "detailed+ff+mt:4096");
+    /// assert_eq!(plan.to_string(), "sampled:512,2048+dw");
     /// ```
     ///
     /// # Errors
     ///
     /// Returns a human-readable message naming the offending token for
-    /// unknown speeds, flags, or malformed/zero sampling or quantum
-    /// parameters.
+    /// unknown speeds, flags, or malformed/zero sampling parameters.
     pub fn parse(text: &str) -> Result<ExecutionPlan, String> {
         let mut parts = text.split('+');
         let speed = parts.next().unwrap_or_default();
@@ -464,21 +392,7 @@ impl ExecutionPlan {
                 "noskip" => plan.idle_skip = false,
                 "skip" => plan.idle_skip = true,
                 "reuse" => plan.warm_reuse = true,
-                "mt" => plan.chip = ChipParallelism::Threaded { quantum: 1 },
-                other => {
-                    if let Some(q) = other.strip_prefix("mt:") {
-                        let quantum: u64 = q
-                            .trim()
-                            .parse()
-                            .map_err(|_| format!("bad chip quantum `{q}`"))?;
-                        if quantum == 0 {
-                            return Err("chip quantum must be nonzero".into());
-                        }
-                        plan.chip = ChipParallelism::Threaded { quantum };
-                    } else {
-                        return Err(format!("unknown plan flag `+{other}`"));
-                    }
-                }
+                other => return Err(format!("unknown plan flag `+{other}`")),
             }
         }
         Ok(plan)
@@ -506,11 +420,6 @@ impl fmt::Display for ExecutionPlan {
         }
         if self.warm_reuse {
             f.write_str("+reuse")?;
-        }
-        match self.chip {
-            ChipParallelism::Serial => {}
-            ChipParallelism::Threaded { quantum: 1 } => f.write_str("+mt")?,
-            ChipParallelism::Threaded { quantum } => write!(f, "+mt:{quantum}")?,
         }
         Ok(())
     }
@@ -702,12 +611,6 @@ impl CoreConfig {
                     ),
                 });
             }
-        }
-        if self.plan.chip == (ChipParallelism::Threaded { quantum: 0 }) {
-            return Err(SimError::InvalidConfig {
-                field: "plan.chip",
-                message: "threaded chip needs a nonzero sync quantum".into(),
-            });
         }
         self.mem.validate();
         Ok(())
@@ -1120,11 +1023,8 @@ mod tests {
             "sampled:10000,40000",
             "sampled:512,2048+dw",
             "sampled:512,2048+reuse",
-            "sampled:512,2048+noskip+mt:64",
-            "detailed+mt",
-            "detailed+ff+mt:64",
-            "detailed+reuse+mt:4096",
-            "sampled:10000,40000+mt:4096",
+            "sampled:512,2048+noskip",
+            "sampled:10000,40000+dw+noskip+reuse",
         ] {
             let plan = ExecutionPlan::parse(text).expect(text);
             assert_eq!(plan.to_string(), text, "round-trip of `{text}`");
@@ -1144,34 +1044,11 @@ mod tests {
         assert!(ExecutionPlan::parse("sampled:10,0").is_err());
         assert!(ExecutionPlan::parse("sampled:a,b").is_err());
         assert!(ExecutionPlan::parse("detailed+warp").is_err());
-        assert!(ExecutionPlan::parse("detailed+mt:0").is_err());
-        assert!(ExecutionPlan::parse("detailed+mt:many").is_err());
-        assert!(ExecutionPlan::parse("detailed+mt:").is_err());
-    }
-
-    #[test]
-    fn plan_parse_chip_modes() {
-        assert_eq!(
-            ExecutionPlan::parse("detailed").unwrap().chip,
-            ChipParallelism::Serial
-        );
-        assert_eq!(
-            ExecutionPlan::parse("detailed+mt").unwrap().chip,
-            ChipParallelism::Threaded { quantum: 1 }
-        );
-        assert_eq!(
-            ExecutionPlan::parse("detailed+mt:1").unwrap().chip,
-            ChipParallelism::Threaded { quantum: 1 }
-        );
-        // `+mt:1` canonicalizes to the short deterministic form.
-        assert_eq!(
-            ExecutionPlan::parse("detailed+mt:1").unwrap().to_string(),
-            "detailed+mt"
-        );
-        assert_eq!(
-            ExecutionPlan::parse("sampled+mt:8192").unwrap().chip,
-            ChipParallelism::Threaded { quantum: 8192 }
-        );
+        // The threaded chip is gone: its flags are unknown, not ignored.
+        for text in ["detailed+mt", "detailed+mt:4096"] {
+            let err = ExecutionPlan::parse(text).expect_err(text);
+            assert!(err.contains("unknown plan flag `+mt"), "{text}: {err}");
+        }
     }
 
     #[test]
@@ -1190,21 +1067,6 @@ mod tests {
             ExecutionPlan::detailed().with_idle_skip(false),
             ExecutionPlan::parse("detailed+noskip").unwrap()
         );
-    }
-
-    #[test]
-    fn zero_chip_quantum_rejected_by_validate() {
-        let cfg = CoreConfig {
-            plan: ExecutionPlan::detailed().with_chip(ChipParallelism::Threaded { quantum: 0 }),
-            ..CoreConfig::power5_like()
-        };
-        assert!(matches!(
-            cfg.try_validate(),
-            Err(SimError::InvalidConfig {
-                field: "plan.chip",
-                ..
-            })
-        ));
     }
 
     #[test]

@@ -540,8 +540,8 @@ impl SmtCore {
     /// that must be warm at the measurement boundary — data caches, data
     /// TLB, branch predictor, stream cursors, and the priority registers
     /// (`or-nop`s take effect, with the same privilege check as the
-    /// detailed engine) — but no GCT, issue-queue, LMQ, finish-table or
-    /// PMU state is modelled. Each instruction is charged an approximate
+    /// detailed engine) — but no GCT, register-producer, issue-queue,
+    /// LMQ or PMU state is modelled. Each instruction is charged an approximate
     /// cost in virtual cycles: its thread's decode share under the
     /// current priority policy, raised to the full memory latency for
     /// loads (dependent chains serialize on it; overcharging independent

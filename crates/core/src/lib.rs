@@ -105,8 +105,8 @@ mod thread;
 pub use cancel::CancelToken;
 pub use chip::{Chip, CoreId};
 pub use config::{
-    BalancerConfig, ChipParallelism, ConfigError, CoreConfig, CoreConfigBuilder, ExecutionPlan,
-    MeasureMode, OpLatencies, SamplingConfig, WarmupMode,
+    BalancerConfig, ConfigError, CoreConfig, CoreConfigBuilder, ExecutionPlan, MeasureMode,
+    OpLatencies, SamplingConfig, WarmupMode,
 };
 pub use engine::{RunOutcome, SmtCore, WarmState};
 pub use error::{DiagnosticSnapshot, SimError, StuckResource, ThreadDiag};

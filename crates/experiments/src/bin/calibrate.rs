@@ -14,8 +14,8 @@
 //! time it runs and restores it for later tables that repeat the
 //! identical warm phase (the CPI-stack table re-warms every ST bench
 //! otherwise): output is bit-identical, only wall-clock changes
-//! (DESIGN.md §12). Calibration measures fixed windows on one core, so
-//! a sampled measure or a threaded chip (`+mt`) is a usage error.
+//! (DESIGN.md §12). Calibration measures fixed windows, so a sampled
+//! measure is a usage error.
 //!
 //! Pass `--journal DIR` to journal every measured scalar (ST IPC and
 //! each SMT matrix cell) write-ahead to `DIR/journal.jsonl`, and
@@ -25,10 +25,7 @@
 //!
 //! Any other argument, and a flag missing its value, is a usage error.
 
-use p5_core::{
-    ChipParallelism, CoreConfig, ExecutionPlan, MeasureMode, RunOutcome, SmtCore, WarmState,
-    WarmupMode,
-};
+use p5_core::{CoreConfig, ExecutionPlan, MeasureMode, RunOutcome, SmtCore, WarmState, WarmupMode};
 use p5_experiments::journal::{CellKey, ResultJournal, StableHasher, JOURNAL_SCHEMA_VERSION};
 use p5_isa::ThreadId;
 use p5_microbench::MicroBenchmark;
@@ -229,10 +226,10 @@ fn main() {
     let plan = flag_value(&args, "--plan")
         .map_or(Ok(ExecutionPlan::detailed()), |s| ExecutionPlan::parse(s))
         .unwrap_or_else(|e| usage_error(&format!("--plan: {e}")));
-    if matches!(plan.measure, MeasureMode::Sampled(_)) || plan.chip != ChipParallelism::Serial {
+    if matches!(plan.measure, MeasureMode::Sampled(_)) {
         usage_error(&format!(
-            "--plan {plan}: calibration measures fixed windows on one core, \
-             so it takes neither a sampled measure nor a threaded chip"
+            "--plan {plan}: calibration measures fixed windows, \
+             so it takes no sampled measure"
         ));
     }
     // The calibrated core: the POWER5-like defaults routed through the

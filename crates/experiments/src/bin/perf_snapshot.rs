@@ -28,19 +28,16 @@
 //! result journaling costs more than [`MAX_JOURNAL_OVERHEAD_PCT`] over
 //! the identical un-journaled leg, the three-speed `sampled` plan is
 //! less than [`MIN_SAMPLED_SPEEDUP`]× faster than fully detailed on the
-//! long-repetition cell, (on hosts with ≥2 CPUs) the threaded chip at
-//! a relaxed quantum is less than [`MIN_CHIP_SPEEDUP`]× faster than the
-//! serial chip on the big-cell workload, or the event-horizon idle skip
-//! is less than [`MIN_IDLE_SKIP_SPEEDUP`]× faster (or not bit-identical)
-//! on the stall-heavy starved cell — how CI keeps the
-//! instrumentation, the two-speed engine, the checkpoint layer, the
-//! durability layer, the sampling engine, the parallel chip, and the
-//! idle-skip fast path honest. `--quick` shrinks the cycle budgets and cell counts for a CI
-//! smoke run. The `off` mode *is*
-//! the disabled-PMU state — its hot-path cost is one never-taken branch
-//! per cycle, so the disabled overhead is bounded by run-to-run noise
-//! (see the Observability section of DESIGN.md); the modes measured
-//! here gate the cost of actually turning the PMU on.
+//! long-repetition cell, or the event-horizon idle skip is less than
+//! [`MIN_IDLE_SKIP_SPEEDUP`]× faster (or not bit-identical) on the
+//! stall-heavy starved cell — how CI keeps the instrumentation, the
+//! two-speed engine, the checkpoint layer, the durability layer, the
+//! sampling engine and the idle-skip fast path honest. `--quick`
+//! shrinks the cycle budgets and cell counts for a CI smoke run. The
+//! `off` mode *is* the disabled-PMU state — its hot-path cost is one
+//! never-taken branch per cycle, so the disabled overhead is bounded by
+//! run-to-run noise (see the Observability section of DESIGN.md); the
+//! modes measured here gate the cost of actually turning the PMU on.
 
 use p5_core::{CoreConfig, SmtCore};
 use p5_experiments::campaign::{Campaign, CampaignSpec, CellSpec};
@@ -74,15 +71,6 @@ const MAX_JOURNAL_OVERHEAD_PCT: f64 = 5.0;
 /// wall-clock of the long-repetition cell by at least this factor over
 /// the fully detailed plan — the whole point of interval sampling.
 const MIN_SAMPLED_SPEEDUP: f64 = 10.0;
-/// Gate: the threaded chip (relaxed quantum) must run the big-cell chip
-/// workload at least this many times faster than the serial chip. Only
-/// enforced when the host actually has ≥2 CPUs — on a capped CI
-/// container the measurement is recorded, not gated (the same policy as
-/// the campaign-scaling leg).
-const MIN_CHIP_SPEEDUP: f64 = 1.5;
-/// Sync quantum of the threaded leg: large enough that barrier crossings
-/// are amortized over thousands of simulated cycles.
-const CHIP_QUANTUM: u64 = 4_096;
 /// Gate: the event-horizon idle skip must cut the wall-clock of the
 /// stall-heavy starved cell by at least this factor — and the skipped
 /// run must stay bit-identical to the per-cycle run, which is the fast
@@ -120,11 +108,6 @@ struct Params {
     sampled_iterations: u64,
     /// Interleaved detailed/sampled rounds in the sampled-plan leg.
     sampled_rounds: usize,
-    /// Cycles of the big-cell parallel-chip leg (both cores loaded, so
-    /// each cycle simulates two full cores).
-    chip_cycles: u64,
-    /// Interleaved serial/threaded rounds in the parallel-chip leg.
-    chip_rounds: usize,
     /// Cycles of the idle-skip leg's stall-heavy starved cell.
     idle_skip_cycles: u64,
     /// Interleaved skip-off/skip-on rounds in the idle-skip leg.
@@ -144,8 +127,6 @@ impl Params {
             reuse_warm_cycles: 1_500_000,
             sampled_iterations: 60_000,
             sampled_rounds: 3,
-            chip_cycles: 2_000_000,
-            chip_rounds: 3,
             idle_skip_cycles: 2_000_000,
             idle_skip_rounds: 3,
         }
@@ -163,8 +144,6 @@ impl Params {
             reuse_warm_cycles: 600_000,
             sampled_iterations: 20_000,
             sampled_rounds: 2,
-            chip_cycles: 400_000,
-            chip_rounds: 2,
             idle_skip_cycles: 500_000,
             idle_skip_rounds: 2,
         }
@@ -388,26 +367,6 @@ fn timed_sampled(p: &Params, sampled: bool) -> (f64, f64) {
         .total_ipc()
         .expect("the long cell produces a measurement");
     (wall, ipc)
-}
-
-/// Runs the big-cell chip workload — the snapshot pair loaded on *both*
-/// cores, contending in the shared L2 — for `cycles` under the given
-/// chip scheduling mode and returns the wall time in seconds.
-fn timed_chip(cycles: u64, parallelism: p5_core::ChipParallelism) -> f64 {
-    let mut cfg = CoreConfig::power5_like();
-    cfg.plan.chip = parallelism;
-    let mut chip = p5_core::Chip::new(cfg);
-    let p4 = Priority::from_level(4).expect("valid");
-    for id in p5_core::CoreId::ALL {
-        let core = chip.core_mut(id);
-        core.load_program(ThreadId::T0, MicroBenchmark::CpuInt.program());
-        core.load_program(ThreadId::T1, MicroBenchmark::LdintL2.program());
-        core.set_priority(ThreadId::T0, p4);
-        core.set_priority(ThreadId::T1, p4);
-    }
-    let t = Instant::now();
-    chip.run_cycles(cycles);
-    t.elapsed().as_secs_f64()
 }
 
 /// Runs the stall-heavy starved cell — the `ldint_mem` pointer chase
@@ -659,45 +618,6 @@ fn main() {
         100.0 * sampled_rel_err,
     );
 
-    // Parallel chip: the big-cell chip workload (both cores loaded,
-    // contending in the shared L2) under the serial scheduler vs two OS
-    // threads at a relaxed sync quantum, interleaved and medianed. Gated
-    // only on hosts with >=2 CPUs: on a single-CPU container the threaded
-    // chip cannot beat serial by construction, so the measurement is
-    // recorded and the gate auto-passes (campaign-scaling policy).
-    let chip_gate_active = host_cpus >= 2;
-    println!(
-        "== parallel chip: both cores loaded, {} cycles, serial vs 2 threads (quantum {CHIP_QUANTUM}, host has {host_cpus} CPU(s)) ==",
-        p.chip_cycles
-    );
-    let mut chip_serial_samples = Vec::new();
-    let mut chip_threaded_samples = Vec::new();
-    for _ in 0..p.chip_rounds {
-        chip_serial_samples.push(timed_chip(p.chip_cycles, p5_core::ChipParallelism::Serial));
-        chip_threaded_samples.push(timed_chip(
-            p.chip_cycles,
-            p5_core::ChipParallelism::Threaded {
-                quantum: CHIP_QUANTUM,
-            },
-        ));
-    }
-    let chip_serial_wall = median(&chip_serial_samples);
-    let chip_threaded_wall = median(&chip_threaded_samples);
-    let chip_speedup = chip_serial_wall / chip_threaded_wall;
-    let chip_ok = !chip_gate_active || chip_speedup >= MIN_CHIP_SPEEDUP;
-    println!(
-        "serial {:>8.1} ms (spread {:>4.1}%)   threaded {:>8.1} ms (spread {:>4.1}%)   speedup {chip_speedup:.2}x{}",
-        chip_serial_wall * 1e3,
-        spread_pct(&chip_serial_samples),
-        chip_threaded_wall * 1e3,
-        spread_pct(&chip_threaded_samples),
-        if chip_gate_active {
-            ""
-        } else {
-            "   (recorded, not gated: single-CPU host)"
-        }
-    );
-
     // Event-horizon idle skip: the stall-heavy starved cell with the
     // skip off vs on, interleaved and medianed. Gated on both axes: the
     // fast path must actually be fast on its target regime AND produce
@@ -779,7 +699,6 @@ fn main() {
                 .field("min_reuse_speedup", MIN_REUSE_SPEEDUP)
                 .field("max_journal_overhead_pct", MAX_JOURNAL_OVERHEAD_PCT)
                 .field("min_sampled_speedup", MIN_SAMPLED_SPEEDUP)
-                .field("min_chip_speedup", MIN_CHIP_SPEEDUP)
                 .field("min_idle_skip_speedup", MIN_IDLE_SKIP_SPEEDUP)
                 .field("counters_ok", counters_ok)
                 .field("sampling_ok", sampling_ok)
@@ -787,7 +706,6 @@ fn main() {
                 .field("reuse_ok", reuse_ok)
                 .field("journal_ok", journal_ok)
                 .field("sampled_ok", sampled_ok)
-                .field("chip_ok", chip_ok)
                 .field("idle_skip_ok", idle_skip_ok)
                 .build(),
         )
@@ -834,19 +752,6 @@ fn main() {
                 .field("detailed_total_ipc", plan_detailed_ipc)
                 .field("sampled_total_ipc", plan_sampled_ipc)
                 .field("rel_err", sampled_rel_err)
-                .build(),
-        )
-        .field(
-            "parallel_chip",
-            JsonObject::new()
-                .field("cycles", p.chip_cycles)
-                .field("rounds", p.chip_rounds as u64)
-                .field("quantum", CHIP_QUANTUM)
-                .field("available_parallelism", host_cpus as u64)
-                .field("gate_active", chip_gate_active)
-                .field("serial_wall_ms", chip_serial_wall * 1e3)
-                .field("threaded_wall_ms", chip_threaded_wall * 1e3)
-                .field("speedup", chip_speedup)
                 .build(),
         )
         .field(
@@ -902,14 +807,6 @@ fn main() {
             eprintln!(
                 "SAMPLED GATE FAILED: the sampled plan is only {sampled_speedup:.2}x faster \
                  than detailed on the long-repetition cell (minimum {MIN_SAMPLED_SPEEDUP}x)"
-            );
-            failed = true;
-        }
-        if !chip_ok {
-            eprintln!(
-                "PARALLEL-CHIP GATE FAILED: the threaded chip is only {chip_speedup:.2}x faster \
-                 than serial on the big-cell workload (minimum {MIN_CHIP_SPEEDUP}x on a \
-                 {host_cpus}-CPU host)"
             );
             failed = true;
         }

@@ -26,13 +26,8 @@
 //! functional fast-forward, every IPC reported as a mean with a 95%
 //! confidence interval). Suffix `+reuse` shares warm-state checkpoints
 //! across identical warm phases (bit-identical, wall-clock only —
-//! DESIGN.md §12). Suffix `+mt` runs the two cores of every simulated
-//! chip on separate OS threads in determinism mode (bit-identical to
-//! serial); `+mt:Q` relaxes the synchronization to a Q-cycle quantum
-//! (DESIGN.md §16 — a chip's results then carry a bounded interleaving
-//! error; campaign cells run on one core and are unaffected). Any
-//! argument `--help` does not list, and a flag missing its value, is a
-//! usage error.
+//! DESIGN.md §12). Any argument `--help` does not list, and a flag
+//! missing its value, is a usage error.
 //!
 //! `--pmu` adds the per-cell CPI-stack section; `--trace <path>`
 //! additionally captures the priority-switch transient and writes it as
@@ -110,10 +105,7 @@ OPTIONS:
                               detailed+ff           functional warmup
                               sampled[:INT,PER]     interval sampling with
                                                     95% confidence intervals
-                            append +reuse to share warm-state checkpoints;
-                            append +mt (deterministic, bit-identical) or
-                            +mt:Q (relaxed Q-cycle quantum, DESIGN.md §16)
-                            to run chip simulations on two threads
+                            append +reuse to share warm-state checkpoints
     --pmu                   add the per-cell CPI-stack section
     --trace PATH            write the priority-switch Chrome trace to PATH
     --journal DIR           journal finished cells to DIR/journal.jsonl

@@ -485,10 +485,10 @@ fn warmup_key(
 /// The configurations hash through their `Hash` impls, which decide
 /// field by field what is identity. `ExecutionPlan` contributes its
 /// warmup engine and measure mode, so sampled results never stand in
-/// for detailed ones or vice versa. It leaves out warm reuse, the idle
-/// skip and the chip mode, which do not change a single-core cell's
-/// bytes. `jobs`, the journal, deadlines, cancellation and chaos live
-/// outside the configurations and never reach the key.
+/// for detailed ones or vice versa. It leaves out warm reuse and the
+/// idle skip, which do not change a cell's bytes. `jobs`, the journal,
+/// deadlines, cancellation and chaos live outside the configurations
+/// and never reach the key.
 #[must_use]
 pub fn cell_key(ctx: &Experiments, spec: &CampaignSpec, id: usize, cell: &CellSpec) -> CellKey {
     let mut h = StableHasher::new();
@@ -1315,7 +1315,7 @@ mod tests {
             id: 0,
         };
         #[rustfmt::skip]
-        let rows: [KeyRow; 42] = [
+        let rows: [KeyRow; 39] = [
             (SPLIT, "decode_width", |c| c.ctx.core.decode_width += 1),
             (SPLIT, "latencies.fp_div", |c| c.ctx.core.latencies.fp_div += 1),
             (SPLIT, "balancer.enabled", |c| c.ctx.core.balancer.enabled ^= true),
@@ -1350,9 +1350,6 @@ mod tests {
             }),
             (SHARE, "+reuse", |c| c.ctx.core.plan = plan("detailed+reuse")),
             (SHARE, "+noskip", |c| c.ctx.core.plan = plan("detailed+noskip")),
-            (SHARE, "+mt", |c| c.ctx.core.plan = plan("detailed+mt")),
-            (SHARE, "+mt:1024", |c| c.ctx.core.plan = plan("detailed+mt:1024")),
-            (SHARE, "+mt:4096", |c| c.ctx.core.plan = plan("detailed+mt:4096")),
             (SHARE, "spec.reuse_warmup", |c| c.spec.reuse_warmup = true),
             (SHARE, "ctx.jobs", |c| c.ctx.jobs = 4),
             (SHARE, "spec.jobs", |c| c.spec.jobs = 4),

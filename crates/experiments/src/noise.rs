@@ -11,8 +11,10 @@
 //! core 1 while core 0 is either idle (the paper's isolated setup) or
 //! runs an OS-noise stand-in that pressures the shared L2/L3. The report
 //! shows the measured IPC and the per-repetition variability under both
-//! regimes.
+//! regimes. Each regime steps its own serial chip, so the two run side by
+//! side on the campaign pool with the same bits as one after the other.
 
+use crate::campaign::parallel_map;
 use crate::report::{f3, pct, TextTable};
 use crate::Experiments;
 use p5_core::{Chip, CoreId};
@@ -167,10 +169,13 @@ pub fn run(ctx: &Experiments) -> NoiseResult {
 /// Runs the isolation experiment on a caller-chosen benchmark.
 #[must_use]
 pub fn run_with(ctx: &Experiments, bench: MicroBenchmark) -> NoiseResult {
+    let [isolated, noisy]: [Regime; 2] = parallel_map(ctx.jobs, 2, |i| measure(ctx, bench, i == 1))
+        .try_into()
+        .expect("one result per regime");
     NoiseResult {
         bench,
-        isolated: measure(ctx, bench, false),
-        noisy: measure(ctx, bench, true),
+        isolated,
+        noisy,
     }
 }
 

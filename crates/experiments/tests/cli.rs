@@ -41,7 +41,7 @@ fn help_documents_the_plan_flag() {
 #[test]
 fn unknown_arguments_are_usage_errors() {
     // A flag `--help` does not list (`--fast-forward` is calibrate's,
-    // not repro's; `--chip-threads` is spelled `--plan ...+mt`) and a
+    // not repro's; `--chip-threads` is gone with the threaded chip) and a
     // typo must fail before anything runs, naming the argument, instead
     // of being ignored.
     for args in [&["--fast-forward"][..], &["--fast-froward"], &["--chip-threads", "2"]] {
@@ -75,13 +75,19 @@ fn unknown_arguments_are_usage_errors() {
 
 #[test]
 fn invalid_plan_spec_is_a_usage_error() {
-    let out = repro()
-        .args(["--plan", "warp-speed"])
-        .output()
-        .expect("repro runs");
-    assert_eq!(out.status.code(), Some(1), "bad plan spec exits 1");
-    let err = String::from_utf8(out.stderr).expect("stderr is UTF-8");
-    assert!(err.contains("--plan"), "error names the flag: {err}");
+    // `+mt` named the threaded chip, which is gone: it is an unknown
+    // plan flag now, not one silently ignored.
+    for spec in ["warp-speed", "detailed+mt"] {
+        let out = repro()
+            .args(["--quick", "--only", "table1", "--plan", spec])
+            .output()
+            .expect("repro runs");
+        assert_eq!(out.status.code(), Some(1), "--plan {spec} exits 1");
+        let err = String::from_utf8(out.stderr).expect("stderr is UTF-8");
+        assert!(err.contains("--plan"), "error names the flag: {err}");
+        let text = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+        assert!(!text.contains("Table 1"), "nothing ran: {text}");
+    }
 }
 
 #[test]
@@ -115,8 +121,8 @@ fn calibrate_resume_without_journal_is_a_usage_error() {
 
 #[test]
 fn calibrate_rejects_arguments_it_cannot_run() {
-    // A sampled measure and a threaded chip do not fit fixed-window
-    // single-core calibration, the pre-plan flags are gone, and a value
+    // A sampled measure does not fit fixed-window calibration, the
+    // threaded chip's `+mt` and the pre-plan flags are gone, and a value
     // flag needs its value: each fails before anything is simulated,
     // naming the argument.
     for (args, named) in [

@@ -16,10 +16,9 @@
 //! accounted time divided by the number of *complete* repetitions — the
 //! trailing incomplete repetition is discarded (paper Figure 1).
 //!
-//! One [`FameRunner`] measures a lone [`SmtCore`] or both cores of a
-//! [`Chip`] — the paper measures on the second core of the dual-core
-//! POWER5 while the first is isolated — with the same warm-up,
-//! repetition and sampling loops.
+//! A [`FameRunner`] measures one [`SmtCore`]: the paper measures on the
+//! second core of the dual-core POWER5 while the first is isolated, so
+//! a lone core is the measured machine.
 //!
 //! # Example
 //!
@@ -45,9 +44,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use p5_core::{
-    CancelToken, Chip, CoreId, MeasureMode, SamplingConfig, SimError, SmtCore, WarmupMode,
-};
+use p5_core::{CancelToken, MeasureMode, SamplingConfig, SimError, SmtCore, WarmupMode};
 use p5_isa::{AccessPattern, ThreadId};
 use std::hash::{Hash, Hasher};
 
@@ -76,7 +73,11 @@ impl WarmupBudget {
     ///
     /// Returns [`SimError::InvalidConfig`] if `min_cycles > max_cycles`
     /// (the clamp would be empty) or `max_cycles` is zero.
-    pub fn new(min_cycles: u64, max_cycles: u64, ring_passes: u64) -> Result<WarmupBudget, SimError> {
+    pub fn new(
+        min_cycles: u64,
+        max_cycles: u64,
+        ring_passes: u64,
+    ) -> Result<WarmupBudget, SimError> {
         if max_cycles == 0 {
             return Err(SimError::InvalidConfig {
                 field: "warmup.max_cycles",
@@ -86,9 +87,7 @@ impl WarmupBudget {
         if min_cycles > max_cycles {
             return Err(SimError::InvalidConfig {
                 field: "warmup.min_cycles",
-                message: format!(
-                    "warm-up floor {min_cycles} exceeds the cap {max_cycles}"
-                ),
+                message: format!("warm-up floor {min_cycles} exceeds the cap {max_cycles}"),
             });
         }
         Ok(WarmupBudget {
@@ -392,11 +391,7 @@ impl FameReport {
     /// Combined IPC of the active contexts (the paper's "total IPC").
     #[must_use]
     pub fn total_ipc(&self) -> f64 {
-        self.threads
-            .iter()
-            .flatten()
-            .map(|m| m.ipc)
-            .sum()
+        self.threads.iter().flatten().map(|m| m.ipc).sum()
     }
 
     /// 95 % confidence-interval half-width of [`total_ipc`]
@@ -422,119 +417,22 @@ impl FameReport {
     }
 }
 
-/// Result of one FAME measurement of a two-core [`Chip`]: one
-/// [`FameReport`] per core, measured *simultaneously*, so the cores
-/// interact through the shared L2/L3 for the whole measurement — see
-/// [`FameRunner::try_measure_chip`]. An idle core carries an empty
-/// report (`threads == [None, None]`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChipReport {
-    /// Per-core reports, indexed by [`CoreId::index`].
-    pub cores: [FameReport; 2],
-}
-
-impl ChipReport {
-    /// The report of one core.
-    #[must_use]
-    pub fn core(&self, id: CoreId) -> &FameReport {
-        &self.cores[id.index()]
-    }
-
-    /// Combined IPC of every active context on the chip.
-    #[must_use]
-    pub fn total_ipc(&self) -> f64 {
-        self.cores.iter().map(FameReport::total_ipc).sum()
-    }
-
-    /// Whether every active thread of every core converged.
-    #[must_use]
-    pub fn converged(&self) -> bool {
-        self.cores.iter().all(FameReport::converged)
-    }
-}
-
-/// Cycles per detailed warm-up chunk on every machine.
+/// Cycles per detailed warm-up chunk.
 const WARMUP_CHUNK: u64 = 4096;
 
-/// What the FAME loops drive: a lone [`SmtCore`], or a [`Chip`] whose
-/// cores advance together and interact through the shared L2/L3.
-trait Machine {
-    /// Cycles between the detailed measure's checks. It decides where
-    /// convergence is tested, so it is part of the machine's results.
-    const CHECK_PERIOD: u64;
+/// Cycles between the detailed measure's checks. It decides where
+/// convergence is tested, so it is part of the results.
+const CHECK_PERIOD: u64 = 256;
 
-    /// The cores, in core order.
-    fn cores(&self) -> &[SmtCore];
-
-    /// The cores, mutably, in core order.
-    fn cores_mut(&mut self) -> &mut [SmtCore];
-
-    /// Advances every core by up to `n` cycles and returns the cycles
-    /// run, fewer than `n` only if `cancel` expired mid-chunk.
-    fn advance(&mut self, n: u64, cancel: Option<&CancelToken>) -> u64;
-}
-
-impl Machine for SmtCore {
-    const CHECK_PERIOD: u64 = 256;
-
-    fn cores(&self) -> &[SmtCore] {
-        std::slice::from_ref(self)
-    }
-
-    fn cores_mut(&mut self) -> &mut [SmtCore] {
-        std::slice::from_mut(self)
-    }
-
-    fn advance(&mut self, n: u64, _cancel: Option<&CancelToken>) -> u64 {
-        self.run_cycles(n);
-        n
-    }
-}
-
-impl Machine for Chip {
-    /// Larger than a core's because threaded chip modes spawn a thread
-    /// scope per chunk. Every chip mode uses it, so serial and threaded
-    /// runs see identical chunking.
-    const CHECK_PERIOD: u64 = 4096;
-
-    fn cores(&self) -> &[SmtCore] {
-        Chip::cores(self)
-    }
-
-    fn cores_mut(&mut self) -> &mut [SmtCore] {
-        Chip::cores_mut(self)
-    }
-
-    fn advance(&mut self, n: u64, cancel: Option<&CancelToken>) -> u64 {
-        self.try_run_cycles(n, cancel)
-    }
-}
-
-/// Whether any context of `core` has a program loaded.
-fn has_program(core: &SmtCore) -> bool {
-    ThreadId::ALL.iter().any(|&t| core.is_active(t))
-}
-
-/// The reports of a machine's measure phase, one per core.
-type Reports = Result<Vec<FameReport>, SimError>;
-
-/// Errors with [`SimError::NoActiveThread`] unless a core has a program.
-fn require_program<M: Machine>(machine: &M) -> Result<(), SimError> {
-    let loaded = machine.cores().iter().any(has_program);
+/// Errors with [`SimError::NoActiveThread`] unless a context of `core`
+/// has a program loaded.
+fn require_program(core: &SmtCore) -> Result<(), SimError> {
+    let loaded = ThreadId::ALL.iter().any(|&t| core.is_active(t));
     loaded.then_some(()).ok_or(SimError::NoActiveThread)
 }
 
-/// The result of a panicking entry point, whose machine is named by
-/// `on` in the message for a machine without programs.
-fn expect_measured<T>(result: Result<T, SimError>, on: &str) -> T {
-    result.unwrap_or_else(|e| match e {
-        SimError::NoActiveThread => panic!("FAME needs at least one active thread{on}"),
-        e => panic!("{e}"),
-    })
-}
-
-/// Runs FAME measurements over a prepared [`SmtCore`] or [`Chip`]
-/// (programs loaded, priorities set).
+/// Runs FAME measurements over a prepared [`SmtCore`] (programs loaded,
+/// priorities set).
 #[derive(Debug, Clone)]
 pub struct FameRunner {
     config: FameConfig,
@@ -592,8 +490,8 @@ impl FameRunner {
                     if matches!(spec.pattern, AccessPattern::PointerChase) {
                         let lines = (spec.footprint_bytes / line).max(1);
                         if lines <= l3_lines {
-                            budget = budget
-                                .max(self.config.warmup.ring_passes * lines * cold_access);
+                            budget =
+                                budget.max(self.config.warmup.ring_passes * lines * cold_access);
                         }
                     }
                 }
@@ -613,7 +511,10 @@ impl FameRunner {
     /// need to survive either should use
     /// [`try_measure`](FameRunner::try_measure).
     pub fn measure(&self, core: &mut SmtCore) -> FameReport {
-        expect_measured(self.try_measure(core), "")
+        self.try_measure(core).unwrap_or_else(|e| match e {
+            SimError::NoActiveThread => panic!("FAME needs at least one active thread"),
+            e => panic!("{e}"),
+        })
     }
 
     /// Runs the warm-up and measurement phases and reports per-thread
@@ -633,7 +534,7 @@ impl FameRunner {
     /// [`SimError::NoActiveThread`] if no context has a program loaded;
     /// [`SimError::ForwardProgressStall`] if the watchdog trips.
     pub fn try_measure(&self, core: &mut SmtCore) -> Result<FameReport, SimError> {
-        let warmup = self.warm(core)?;
+        let warmup = self.warm_only(core)?;
         self.try_measure_restored(core, warmup)
     }
 
@@ -646,13 +547,34 @@ impl FameRunner {
     /// [`try_measure_restored`](FameRunner::try_measure_restored)
     /// bit-identical to having called `try_measure` outright.
     ///
+    /// The two-speed engine dispatches here: functional mode
+    /// fast-forwards the whole budget in one stall-free call; detailed
+    /// mode simulates it in chunks, so a wedge cannot eat the whole
+    /// budget.
+    ///
     /// # Errors
     ///
     /// [`SimError::NoActiveThread`] if no context has a program loaded;
     /// [`SimError::ForwardProgressStall`] if the watchdog trips during a
     /// detailed warm-up.
     pub fn warm_only(&self, core: &mut SmtCore) -> Result<u64, SimError> {
-        self.warm(core)
+        require_program(core)?;
+        self.check(core, "warmup")?;
+        let warmup = self.warmup_budget(core);
+        match core.config().plan.warmup {
+            WarmupMode::Functional => core.functional_warmup(warmup),
+            WarmupMode::Detailed => {
+                let mut warmed: u64 = 0;
+                while warmed < warmup {
+                    let n = WARMUP_CHUNK.min(warmup - warmed);
+                    core.run_cycles(n);
+                    warmed += n;
+                    self.check(core, "warmup")?;
+                }
+            }
+        }
+        core.reset_stats();
+        Ok(warmup)
     }
 
     /// Runs the measurement phase on a core whose warm state was just
@@ -673,174 +595,73 @@ impl FameRunner {
         core: &mut SmtCore,
         warmup_cycles: u64,
     ) -> Result<FameReport, SimError> {
-        Ok(self.measure_phase(core, warmup_cycles)?.remove(0))
-    }
-
-    /// Runs [`try_measure`](FameRunner::try_measure)'s phases over both
-    /// cores of a prepared [`Chip`] at once, under whatever
-    /// [`ChipParallelism`] the chip is configured with, so the cores
-    /// interact through the shared L2/L3 for the whole measurement. An
-    /// idle core yields an empty per-core report.
-    ///
-    /// [`ChipParallelism`]: p5_core::ChipParallelism
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::NoActiveThread`] if no context of either core has a
-    /// program loaded; [`SimError::ForwardProgressStall`] if a core's
-    /// watchdog trips; [`SimError::Deadline`] if the cancellation token
-    /// expires in either phase.
-    pub fn try_measure_chip(&self, chip: &mut Chip) -> Result<ChipReport, SimError> {
-        let warmup = self.warm(chip)?;
-        let cores = self.measure_phase(chip, warmup)?;
-        Ok(ChipReport {
-            cores: cores.try_into().expect("a chip has two cores"),
-        })
-    }
-
-    /// Panicking wrapper of [`try_measure_chip`](FameRunner::try_measure_chip).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no context of either core has a program loaded, or on
-    /// any error `try_measure_chip` reports.
-    pub fn measure_chip(&self, chip: &mut Chip) -> ChipReport {
-        expect_measured(self.try_measure_chip(chip), " on the chip")
-    }
-
-    /// The check before the warm-up and after every chunk: each core
-    /// with a program must pass its forward-progress watchdog, and the
-    /// run stops if the chunk was cut short or the token has expired.
-    fn check<M: Machine>(
-        &self,
-        machine: &M,
-        cut_short: bool,
-        phase: &'static str,
-    ) -> Result<(), SimError> {
-        for core in machine.cores().iter().filter(|core| has_program(core)) {
-            let watchdog = core.config().watchdog_stall_cycles;
-            if watchdog != 0 && core.stalled_cycles() >= watchdog {
-                return Err(SimError::ForwardProgressStall {
-                    snapshot: Box::new(core.diagnostic_snapshot()),
-                });
-            }
+        require_program(core)?;
+        match core.config().plan.measure {
+            MeasureMode::Detailed => self.measure_detailed(core, warmup_cycles),
+            MeasureMode::Sampled(sampling) => self.measure_sampled(core, warmup_cycles, sampling),
         }
-        if cut_short || self.cancel.as_ref().is_some_and(CancelToken::expired) {
+    }
+
+    /// The check before the warm-up and after every chunk: the core must
+    /// pass its forward-progress watchdog, and the run stops once the
+    /// token has expired.
+    fn check(&self, core: &SmtCore, phase: &'static str) -> Result<(), SimError> {
+        let watchdog = core.config().watchdog_stall_cycles;
+        if watchdog != 0 && core.stalled_cycles() >= watchdog {
+            return Err(SimError::ForwardProgressStall {
+                snapshot: Box::new(core.diagnostic_snapshot()),
+            });
+        }
+        if self.cancel.as_ref().is_some_and(CancelToken::expired) {
             return Err(SimError::Deadline { phase });
         }
         Ok(())
     }
 
-    /// Whether the measure phase has cycle budget left (a chip's cores
-    /// advance together, so the first core counts for all).
-    fn within_budget<M: Machine>(&self, machine: &M) -> bool {
-        machine.cores()[0].stats().cycles < self.config.max_cycles
-    }
-
-    /// The warm-up phase, for the largest of the cores' budgets (a
-    /// lighter core idles warm). The two-speed engine dispatches here:
-    /// functional mode fast-forwards each core with a program in one
-    /// stall-free call, in core order; detailed mode simulates the
-    /// machine in chunks, so a wedge cannot eat the whole budget.
-    fn warm<M: Machine>(&self, machine: &mut M) -> Result<u64, SimError> {
-        require_program(machine)?;
-        self.check(machine, false, "warmup")?;
-        let budgets = machine.cores().iter().map(|core| self.warmup_budget(core));
-        let warmup = budgets.max().unwrap_or(0);
-        match machine.cores()[0].config().plan.warmup {
-            WarmupMode::Functional => {
-                for core in machine.cores_mut().iter_mut().filter(|c| has_program(c)) {
-                    core.functional_warmup(warmup);
-                }
-            }
-            WarmupMode::Detailed => {
-                let mut warmed: u64 = 0;
-                while warmed < warmup {
-                    let n = WARMUP_CHUNK.min(warmup - warmed);
-                    let ran = machine.advance(n, self.cancel.as_ref());
-                    warmed += ran;
-                    self.check(machine, ran < n, "warmup")?;
-                }
-            }
-        }
-        for core in machine.cores_mut() {
-            core.reset_stats();
-        }
-        Ok(warmup)
-    }
-
-    /// The measurement phase, one report per core, from the
-    /// warmup→measurement boundary (right after [`warm`](Self::warm) or
-    /// after restoring a checkpoint taken there). Dispatches on the
-    /// [`ExecutionPlan`](p5_core::ExecutionPlan)'s measure mode.
-    fn measure_phase<M: Machine>(&self, machine: &mut M, warmup: u64) -> Reports {
-        require_program(machine)?;
-        match machine.cores()[0].config().plan.measure {
-            MeasureMode::Detailed => self.measure_detailed(machine, warmup),
-            MeasureMode::Sampled(sampling) => self.measure_sampled(machine, warmup, sampling),
-        }
+    /// Whether the measure phase has cycle budget left.
+    fn within_budget(&self, core: &SmtCore) -> bool {
+        core.stats().cycles < self.config.max_cycles
     }
 
     /// The classic exhaustive FAME repetition loop: runs until every
     /// active thread satisfies MAIV and the minimum repetition count.
-    fn measure_detailed<M: Machine>(&self, machine: &mut M, warmup: u64) -> Reports {
-        let mut trackers: Vec<_> = machine
-            .cores()
-            .iter()
-            .map(ConvergenceTracker::new)
-            .collect();
-        while !trackers.iter().all(ConvergenceTracker::all_done) && self.within_budget(machine) {
-            let ran = machine.advance(M::CHECK_PERIOD, self.cancel.as_ref());
-            self.check(machine, ran < M::CHECK_PERIOD, "measure")?;
-            for (tracker, core) in trackers.iter_mut().zip(machine.cores()) {
-                tracker.observe(core, &self.config);
-            }
+    fn measure_detailed(&self, core: &mut SmtCore, warmup: u64) -> Result<FameReport, SimError> {
+        let mut tracker = ConvergenceTracker::new(core);
+        while !tracker.all_done() && self.within_budget(core) {
+            core.run_cycles(CHECK_PERIOD);
+            self.check(core, "measure")?;
+            tracker.observe(core, &self.config);
         }
-        Ok(trackers
-            .iter()
-            .zip(machine.cores())
-            .map(|(tracker, core)| tracker.finalize(core, warmup))
-            .collect())
+        Ok(tracker.finalize(core, warmup))
     }
 
     /// Interval sampling (SMARTS / Pac-Sim): alternate `interval`
-    /// detailed cycles of the whole machine with `period` functionally
-    /// fast-forwarded cycles of each core with a program, in core order.
+    /// detailed cycles with `period` functionally fast-forwarded cycles.
     /// Each detailed interval contributes one IPC sample per thread
     /// (committed-instruction delta — the functional engine never
     /// touches commit counts). The phase is bounded by `max_cycles` of
     /// *virtual* time (detailed plus fast-forwarded).
-    fn measure_sampled<M: Machine>(
+    fn measure_sampled(
         &self,
-        machine: &mut M,
+        core: &mut SmtCore,
         warmup: u64,
         sampling: SamplingConfig,
-    ) -> Reports {
-        let mut samplers: Vec<_> = machine.cores().iter().map(Sampler::new).collect();
-        while !samplers.iter().all(Sampler::all_done) && self.within_budget(machine) {
-            for (sampler, core) in samplers.iter_mut().zip(machine.cores()) {
-                sampler.before = ThreadId::ALL.map(|t| core.stats().thread(t).committed);
-            }
-            let ran = machine.advance(sampling.interval, self.cancel.as_ref());
-            self.check(machine, ran < sampling.interval, "measure")?;
-            for (sampler, core) in samplers.iter_mut().zip(machine.cores()) {
-                sampler.observe(core, sampling.interval, &self.config);
-            }
-            if !samplers.iter().all(Sampler::all_done) && self.within_budget(machine) {
-                for core in machine.cores_mut().iter_mut().filter(|c| has_program(c)) {
-                    core.functional_warmup(sampling.period);
-                }
+    ) -> Result<FameReport, SimError> {
+        let mut sampler = Sampler::new(core);
+        while !sampler.all_done() && self.within_budget(core) {
+            let before = ThreadId::ALL.map(|t| core.stats().thread(t).committed);
+            core.run_cycles(sampling.interval);
+            self.check(core, "measure")?;
+            sampler.observe(core, before, sampling.interval, &self.config);
+            if !sampler.all_done() && self.within_budget(core) {
+                core.functional_warmup(sampling.period);
             }
         }
-        Ok(samplers
-            .iter()
-            .zip(machine.cores())
-            .map(|(sampler, core)| sampler.finalize(core, warmup, sampling.interval))
-            .collect())
+        Ok(sampler.finalize(core, warmup, sampling.interval))
     }
 }
 
-/// Per-core MAIV convergence state of the detailed measurement loop.
+/// MAIV convergence state of the detailed measurement loop.
 #[derive(Debug)]
 struct ConvergenceTracker {
     last_ipc: [Option<f64>; 2],
@@ -897,7 +718,7 @@ impl ConvergenceTracker {
         }
     }
 
-    /// Builds the per-core report from the repetition records.
+    /// Builds the report from the repetition records.
     fn finalize(&self, core: &SmtCore, warmup: u64) -> FameReport {
         let measured_cycles = core.stats().cycles;
         let threads = ThreadId::ALL.map(|t| {
@@ -940,15 +761,12 @@ impl ConvergenceTracker {
     }
 }
 
-/// Per-core state of the interval-sampling loop: each active thread's
-/// IPC samples and whether its estimate has converged.
+/// State of the interval-sampling loop: each active thread's IPC
+/// samples and whether its estimate has converged.
 #[derive(Debug)]
 struct Sampler {
     samples: [Vec<f64>; 2],
     done: [bool; 2],
-    /// Committed instructions per context when the current interval
-    /// began.
-    before: [u64; 2],
 }
 
 impl Sampler {
@@ -956,7 +774,6 @@ impl Sampler {
         Sampler {
             samples: [Vec::new(), Vec::new()],
             done: ThreadId::ALL.map(|t| !core.is_active(t)),
-            before: [0; 2],
         }
     }
 
@@ -965,12 +782,13 @@ impl Sampler {
     }
 
     /// Takes one IPC sample per active thread over the interval that
-    /// just ended. A thread converges once it has `min_repetitions`
-    /// samples and the CI95 half-width is within `maiv` of the mean.
-    fn observe(&mut self, core: &SmtCore, interval: u64, config: &FameConfig) {
+    /// just ended, given each context's committed instructions when it
+    /// began. A thread converges once it has `min_repetitions` samples
+    /// and the CI95 half-width is within `maiv` of the mean.
+    fn observe(&mut self, core: &SmtCore, before: [u64; 2], interval: u64, config: &FameConfig) {
         for t in ThreadId::ALL.into_iter().filter(|&t| core.is_active(t)) {
             let i = t.index();
-            let delta = core.stats().thread(t).committed - self.before[i];
+            let delta = core.stats().thread(t).committed - before[i];
             let samples = &mut self.samples[i];
             samples.push(delta as f64 / interval as f64);
             if self.done[i] || samples.len() < config.min_repetitions {
@@ -983,7 +801,7 @@ impl Sampler {
         }
     }
 
-    /// Builds the per-core report from the samples.
+    /// Builds the report from the samples.
     fn finalize(&self, core: &SmtCore, warmup: u64, interval: u64) -> FameReport {
         let threads = ThreadId::ALL.map(|t| {
             let samples = &self.samples[t.index()];
@@ -1069,8 +887,8 @@ mod tests {
         core.load_program(ThreadId::T0, cpu_program(50));
         core.load_program(ThreadId::T1, cpu_program(50));
         let report = FameRunner::new(FameConfig::quick()).measure(&mut core);
-        let sum = report.thread(ThreadId::T0).unwrap().ipc
-            + report.thread(ThreadId::T1).unwrap().ipc;
+        let sum =
+            report.thread(ThreadId::T0).unwrap().ipc + report.thread(ThreadId::T1).unwrap().ipc;
         assert!((report.total_ipc() - sum).abs() < 1e-12);
     }
 
@@ -1387,7 +1205,10 @@ mod tests {
             .with_cancel(p5_core::CancelToken::with_budget(std::time::Duration::ZERO))
             .try_measure(&mut core)
             .expect_err("expired token must abort the run");
-        assert!(matches!(err, SimError::Deadline { phase: "warmup" }), "{err:?}");
+        assert!(
+            matches!(err, SimError::Deadline { phase: "warmup" }),
+            "{err:?}"
+        );
         assert!(!err.is_retryable());
     }
 
@@ -1402,7 +1223,10 @@ mod tests {
         let err = runner
             .try_measure_restored(&mut core, warmup)
             .expect_err("cancelled token must abort the measure phase");
-        assert!(matches!(err, SimError::Deadline { phase: "measure" }), "{err:?}");
+        assert!(
+            matches!(err, SimError::Deadline { phase: "measure" }),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -1420,95 +1244,10 @@ mod tests {
         let tokened = measure(Some(p5_core::CancelToken::with_budget(
             std::time::Duration::from_secs(3600),
         )));
-        assert_eq!(plain, tokened, "a live token must not perturb the measurement");
-    }
-
-    fn loaded_chip(plan: p5_core::ExecutionPlan) -> p5_core::Chip {
-        let mut cfg = CoreConfig::tiny_for_tests();
-        cfg.plan = plan;
-        let mut chip = p5_core::Chip::new(cfg);
-        chip.core_mut(CoreId::C0)
-            .load_program(ThreadId::T0, chase_program(8 * 1024, 200));
-        chip.core_mut(CoreId::C1)
-            .load_program(ThreadId::T0, cpu_program(50));
-        chip
-    }
-
-    #[test]
-    fn chip_measurement_converges_on_both_cores() {
-        let mut chip = loaded_chip(p5_core::ExecutionPlan::detailed());
-        let report = FameRunner::new(FameConfig::quick()).measure_chip(&mut chip);
-        assert!(report.converged(), "{report:?}");
-        for c in CoreId::ALL {
-            let m = report.core(c).thread(ThreadId::T0).unwrap();
-            assert!(m.ipc > 0.0, "{c:?}: {m:?}");
-            assert!(m.repetitions >= 3, "{c:?}: {m:?}");
-        }
-        let sum = report.core(CoreId::C0).total_ipc() + report.core(CoreId::C1).total_ipc();
-        assert!((report.total_ipc() - sum).abs() < 1e-12);
-    }
-
-    #[test]
-    fn chip_measurement_is_bit_identical_across_deterministic_modes() {
-        use p5_core::ChipParallelism;
-        let run = |chip_mode: ChipParallelism| {
-            let plan = p5_core::ExecutionPlan::detailed().with_chip(chip_mode);
-            let mut chip = loaded_chip(plan);
-            FameRunner::new(FameConfig::quick()).measure_chip(&mut chip)
-        };
-        let serial = run(ChipParallelism::Serial);
-        let threaded = run(ChipParallelism::Threaded { quantum: 1 });
-        assert_eq!(serial, threaded, "determinism mode must not change a single bit");
-    }
-
-    #[test]
-    fn chip_sampled_measurement_reports_intervals() {
-        let plan = p5_core::ExecutionPlan::sampled(SamplingConfig {
-            interval: 2_048,
-            period: 8_192,
-        });
-        let mut chip = loaded_chip(plan);
-        let report = FameRunner::new(FameConfig::quick()).measure_chip(&mut chip);
-        for c in CoreId::ALL {
-            let m = report.core(c).thread(ThreadId::T0).unwrap();
-            assert_eq!(m.estimate.samples as usize, m.repetitions, "{c:?}");
-            assert!(m.repetitions >= 3, "{c:?}: {m:?}");
-            assert_eq!(m.ipc, m.estimate.value, "{c:?}");
-        }
-    }
-
-    #[test]
-    fn chip_measurement_of_idle_chip_is_typed_error() {
-        let mut chip = p5_core::Chip::new(CoreConfig::tiny_for_tests());
-        let err = FameRunner::new(FameConfig::quick())
-            .try_measure_chip(&mut chip)
-            .expect_err("no program loaded on either core");
-        assert_eq!(err, SimError::NoActiveThread);
-    }
-
-    #[test]
-    fn chip_measurement_with_idle_second_core_leaves_it_empty() {
-        let mut chip = p5_core::Chip::new(CoreConfig::tiny_for_tests());
-        chip.core_mut(CoreId::C0)
-            .load_program(ThreadId::T0, cpu_program(50));
-        let report = FameRunner::new(FameConfig::quick()).measure_chip(&mut chip);
-        assert!(report.core(CoreId::C0).thread(ThreadId::T0).is_some());
-        assert_eq!(report.core(CoreId::C1).threads, [None, None]);
-        assert!(report.converged());
-    }
-
-    #[test]
-    fn chip_measurement_with_expired_token_aborts() {
-        for quantum in [1u64, 512] {
-            let plan = p5_core::ExecutionPlan::detailed()
-                .with_chip(p5_core::ChipParallelism::Threaded { quantum });
-            let mut chip = loaded_chip(plan);
-            let err = FameRunner::new(FameConfig::quick())
-                .with_cancel(p5_core::CancelToken::with_budget(std::time::Duration::ZERO))
-                .try_measure_chip(&mut chip)
-                .expect_err("expired token must abort the chip run");
-            assert!(matches!(err, SimError::Deadline { .. }), "{err:?}");
-        }
+        assert_eq!(
+            plain, tokened,
+            "a live token must not perturb the measurement"
+        );
     }
 
     #[test]

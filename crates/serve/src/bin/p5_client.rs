@@ -32,10 +32,7 @@ OPTIONS:
     --plan SPEC         execution plan, same grammar as repro --plan:
                         detailed (default), detailed+ff, or
                         sampled[:INTERVAL,PERIOD]; sampled and detailed
-                        results occupy disjoint cache entries. Chip
-                        suffixes apply too: +mt (deterministic) or
-                        +mt:Q (relaxed quantum); every served cell runs
-                        on one core, so both share the serial entries
+                        results occupy disjoint cache entries
     --no-cache          force every cell to simulate server-side
     --csv-dir DIR       with --grid table3: write table3.csv into DIR
     --json-dir DIR      with --grid table3: write table3.json into DIR

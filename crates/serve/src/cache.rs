@@ -9,7 +9,7 @@
 //! `Hash` impls), so *any* two requests that would measure the same
 //! bytes share one record — across clients, across connections, across
 //! plans that differ only in wall-time settings (warm reuse, the idle
-//! skip, the chip mode), and (with a journal directory) across daemon
+//! skip), and (with a journal directory) across daemon
 //! restarts. The daemon attaches the cache's journal to each
 //! request's [`Experiments`](p5_experiments::Experiments) context and
 //! looks every cell up with

@@ -1,6 +1,6 @@
 //! Usage errors of the `p5_client` binary: an argument `--help` does
-//! not list, or a flag missing its value, exits 1 naming the argument
-//! before anything connects.
+//! not list, a flag missing its value, or a plan the grammar rejects
+//! exits 1 naming the argument before anything connects.
 
 use std::process::Command;
 
@@ -17,6 +17,8 @@ fn unknown_arguments_are_usage_errors_before_connecting() {
             "--chip-threads",
         ),
         (&["--cell", "cpu_int", "--cell"], "--cell"),
+        // The threaded chip's `+mt` is an unknown plan flag.
+        (&["--cell", "cpu_int", "--plan", "detailed+mt"], "--plan"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_p5_client"))
             .args(["--unix", socket])

@@ -285,13 +285,12 @@ fn only_the_fidelity_splits_cache_entries() {
     let detailed = client::run_campaign(&endpoint, &request(true)).expect("detailed");
     assert_eq!(detailed.cached, 0);
 
-    // Settings that change only wall time (idle skip off, warm reuse, a
-    // relaxed chip quantum no single-core cell reads) share the
-    // detailed entries: every cell replays, bit-identical, and nothing
-    // simulates.
+    // Settings that change only wall time (idle skip off, warm reuse)
+    // share the detailed entries: every cell replays, bit-identical, and
+    // nothing simulates.
     let misses = client::stats(&endpoint).expect("stats").misses;
     let wall_time_only = CampaignRequest {
-        plan: p5_core::ExecutionPlan::parse("detailed+noskip+reuse+mt:4096").unwrap(),
+        plan: p5_core::ExecutionPlan::parse("detailed+noskip+reuse").unwrap(),
         ..request(true)
     };
     let replayed = client::run_campaign(&endpoint, &wall_time_only).expect("wall-time plan");

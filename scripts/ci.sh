@@ -6,8 +6,8 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
-echo "== cargo fmt --check (p5-core) =="
-cargo fmt --check -p p5-core
+echo "== cargo fmt --check (p5-core, p5-fame) =="
+cargo fmt --check -p p5-core -p p5-fame
 
 echo "== cargo build --release =="
 cargo build --release --offline --workspace
@@ -131,41 +131,6 @@ if ! diff -r artifacts/fig2_detailed artifacts/idle_skip_off/fig2 > artifacts/fi
   exit 1
 fi
 rm artifacts/fig2_idle_skip.diff
-
-# Chip setting vs single-core cells: every table3 cell runs on one
-# SmtCore, so no Chip is built here. This leg checks that --plan
-# detailed+mt leaves single-core cells byte-identical to the serial
-# jobs-1 reference.
-# The chip's own serial-vs-threaded contract is gated by
-# tests/parallel_chip.rs and the FAME chip golden in tests/engine_golden.rs
-# (DESIGN.md §16).
-echo "== chip setting: --plan detailed+mt table3 (single-core cells) vs serial =="
-mkdir -p artifacts/chip_mt
-cargo run --release --offline -p p5-experiments --bin repro -- \
-  --quick --only table3 --jobs 1 --plan detailed+mt \
-  --csv-dir artifacts/chip_mt --json-dir artifacts/chip_mt > /dev/null
-if ! diff -r artifacts/jobs1 artifacts/chip_mt > artifacts/chip_mt.diff; then
-  echo "PARALLEL-CHIP GATE FAILED: --plan detailed+mt artifacts differ from serial"
-  cat artifacts/chip_mt.diff
-  exit 1
-fi
-rm artifacts/chip_mt.diff
-
-# Relaxed-quantum setting vs single-core cells: no Chip is built here
-# either, so a relaxed quantum cannot change a byte (and shares the
-# serial cells' cache keys). The relaxed chip's own tolerance is gated
-# by tests/parallel_chip.rs (DESIGN.md §16).
-echo "== relaxed-quantum setting: --plan detailed+mt:4096 table3 (single-core cells) vs serial =="
-mkdir -p artifacts/chip_relaxed
-cargo run --release --offline -p p5-experiments --bin repro -- \
-  --quick --only table3 --jobs 1 --plan detailed+mt:4096 \
-  --csv-dir artifacts/chip_relaxed --json-dir artifacts/chip_relaxed > /dev/null
-if ! diff -r artifacts/jobs1 artifacts/chip_relaxed > artifacts/chip_relaxed.diff; then
-  echo "RELAXED-CHIP GATE FAILED: --plan detailed+mt:4096 artifacts differ from serial"
-  cat artifacts/chip_relaxed.diff
-  exit 1
-fi
-rm artifacts/chip_relaxed.diff
 
 # Kill-and-resume determinism: abort the journaled table3 campaign at
 # cell 21 of 42 (exit 3 by the repro exit-code contract), then resume

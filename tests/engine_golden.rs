@@ -2,10 +2,10 @@
 //! constants.
 //!
 //! Every other bit-identity suite compares two modes of the same engine
-//! (idle skip on vs off, restored vs warmed, serial vs threaded), so an
-//! engine change that moved both sides alike would pass them all. This
-//! suite compares short tiny-fidelity runs against digests captured once
-//! and committed here, so any change to a simulated bit of them fails.
+//! (idle skip on vs off, restored vs warmed), so an engine change that
+//! moved both sides alike would pass them all. This suite compares short
+//! tiny-fidelity runs against digests captured once and committed here,
+//! so any change to a simulated bit of them fails.
 //!
 //! - Campaign cells: a busy pair at (4,4), memory-bound pairs at (6,1)
 //!   where the idle skip engages, a pair at a negative difference,
@@ -20,10 +20,12 @@
 //!   starved thread keeps instructions queued for thousands of decodes.
 //! - One fixed-length run with PMU sampling attached, whose CPI stacks
 //!   are pinned as well.
-//! - FAME reports of the paths no campaign cell above takes: single-core
-//!   pairs under functional warm-up and the sampled measure, and the
-//!   two-core chip under every plan, serial and threaded alike. These
-//!   digests cover every field of every report.
+//! - FAME reports of the paths no campaign cell above takes: pairs under
+//!   functional warm-up and the sampled measure. These digests cover
+//!   every field of every report.
+//! - The two-core chip: a fixed-length run of the noise experiment's
+//!   noisy setup, and both of its regimes at a small context, at one
+//!   and two jobs.
 //! - Runs that change mid-run what the decode stage and the balancer
 //!   read: or-nops that walk a context through the decode policies
 //!   (detailed and functional warm-up), `set_priority` between chunks,
@@ -37,8 +39,9 @@
 use p5repro::core::{BalancerConfig, Chip, CoreConfig, CoreId, ExecutionPlan, SmtCore};
 use p5repro::experiments::campaign::{run_isolated_cell, CampaignSpec, CellSpec};
 use p5repro::experiments::journal::StableHasher;
+use p5repro::experiments::noise::{self, os_noise_program, Regime};
 use p5repro::experiments::{CellStatus, Experiments, Measured};
-use p5repro::fame::{ChipReport, FameConfig, FameReport, FameRunner};
+use p5repro::fame::{FameConfig, FameReport, FameRunner, WarmupBudget};
 use p5repro::isa::{
     BranchBehavior, DataKind, Op, Priority, Program, Reg, StaticInst, StreamSpec, ThreadId,
 };
@@ -113,23 +116,6 @@ const FAME_CORE_RUNS: &[Golden] = &[
     golden("detailed+ff ldint_mem+ldint_l2@6,1", 0, 0xa25f_8cfe_9e1b_dc4c, 35_720),
     golden("sampled:2048,8192 ldint_mem+ldint_l2@6,1", 0, 0x13e7_c44d_94c6_2563, 2_741_128),
     golden("sampled:2048,8192+dw ldint_mem+ldint_l2@6,1", 0, 0x9d64_3034_e32b_7f9c, 2_997_128),
-];
-
-/// FAME reports of the two-core chip, named `plan core1`: core 0 runs
-/// `ldint_l2` beside `cpu_fp`, core 1 runs `core1` alone or is idle
-/// (`-`). The digest covers both cores' reports; the cycles are core
-/// 0's warm-up plus measured cycles. The serial and the deterministic
-/// threaded chip (`+mt`) must both match.
-#[rustfmt::skip]
-const FAME_CHIP_RUNS: &[Golden] = &[
-    golden("detailed cpu_int", 0, 0xd2c3_ca94_a214_e7c6, 78_728),
-    golden("detailed+ff cpu_int", 0, 0xb334_219d_a9cc_cfed, 82_824),
-    golden("sampled:2048,8192 cpu_int", 0, 0x80cc_c586_512f_9d2f, 37_768),
-    golden("sampled:2048,8192+dw cpu_int", 0, 0xda73_a9de_42bf_c6a9, 58_248),
-    golden("detailed -", 0, 0xb15c_4973_b795_5d84, 78_728),
-    golden("detailed+ff -", 0, 0x93f6_e5e5_c53a_bfd9, 82_824),
-    golden("sampled:2048,8192 -", 0, 0xded6_f28d_1428_ebf0, 37_768),
-    golden("sampled:2048,8192+dw -", 0, 0xc900_873d_d083_9ea0, 58_248),
 ];
 
 /// The tiny fidelity `p5-serve` and perfbench simulate at.
@@ -270,30 +256,27 @@ fn long_span_core_run_matches_its_golden_digest() {
     });
 }
 
-/// Every field of `reports`, hashed in order, and the first report's
-/// warm-up plus measured cycles.
-fn fame_digest(reports: &[FameReport]) -> (u64, u64) {
+/// Every field of `report`, hashed in order, and its warm-up plus
+/// measured cycles.
+fn fame_digest(report: &FameReport) -> (u64, u64) {
     let mut h = StableHasher::new();
-    for report in reports {
-        for m in &report.threads {
-            let Some(m) = m else {
-                h.write_u8(0);
-                continue;
-            };
-            h.write_u8(1);
-            h.write_u64(m.repetitions as u64);
-            h.write_u64(m.avg_repetition_cycles.to_bits());
-            h.write_u64(m.ipc.to_bits());
-            h.write_u8(u8::from(m.converged));
-            h.write_u64(m.estimate.value.to_bits());
-            h.write_u64(m.estimate.ci95.to_bits());
-            h.write_u32(m.estimate.samples);
-        }
-        h.write_u64(report.measured_cycles);
-        h.write_u64(report.warmup_cycles);
+    for m in &report.threads {
+        let Some(m) = m else {
+            h.write_u8(0);
+            continue;
+        };
+        h.write_u8(1);
+        h.write_u64(m.repetitions as u64);
+        h.write_u64(m.avg_repetition_cycles.to_bits());
+        h.write_u64(m.ipc.to_bits());
+        h.write_u8(u8::from(m.converged));
+        h.write_u64(m.estimate.value.to_bits());
+        h.write_u64(m.estimate.ci95.to_bits());
+        h.write_u32(m.estimate.samples);
     }
-    let first = &reports[0];
-    (h.finish(), first.warmup_cycles + first.measured_cycles)
+    h.write_u64(report.measured_cycles);
+    h.write_u64(report.warmup_cycles);
+    (h.finish(), report.warmup_cycles + report.measured_cycles)
 }
 
 /// A 40-iteration body of micro-benchmark `name`.
@@ -303,49 +286,15 @@ fn short_bench(name: &str) -> Program {
         .program_with_iterations(40)
 }
 
-/// Splits a FAME run name into its plan (with `suffix` appended) and
-/// workload.
-fn fame_run<'a>(name: &'a str, suffix: &str) -> (ExecutionPlan, &'a str) {
-    let (plan, workload) = name.split_once(' ').expect("names are 'plan workload'");
-    let plan = ExecutionPlan::parse(&format!("{plan}{suffix}")).expect("valid plan");
-    (plan, workload)
-}
-
 #[test]
 fn fame_core_reports_match_their_golden_digests() {
     check("FAME core reports", FAME_CORE_RUNS, |g| {
-        let (plan, pair) = fame_run(g.name, "");
+        let (plan, pair) = g.name.split_once(' ').expect("names are 'plan pair'");
+        let plan = ExecutionPlan::parse(plan).expect("valid plan");
         let mut core = pair_core(pair, tiny_core(plan), short_bench);
         let runner = FameRunner::new(FameConfig::quick());
-        fame_digest(&[runner.try_measure(&mut core).expect("healthy pair")])
+        fame_digest(&runner.try_measure(&mut core).expect("healthy pair"))
     });
-}
-
-/// The chip run `name` with `suffix` appended to its plan.
-fn chip_report(name: &str, suffix: &str) -> ChipReport {
-    let (plan, core1) = fame_run(name, suffix);
-    let mut cfg = CoreConfig::tiny_for_tests();
-    cfg.plan = plan;
-    let mut chip = Chip::new(cfg);
-    let c0 = chip.core_mut(CoreId::C0);
-    c0.load_program(ThreadId::T0, short_bench("ldint_l2"));
-    c0.load_program(ThreadId::T1, short_bench("cpu_fp"));
-    if core1 != "-" {
-        chip.core_mut(CoreId::C1)
-            .load_program(ThreadId::T0, short_bench(core1));
-    }
-    FameRunner::new(FameConfig::quick())
-        .try_measure_chip(&mut chip)
-        .expect("healthy chip")
-}
-
-#[test]
-fn fame_chip_reports_match_their_golden_digests() {
-    for suffix in ["", "+mt"] {
-        check(&format!("FAME chip reports{suffix}"), FAME_CHIP_RUNS, |g| {
-            fame_digest(&chip_report(g.name, suffix).cores)
-        });
-    }
 }
 
 /// The PMU run: the memory-bound (6,1) pair with interval sampling, so
@@ -470,7 +419,7 @@ fn or_nop_priority_walks_match_their_golden_digests() {
         core.load_program(ThreadId::T1, short_bench("cpu_int"));
         core.set_priority(ThreadId::T1, Priority::Low);
         let runner = FameRunner::new(FameConfig::quick());
-        fame_digest(&[runner.try_measure(&mut core).expect("healthy pair")])
+        fame_digest(&runner.try_measure(&mut core).expect("healthy pair"))
     });
 }
 
@@ -577,4 +526,87 @@ fn unloading_and_reloading_contexts_matches_its_golden_digest() {
 #[test]
 fn balancer_on_pair_with_deep_misses_matches_its_golden_digest() {
     scenario("balancer with deep misses");
+}
+
+/// A fixed-length serial chip run of noise's noisy setup: the OS-noise
+/// stand-in on both contexts of core 0, `ldint_l2` alone on core 1. The
+/// digest hashes [`core_digest`] of both cores; the cycles are the
+/// chip's.
+const CHIP_RUNS: &[Golden] = &[golden(
+    "os_noise x2 | ldint_l2",
+    0,
+    0xfcb9_d0f6_608b_59b7,
+    60_000,
+)];
+
+#[test]
+fn serial_chip_noise_run_matches_its_golden_digest() {
+    check("serial chip run", CHIP_RUNS, |g| {
+        let mut chip = Chip::new(CoreConfig::tiny_for_tests());
+        let c0 = chip.core_mut(CoreId::C0);
+        c0.load_program(ThreadId::T0, os_noise_program());
+        c0.load_program(ThreadId::T1, os_noise_program());
+        chip.core_mut(CoreId::C1)
+            .load_program(ThreadId::T0, bench("ldint_l2"));
+        chip.run_cycles(g.cycles);
+        let mut h = StableHasher::new();
+        for id in CoreId::ALL {
+            h.write_u64(core_digest(chip.core(id)).0);
+        }
+        (h.finish(), chip.cycle())
+    });
+}
+
+/// Noise's regimes for `ldint_l1` at [`noise_context`], named by what
+/// core 0 runs. On the tiny core `ldint_l1`'s ring lives in the shared
+/// L3, so the noise slows it and makes its repetitions uneven. The
+/// digest covers every field of the regime; the cycles are the warm-up
+/// plus measured horizon.
+#[rustfmt::skip]
+const NOISE_REGIMES: &[Golden] = &[
+    golden("isolated", 0, 0xc6cd_fb31_8152_e418, 100_000),
+    golden("noisy", 0, 0x8f0e_42c8_c8fa_64fe, 100_000),
+];
+
+/// A tiny core with a short fixed horizon: 20,000 warm-up cycles and
+/// 80,000 measured.
+fn noise_context(jobs: usize) -> Experiments {
+    let fame = FameConfig {
+        max_cycles: 80_000,
+        warmup: WarmupBudget::fixed(20_000),
+        ..FameConfig::quick()
+    };
+    let mut ctx = Experiments::with_configs(CoreConfig::tiny_for_tests(), fame);
+    ctx.jobs = jobs;
+    ctx
+}
+
+/// Every field of a noise regime, hashed in order.
+fn regime_digest(r: &Regime) -> u64 {
+    let mut h = StableHasher::new();
+    h.write_u64(r.mean_ipc.to_bits());
+    h.write_u64(r.repetition_cv.to_bits());
+    h.write_u64(r.repetitions as u64);
+    h.finish()
+}
+
+#[test]
+fn noise_regimes_match_their_golden_digests() {
+    for jobs in [1, 2] {
+        let ctx = noise_context(jobs);
+        let result = noise::run_with(&ctx, MicroBenchmark::LdintL1);
+        let horizon = ctx.fame.warmup.max_cycles + ctx.fame.max_cycles;
+        check(
+            &format!("noise regimes at --jobs {jobs}"),
+            NOISE_REGIMES,
+            |g| {
+                let regime = if g.name == "noisy" {
+                    &result.noisy
+                } else {
+                    &result.isolated
+                };
+                (regime_digest(regime), horizon)
+            },
+        );
+    }
 }
