@@ -96,7 +96,10 @@ impl Bimodal {
     /// Panics if `entries` is not a power of two.
     #[must_use]
     pub fn new(entries: usize) -> Bimodal {
-        assert!(entries.is_power_of_two(), "BHT entries must be a power of two");
+        assert!(
+            entries.is_power_of_two(),
+            "BHT entries must be a power of two"
+        );
         Bimodal {
             counters: vec![2; entries],
             mask: entries as u64 - 1,

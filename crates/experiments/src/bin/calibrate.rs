@@ -163,7 +163,8 @@ fn st_cpi_stack(
     core.load_program(ThreadId::T0, bench.program());
     warm_st_cached(&mut core, bench, 4_000_000);
     core.enable_pmu(PmuConfig::counters_only());
-    core.try_run_cycles(MEASURE_CYCLES).map_err(|e| e.to_string())?;
+    core.try_run_cycles(MEASURE_CYCLES)
+        .map_err(|e| e.to_string())?;
     let pmu = core.take_pmu().expect("enabled above");
     pmu.reconcile()?;
     let stack = pmu.stack(ThreadId::T0);

@@ -411,7 +411,11 @@ fn main() {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
         .map_or("BENCH_repro.json", String::as_str);
-    let p = if quick { Params::quick() } else { Params::full() };
+    let p = if quick {
+        Params::quick()
+    } else {
+        Params::full()
+    };
 
     println!(
         "== perf snapshot: cpu_int/ldint_l2 (4,4), {} cycles, median of {} interleaved rounds{} ==",

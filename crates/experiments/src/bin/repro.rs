@@ -132,8 +132,20 @@ EXIT CODES:
 
 /// Every section `--only` accepts, in the order `--help` lists them.
 const SECTIONS: [&str; 14] = [
-    "table1", "table2", "table3", "fig2", "fig3", "fig4", "fig5", "fig6", "table4", "mpi", "noise",
-    "ablations", "pmu", "claims",
+    "table1",
+    "table2",
+    "table3",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "table4",
+    "mpi",
+    "noise",
+    "ablations",
+    "pmu",
+    "claims",
 ];
 
 /// The flags `--help` lists that stand alone, in its order.
@@ -142,8 +154,17 @@ const SWITCHES: [&str; 5] = ["--quick", "--pmu", "--resume", "-h", "--help"];
 /// The flags `--help` lists that take the next argument as their value,
 /// in its order.
 const VALUE_FLAGS: [&str; 11] = [
-    "--only", "--csv-dir", "--json-dir", "--jobs", "--plan", "--trace", "--journal",
-    "--time-budget-ms", "--cell-deadline-ms", "--chaos-abort-after", "--chaos-panic",
+    "--only",
+    "--csv-dir",
+    "--json-dir",
+    "--jobs",
+    "--plan",
+    "--trace",
+    "--journal",
+    "--time-budget-ms",
+    "--cell-deadline-ms",
+    "--chaos-abort-after",
+    "--chaos-panic",
 ];
 
 /// Parses the `--only` list, exiting with a usage error on a missing
@@ -372,8 +393,7 @@ fn main() {
     }
 
     // Figures 2-4 and the claims share one sweep.
-    let needs_sweep =
-        wants("fig2") || wants("fig3") || wants("fig4") || wants("claims");
+    let needs_sweep = wants("fig2") || wants("fig3") || wants("fig4") || wants("claims");
     let mut fig2_result = None;
     let mut fig3_result = None;
     let mut fig4_result = None;
@@ -485,7 +505,11 @@ fn main() {
         let t = Instant::now();
         match mpi::run(&ctx) {
             Ok(r) => {
-                println!("{}   (MPI re-balancing took {:.1?})\n", r.render(), t.elapsed());
+                println!(
+                    "{}   (MPI re-balancing took {:.1?})\n",
+                    r.render(),
+                    t.elapsed()
+                );
                 degraded_total += r.degraded.len();
                 counts += r.counts;
             }
@@ -507,13 +531,16 @@ fn main() {
 
     // The PMU section is opt-in: `--pmu`, or an explicit `--only` list
     // that names it.
-    let run_pmu =
-        pmu_flag || only.as_ref().is_some_and(|set| set.contains("pmu"));
+    let run_pmu = pmu_flag || only.as_ref().is_some_and(|set| set.contains("pmu"));
     if run_pmu {
         let t = Instant::now();
         match pmu::run(&ctx) {
             Ok(r) => {
-                println!("{}   (PMU CPI stacks took {:.1?})\n", r.render(), t.elapsed());
+                println!(
+                    "{}   (PMU CPI stacks took {:.1?})\n",
+                    r.render(),
+                    t.elapsed()
+                );
                 write_json(json_dir.as_ref(), "pmu.json", &pmu::pmu_json(&r));
             }
             Err(e) => failures.record("PMU CPI stacks", &e),
@@ -533,7 +560,10 @@ fn main() {
                 if let Err(e) = std::fs::write(path, &capture.json) {
                     failures.record("priority-switch trace", &e);
                 } else {
-                    println!("   wrote {} (load in chrome://tracing or Perfetto)\n", path.display());
+                    println!(
+                        "   wrote {} (load in chrome://tracing or Perfetto)\n",
+                        path.display()
+                    );
                 }
             }
             Err(e) => failures.record("priority-switch trace", &e),
@@ -551,9 +581,7 @@ fn main() {
         ) {
             println!("{}", claims::evaluate(f2, f3, f4, f5, f6, t4).render());
         } else if !failures.0.is_empty() {
-            println!(
-                "claims: skipped — missing inputs from the failed section(s) above\n"
-            );
+            println!("claims: skipped — missing inputs from the failed section(s) above\n");
         }
     }
 
@@ -563,10 +591,7 @@ fn main() {
     }
     let aborted = cancel.as_ref().is_some_and(p5_core::CancelToken::expired);
     if !failures.0.is_empty() {
-        println!(
-            "PARTIAL REPORT — {} section(s) failed:",
-            failures.0.len()
-        );
+        println!("PARTIAL REPORT — {} section(s) failed:", failures.0.len());
         for f in &failures.0 {
             println!("  - {f}");
         }
@@ -619,7 +644,11 @@ mod tests {
                 }
                 _ => (spec, false),
             };
-            let list = if takes_value { &mut value_flags } else { &mut switches };
+            let list = if takes_value {
+                &mut value_flags
+            } else {
+                &mut switches
+            };
             list.extend(flags.split(", "));
         }
         assert_eq!(switches, SWITCHES);

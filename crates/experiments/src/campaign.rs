@@ -378,8 +378,8 @@ pub enum CampaignEvent<'a> {
 /// simulation a cell runs is a pure function of its spec.
 #[must_use]
 pub fn derive_cell_seed(campaign_seed: u64, cell_id: u64) -> u64 {
-    let mut z = campaign_seed
-        .wrapping_add(cell_id.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut z =
+        campaign_seed.wrapping_add(cell_id.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -741,7 +741,10 @@ fn execute_cell(
     checkpoints: &WarmCheckpoints,
 ) -> (Measured, bool) {
     if let Some(chaos) = &ctx.chaos {
-        if chaos.for_cell(id).any(|k| k == HostFaultKind::AbortCampaign) {
+        if chaos
+            .for_cell(id)
+            .any(|k| k == HostFaultKind::AbortCampaign)
+        {
             if let Some(token) = &ctx.cancel {
                 token.cancel();
             }
@@ -1386,10 +1389,7 @@ mod tests {
 
     #[test]
     fn journal_replays_cells_bit_identically() {
-        let dir = std::env::temp_dir().join(format!(
-            "p5-campaign-journal-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("p5-campaign-journal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let ctx = tiny_ctx();
         let cells = || {
@@ -1413,14 +1413,12 @@ mod tests {
         let baseline = Campaign::run(&ctx, &spec);
         assert_eq!(baseline.replayed, 0, "no journal, nothing replayed");
 
-        let journal =
-            Arc::new(crate::journal::ResultJournal::create(&dir).expect("journal dir"));
+        let journal = Arc::new(crate::journal::ResultJournal::create(&dir).expect("journal dir"));
         let first = Campaign::run(&ctx.clone().with_journal(Arc::clone(&journal)), &spec);
         assert_eq!(first.replayed, 0, "fresh journal, everything simulated");
         drop(journal);
 
-        let (journal, stats) =
-            crate::journal::ResultJournal::resume(&dir).expect("resume journal");
+        let (journal, stats) = crate::journal::ResultJournal::resume(&dir).expect("resume journal");
         assert_eq!(stats.entries, 3);
         let resumed = Campaign::run(&ctx.clone().with_journal(Arc::new(journal)), &spec);
         assert_eq!(resumed.replayed, 3, "every cell replayed from the journal");

@@ -198,7 +198,8 @@ pub fn evaluate(
     let c8 = c8_fp <= 1.15 && c8_lng <= 1.15;
     outcomes.push(ClaimOutcome {
         id: "C8",
-        description: "a priority-1 background is near-transparent to low-IPC foregrounds (paper ~<10%)",
+        description:
+            "a priority-1 background is near-transparent to low-IPC foregrounds (paper ~<10%)",
         measured: format!("cpu_fp {:.2}x, lng_chain {:.2}x", c8_fp, c8_lng),
         criterion: "<= 1.15x each".into(),
         pass: c8,

@@ -77,12 +77,7 @@ impl Fig2Result {
     ///
     /// Panics if `diff` is not in [`DIFFS`].
     #[must_use]
-    pub fn speedup_at(
-        &self,
-        pthread: MicroBenchmark,
-        sthread: MicroBenchmark,
-        diff: i32,
-    ) -> f64 {
+    pub fn speedup_at(&self, pthread: MicroBenchmark, sthread: MicroBenchmark, diff: i32) -> f64 {
         let k = DIFFS
             .iter()
             .position(|&d| d == diff)
@@ -93,9 +88,8 @@ impl Fig2Result {
     /// Renders all six sub-figures as tables.
     #[must_use]
     pub fn render(&self) -> String {
-        let mut out = String::from(
-            "Figure 2 — PThread speedup vs (4,4) as its priority increases\n",
-        );
+        let mut out =
+            String::from("Figure 2 — PThread speedup vs (4,4) as its priority increases\n");
         for (which, bench) in SUBFIGURES.iter().enumerate() {
             let p = PrioritySweep::index(*bench);
             let letter = (b'a' + which as u8) as char;
@@ -157,8 +151,12 @@ mod tests {
     #[test]
     fn speedups_are_relative_to_baseline() {
         let f = Fig2Result::from_sweep(&synthetic_sweep());
-        assert!((f.speedup_at(MicroBenchmark::CpuInt, MicroBenchmark::CpuInt, 1) - 2.0).abs() < 1e-12);
-        assert!((f.speedup_at(MicroBenchmark::CpuInt, MicroBenchmark::CpuInt, 5) - 6.0).abs() < 1e-12);
+        assert!(
+            (f.speedup_at(MicroBenchmark::CpuInt, MicroBenchmark::CpuInt, 1) - 2.0).abs() < 1e-12
+        );
+        assert!(
+            (f.speedup_at(MicroBenchmark::CpuInt, MicroBenchmark::CpuInt, 5) - 6.0).abs() < 1e-12
+        );
         assert!((f.max_speedup(MicroBenchmark::LdintL2) - 6.0).abs() < 1e-12);
     }
 

@@ -54,12 +54,7 @@ impl Fig3Result {
     ///
     /// Panics if `diff` is not in [`DIFFS`].
     #[must_use]
-    pub fn slowdown_at(
-        &self,
-        pthread: MicroBenchmark,
-        sthread: MicroBenchmark,
-        diff: i32,
-    ) -> f64 {
+    pub fn slowdown_at(&self, pthread: MicroBenchmark, sthread: MicroBenchmark, diff: i32) -> f64 {
         let k = DIFFS
             .iter()
             .position(|&d| d == diff)
@@ -82,9 +77,8 @@ impl Fig3Result {
     /// [`crate::fig2::SUBFIGURES`]).
     #[must_use]
     pub fn render(&self) -> String {
-        let mut out = String::from(
-            "Figure 3 — PThread slowdown vs (4,4) as its priority decreases\n",
-        );
+        let mut out =
+            String::from("Figure 3 — PThread slowdown vs (4,4) as its priority decreases\n");
         for (which, bench) in crate::fig2::SUBFIGURES.iter().enumerate() {
             let p = PrioritySweep::index(*bench);
             let letter = (b'a' + which as u8) as char;

@@ -87,8 +87,7 @@ impl Fig4Result {
     /// Renders the sub-figures (PThread per sub-figure, as in the paper).
     #[must_use]
     pub fn render(&self) -> String {
-        let mut out =
-            String::from("Figure 4 — total IPC relative to the (4,4) execution\n");
+        let mut out = String::from("Figure 4 — total IPC relative to the (4,4) execution\n");
         for (which, bench) in crate::fig2::SUBFIGURES.iter().enumerate() {
             let p = PrioritySweep::index(*bench);
             let letter = (b'a' + which as u8) as char;

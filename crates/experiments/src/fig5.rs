@@ -189,12 +189,7 @@ pub fn run(ctx: &Experiments) -> Result<Fig5Result, crate::ExpError> {
     let campaign = Campaign::run(ctx, &CampaignSpec::for_ctx(ctx, cells));
     Ok(Fig5Result {
         h264_mcf: aggregate_study(&campaign, 0, SpecProxy::H264ref, SpecProxy::Mcf)?,
-        applu_equake: aggregate_study(
-            &campaign,
-            DIFFS.len(),
-            SpecProxy::Applu,
-            SpecProxy::Equake,
-        )?,
+        applu_equake: aggregate_study(&campaign, DIFFS.len(), SpecProxy::Applu, SpecProxy::Equake)?,
         counts: campaign.counts(),
     })
 }

@@ -78,9 +78,8 @@ impl Fig6Result {
     /// Renders all four sub-figures.
     #[must_use]
     pub fn render(&self) -> String {
-        let mut out = String::from(
-            "Figure 6 — transparent execution (background thread at priority 1)\n",
-        );
+        let mut out =
+            String::from("Figure 6 — transparent execution (background thread at priority 1)\n");
         for (title, grid) in [
             ("(a) foreground priority 6", &self.fg6),
             ("(b) foreground priority 5", &self.fg5),
@@ -274,8 +273,7 @@ mod tests {
     fn lookups() {
         let r = synthetic();
         assert!(
-            (r.fg_time_61(MicroBenchmark::LdintL1, MicroBenchmark::LdintMem) - 1.4).abs()
-                < 1e-12
+            (r.fg_time_61(MicroBenchmark::LdintL1, MicroBenchmark::LdintMem) - 1.4).abs() < 1e-12
         );
         assert!((r.worst_fg_time_61(MicroBenchmark::LdintL1) - 1.4).abs() < 1e-12);
         let avg = r.avg_bg_ipc_61(MicroBenchmark::LdintMem);

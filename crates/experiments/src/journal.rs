@@ -160,10 +160,9 @@ impl CellRecord {
         Measured {
             report: self.report.clone(),
             status: self.status,
-            error: self
-                .error
-                .as_ref()
-                .map(|cause| SimError::Replayed { cause: cause.clone() }),
+            error: self.error.as_ref().map(|cause| SimError::Replayed {
+                cause: cause.clone(),
+            }),
         }
     }
 }
@@ -352,7 +351,14 @@ fn parse_line(text: &str) -> Option<Line> {
                 Some(e) => Some(e.as_str()?.to_string()),
                 None => None,
             };
-            Some(Line::Cell(key, CellRecord { status, error, report }))
+            Some(Line::Cell(
+                key,
+                CellRecord {
+                    status,
+                    error,
+                    report,
+                },
+            ))
         }
         "scalar" => Some(Line::Scalar(
             key,
@@ -641,10 +647,7 @@ mod tests {
     use super::*;
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "p5-journal-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("p5-journal-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -670,9 +673,8 @@ mod tests {
                 warmup_cycles: 4_321,
             }),
             status,
-            error: (status == CellStatus::Degraded).then_some(SimError::Deadline {
-                phase: "measure",
-            }),
+            error: (status == CellStatus::Degraded)
+                .then_some(SimError::Deadline { phase: "measure" }),
         }
     }
 
@@ -685,7 +687,14 @@ mod tests {
             j.record_cell(key, &sample_measured(CellStatus::Degraded));
         }
         let (j, stats) = ResultJournal::resume(&dir).unwrap();
-        assert_eq!(stats, LoadStats { entries: 1, stale: 0, corrupt: 0 });
+        assert_eq!(
+            stats,
+            LoadStats {
+                entries: 1,
+                stale: 0,
+                corrupt: 0
+            }
+        );
         let m = j.lookup_cell(key).expect("journaled cell found");
         assert_eq!(m.status, CellStatus::Degraded);
         let original = sample_measured(CellStatus::Degraded);
@@ -898,8 +907,8 @@ mod tests {
                 });
             }
             let line = measured_to_json(&original).to_string();
-            let back = measured_from_json(&JsonValue::parse(&line).unwrap())
-                .expect("wire format parses");
+            let back =
+                measured_from_json(&JsonValue::parse(&line).unwrap()).expect("wire format parses");
             assert_eq!(back.status, original.status);
             assert_eq!(
                 back.report

@@ -50,12 +50,12 @@ pub mod ablations;
 pub mod campaign;
 pub mod claims;
 pub mod export;
-pub mod journal;
 pub mod fig2;
 pub mod fig3;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
+pub mod journal;
 pub mod mpi;
 pub mod noise;
 pub mod pmu;
@@ -541,24 +541,21 @@ impl Experiments {
             setup(&mut core);
             runner(fame).try_measure(&mut core)
         };
-        let attempt_restored = |state: &p5_core::WarmState,
-                                warmup_cycles: u64|
-         -> Result<FameReport, SimError> {
-            let mut core = self.try_new_core()?;
-            setup(&mut core);
-            if core.restore_warm_state(state).is_err() {
-                // Mismatched checkpoint: warm in place instead. The
-                // measurement is bit-identical either way; only the
-                // wall-clock differs.
-                return attempt(self.fame);
-            }
-            runner(self.fame).try_measure_restored(&mut core, warmup_cycles)
-        };
+        let attempt_restored =
+            |state: &p5_core::WarmState, warmup_cycles: u64| -> Result<FameReport, SimError> {
+                let mut core = self.try_new_core()?;
+                setup(&mut core);
+                if core.restore_warm_state(state).is_err() {
+                    // Mismatched checkpoint: warm in place instead. The
+                    // measurement is bit-identical either way; only the
+                    // wall-clock differs.
+                    return attempt(self.fame);
+                }
+                runner(self.fame).try_measure_restored(&mut core, warmup_cycles)
+            };
         let budget_error = |fame: &FameConfig, report: &FameReport| SimError::BudgetExhausted {
             cycle_budget: fame.max_cycles,
-            repetitions: [0, 1].map(|i| {
-                report.threads[i].map_or(0, |m| m.repetitions)
-            }),
+            repetitions: [0, 1].map(|i| report.threads[i].map_or(0, |m| m.repetitions)),
             target: [0, 1].map(|i| {
                 if report.threads[i].is_some() {
                     fame.min_repetitions
@@ -818,7 +815,10 @@ mod tests {
         assert!(m.report.is_none());
         assert!(matches!(
             m.error,
-            Some(p5_core::SimError::InvalidConfig { field: "gct_entries", .. })
+            Some(p5_core::SimError::InvalidConfig {
+                field: "gct_entries",
+                ..
+            })
         ));
     }
 }

@@ -33,16 +33,20 @@ pub fn os_noise_program() -> Program {
     let dst = b.stream(StreamSpec::sequential(16 * 1024 * 1024, 128));
     for i in 0..4 {
         let v = Reg::new(40 + i);
-        b.push(StaticInst::new(Op::Load {
-            stream: src,
-            kind: DataKind::Int,
-        })
-        .dst(v));
-        b.push(StaticInst::new(Op::Load {
-            stream: dst,
-            kind: DataKind::Int,
-        })
-        .dst(Reg::new(50 + i)));
+        b.push(
+            StaticInst::new(Op::Load {
+                stream: src,
+                kind: DataKind::Int,
+            })
+            .dst(v),
+        );
+        b.push(
+            StaticInst::new(Op::Load {
+                stream: dst,
+                kind: DataKind::Int,
+            })
+            .dst(Reg::new(50 + i)),
+        );
         b.push(
             StaticInst::new(Op::Store {
                 stream: dst,
@@ -52,7 +56,9 @@ pub fn os_noise_program() -> Program {
         );
         b.push(StaticInst::new(Op::IntAlu).dst(Reg::new(60 + i)));
     }
-    b.push(StaticInst::new(Op::Branch(p5_isa::BranchBehavior::LoopBack)));
+    b.push(StaticInst::new(Op::Branch(
+        p5_isa::BranchBehavior::LoopBack,
+    )));
     b.iterations(2_000);
     b.build().expect("noise program is well-formed")
 }
@@ -96,7 +102,10 @@ impl NoiseResult {
             "repetition CV".into(),
             "repetitions".into(),
         ]);
-        for (label, r) in [("isolated (idle)", &self.isolated), ("OS noise", &self.noisy)] {
+        for (label, r) in [
+            ("isolated (idle)", &self.isolated),
+            ("OS noise", &self.noisy),
+        ] {
             t.row(vec![
                 label.into(),
                 f3(r.mean_ipc),

@@ -61,10 +61,13 @@ impl PmuResult {
     /// percentages of total cycles.
     #[must_use]
     pub fn render(&self) -> String {
-        let mut out = String::from(
-            "== PMU CPI stacks (each benchmark vs itself; % of cycles) ==\n",
+        let mut out =
+            String::from("== PMU CPI stacks (each benchmark vs itself; % of cycles) ==\n");
+        let _ = write!(
+            out,
+            "{:<16} {:>5} {:>3} {:>6}",
+            "pair", "prio", "thr", "ipc"
         );
-        let _ = write!(out, "{:<16} {:>5} {:>3} {:>6}", "pair", "prio", "thr", "ipc");
         for c in CpiComponent::ALL {
             let _ = write!(out, " {:>6}", c.short());
         }
@@ -83,8 +86,7 @@ impl PmuResult {
                 out.push('\n');
             }
         }
-        let degraded: Vec<&PmuCell> =
-            self.cells.iter().filter(|c| c.degraded.is_some()).collect();
+        let degraded: Vec<&PmuCell> = self.cells.iter().filter(|c| c.degraded.is_some()).collect();
         if degraded.is_empty() {
             let _ = writeln!(
                 out,
@@ -207,10 +209,13 @@ pub fn pmu_json(r: &PmuResult) -> String {
                 .collect();
             let mut obj = JsonObject::new()
                 .field("bench", cell.bench)
-                .field("priorities", vec![
-                    JsonValue::from(u64::from(cell.priorities.0)),
-                    JsonValue::from(u64::from(cell.priorities.1)),
-                ])
+                .field(
+                    "priorities",
+                    vec![
+                        JsonValue::from(u64::from(cell.priorities.0)),
+                        JsonValue::from(u64::from(cell.priorities.1)),
+                    ],
+                )
                 .field("cycles", cell.cycles)
                 .field("threads", threads);
             if let Some(d) = &cell.degraded {
@@ -267,7 +272,9 @@ pub fn priority_switch_trace(ctx: &Experiments) -> Result<TraceCapture, ExpError
     kernel
         .set_timer_interval(10_000)
         .map_err(|e| err(e.to_string()))?;
-    kernel.core_mut().enable_pmu(PmuConfig::sampling(TRACE_SAMPLE_INTERVAL));
+    kernel
+        .core_mut()
+        .enable_pmu(PmuConfig::sampling(TRACE_SAMPLE_INTERVAL));
     kernel
         .try_run_cycles(TRACE_PHASE_CYCLES)
         .map_err(|e| err(format!("phase 1 (4,4): {e}")))?;
@@ -333,7 +340,10 @@ mod tests {
     fn priority_switch_trace_captures_transition() {
         let capture = priority_switch_trace(&tiny_ctx()).expect("trace");
         assert_eq!(capture.cycles, 3 * TRACE_PHASE_CYCLES);
-        assert_eq!(capture.samples, (3 * TRACE_PHASE_CYCLES / TRACE_SAMPLE_INTERVAL) as usize);
+        assert_eq!(
+            capture.samples,
+            (3 * TRACE_PHASE_CYCLES / TRACE_SAMPLE_INTERVAL) as usize
+        );
         assert!(capture.events > 0, "priority switches + timer interrupts");
         assert!(capture.json.contains(r#""name":"priority -> 6""#));
         assert!(capture.json.contains(r#""name":"timer interrupt""#));

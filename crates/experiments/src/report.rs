@@ -145,7 +145,8 @@ mod tests {
         t.row(vec!["longer-name".into(), "2".into()]);
         let s = t.render();
         let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 4); // header, rule, 2 rows
+        // Header, rule, 2 rows.
+        assert_eq!(lines.len(), 4);
         // The value column starts at the same offset in both data rows.
         let off2 = lines[2].find('1').unwrap();
         let off3 = lines[3].find('2').unwrap();

@@ -115,7 +115,10 @@ pub fn run(ctx: &Experiments, diffs: &[i32]) -> Result<PrioritySweep, ExpError> 
             message: format!(
                 "all {} cells degraded; first: {}",
                 result.cells.len(),
-                result.degraded.first().map_or_else(String::new, Degradation::to_string)
+                result
+                    .degraded
+                    .first()
+                    .map_or_else(String::new, Degradation::to_string)
             ),
         });
     }

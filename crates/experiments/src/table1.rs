@@ -71,15 +71,16 @@ pub fn run() -> Table1Result {
         })
         .collect();
 
-    let matches_paper = rows
-        .iter()
-        .zip(PAPER_TABLE1.iter())
-        .all(|((level, name, privilege, nop), (pl, pn, pp, pnop))| {
+    let matches_paper = rows.iter().zip(PAPER_TABLE1.iter()).all(
+        |((level, name, privilege, nop), (pl, pn, pp, pnop))| {
             level == pl && name == pn && privilege == pp && nop == pnop
-        })
-        && user_settable_is_2_3_4();
+        },
+    ) && user_settable_is_2_3_4();
 
-    Table1Result { rows, matches_paper }
+    Table1Result {
+        rows,
+        matches_paper,
+    }
 }
 
 /// Paper Section 3.2: "user software can only set priority 2, 3 and 4".

@@ -180,8 +180,7 @@ impl Table3Result {
             && self.st[lng] > self.st[l2]
             && self.st[l2] > self.st[mem];
 
-        let halving = self.pt[l1][l1] < 0.75 * self.st[l1]
-            && self.pt[ci][ci] < 0.75 * self.st[ci];
+        let halving = self.pt[l1][l1] < 0.75 * self.st[l1] && self.pt[ci][ci] < 0.75 * self.st[ci];
 
         let mem_insensitive = (0..6).all(|j| {
             if j == mem {
@@ -260,18 +259,14 @@ pub fn from_campaign(campaign: &CampaignResult) -> Result<Table3Result, crate::E
     for i in 0..benches.len() {
         let m = campaign.measured(i);
         result.st[i] = m.ipc(p5_isa::ThreadId::T0).unwrap_or(0.0);
-        result.st_ci95[i] = m
-            .ipc_estimate(p5_isa::ThreadId::T0)
-            .map_or(0.0, |e| e.ci95);
+        result.st_ci95[i] = m.ipc_estimate(p5_isa::ThreadId::T0).map_or(0.0, |e| e.ci95);
     }
     for i in 0..benches.len() {
         for j in 0..benches.len() {
             let m = campaign.measured(benches.len() + i * benches.len() + j);
             result.pt[i][j] = m.ipc(p5_isa::ThreadId::T0).unwrap_or(0.0);
             result.tt[i][j] = m.total_ipc().unwrap_or(0.0);
-            result.pt_ci95[i][j] = m
-                .ipc_estimate(p5_isa::ThreadId::T0)
-                .map_or(0.0, |e| e.ci95);
+            result.pt_ci95[i][j] = m.ipc_estimate(p5_isa::ThreadId::T0).map_or(0.0, |e| e.ci95);
             result.tt_ci95[i][j] = m.total_ipc_ci95().unwrap_or(0.0);
         }
     }

@@ -77,10 +77,7 @@ impl Table4Result {
     pub fn best(&self) -> &Table4Row {
         self.rows
             .iter()
-            .min_by(|a, b| {
-                a.iteration_cycles()
-                    .total_cmp(&b.iteration_cycles())
-            })
+            .min_by(|a, b| a.iteration_cycles().total_cmp(&b.iteration_cycles()))
             .expect("rows measured")
     }
 

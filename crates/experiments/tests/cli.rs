@@ -44,7 +44,11 @@ fn unknown_arguments_are_usage_errors() {
     // not repro's; `--chip-threads` is gone with the threaded chip) and a
     // typo must fail before anything runs, naming the argument, instead
     // of being ignored.
-    for args in [&["--fast-forward"][..], &["--fast-froward"], &["--chip-threads", "2"]] {
+    for args in [
+        &["--fast-forward"][..],
+        &["--fast-froward"],
+        &["--chip-threads", "2"],
+    ] {
         let arg = args[0];
         let out = repro()
             .args(["--quick", "--only", "table1"])
@@ -113,7 +117,10 @@ fn resume_without_journal_is_a_usage_error() {
 fn calibrate_resume_without_journal_is_a_usage_error() {
     // Same contract as repro: `--resume` only means something with a
     // journal directory to replay from.
-    let out = calibrate().arg("--resume").output().expect("calibrate runs");
+    let out = calibrate()
+        .arg("--resume")
+        .output()
+        .expect("calibrate runs");
     assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8(out.stderr).expect("stderr is UTF-8");
     assert!(err.contains("--resume requires --journal"));
@@ -227,7 +234,15 @@ fn crashed_cell_is_counted_in_summary() {
     // and the end-of-run summary names the crashed cell — previously
     // crashes were visible only via the exit code and the journal.
     let out = repro()
-        .args(["--quick", "--only", "mpi", "--jobs", "1", "--chaos-panic", "3"])
+        .args([
+            "--quick",
+            "--only",
+            "mpi",
+            "--jobs",
+            "1",
+            "--chaos-panic",
+            "3",
+        ])
         .output()
         .expect("repro runs");
     assert_eq!(out.status.code(), Some(2), "crashed cell degrades the run");

@@ -109,11 +109,7 @@ fn assert_replays_exactly(expected: &Measured, got: &Measured, what: &str) {
                             gt.avg_repetition_cycles.to_bits(),
                             "{what}: t{i} avg cycles bits"
                         );
-                        assert_eq!(
-                            et.ipc.to_bits(),
-                            gt.ipc.to_bits(),
-                            "{what}: t{i} ipc bits"
-                        );
+                        assert_eq!(et.ipc.to_bits(), gt.ipc.to_bits(), "{what}: t{i} ipc bits");
                         assert_eq!(
                             et.estimate.value.to_bits(),
                             gt.estimate.value.to_bits(),
@@ -200,7 +196,11 @@ fn run_trial(seed: u64) {
         }
         // Bytes beyond the last surviving record form a torn fragment
         // the loader must count as corrupt, not choke on.
-        let covered = if survived > 0 { line_ends[survived - 1] } else { 0 };
+        let covered = if survived > 0 {
+            line_ends[survived - 1]
+        } else {
+            0
+        };
         let torn_tail = cut > covered;
 
         let resume_dir = scratch_dir(&format!("r{seed}-{case}"));

@@ -58,7 +58,11 @@ impl FaultRng {
     /// constant (xorshift has an all-zero fixed point).
     #[must_use]
     pub fn new(seed: u64) -> FaultRng {
-        FaultRng(if seed == 0 { 0x9E37_79B9_7F4A_7C15 } else { seed })
+        FaultRng(if seed == 0 {
+            0x9E37_79B9_7F4A_7C15
+        } else {
+            seed
+        })
     }
 
     /// Next raw 64-bit draw.
@@ -316,7 +320,10 @@ impl FaultInjector {
                     for i in 0..u64::from(bursts) {
                         events.push(ScheduledFault {
                             at_cycle: f.at_cycle + i * (stall + gap),
-                            kind: FaultKind::DecodeStall { thread, cycles: stall },
+                            kind: FaultKind::DecodeStall {
+                                thread,
+                                cycles: stall,
+                            },
                         });
                     }
                 }
@@ -335,8 +342,7 @@ impl FaultInjector {
 
         while core.cycle() < deadline {
             let done = ThreadId::ALL.iter().all(|&t| {
-                !core.is_active(t)
-                    || core.stats().thread(t).repetitions.len() >= target[t.index()]
+                !core.is_active(t) || core.stats().thread(t).repetitions.len() >= target[t.index()]
             });
             if done {
                 return Ok(RunOutcome::Completed);
@@ -465,11 +471,7 @@ pub fn check_invariants(core: &SmtCore) -> Result<(), Vec<String>> {
 /// # Errors
 ///
 /// Returns a description of the violated share bound.
-pub fn check_decode_share_bound(
-    core: &SmtCore,
-    p0: Priority,
-    p1: Priority,
-) -> Result<(), String> {
+pub fn check_decode_share_bound(core: &SmtCore, p0: Priority, p1: Priority) -> Result<(), String> {
     let stats = core.stats();
     let g0 = stats.thread(ThreadId::T0).decode_cycles_granted;
     let g1 = stats.thread(ThreadId::T1).decode_cycles_granted;
@@ -642,7 +644,10 @@ mod tests {
         assert_eq!(a.faults(), b.faults());
         let c = FaultPlan::generate(43, 100_000, 16);
         assert_ne!(a.faults(), c.faults(), "different seed, different plan");
-        assert!(a.faults().windows(2).all(|w| w[0].at_cycle <= w[1].at_cycle));
+        assert!(a
+            .faults()
+            .windows(2)
+            .all(|w| w[0].at_cycle <= w[1].at_cycle));
     }
 
     #[test]
@@ -770,13 +775,10 @@ mod tests {
             let result = FaultInjector::new(plan).run(&mut core, [5, 5], 3_000_000);
             match result {
                 Ok(_) => {}
-                Err(
-                    SimError::InjectedFault { .. } | SimError::ForwardProgressStall { .. },
-                ) => {}
+                Err(SimError::InjectedFault { .. } | SimError::ForwardProgressStall { .. }) => {}
                 Err(other) => panic!("seed {seed}: unexpected error {other:?}"),
             }
-            check_invariants(&core)
-                .unwrap_or_else(|v| panic!("seed {seed}: violations {v:?}"));
+            check_invariants(&core).unwrap_or_else(|v| panic!("seed {seed}: violations {v:?}"));
         }
     }
 }

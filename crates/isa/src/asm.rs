@@ -142,11 +142,7 @@ pub fn parse(name: &str, source: &str) -> Result<Program, AsmError> {
 
     for (idx, raw) in source.lines().enumerate() {
         let line_no = idx + 1;
-        let line = raw
-            .split([';', '#'])
-            .next()
-            .unwrap_or("")
-            .trim();
+        let line = raw.split([';', '#']).next().unwrap_or("").trim();
         if line.is_empty() {
             continue;
         }
@@ -156,7 +152,10 @@ pub fn parse(name: &str, source: &str) -> Result<Program, AsmError> {
         match mnemonic.as_str() {
             "stream" => {
                 if tokens.len() < 4 {
-                    return Err(err(line_no, "usage: stream <name> chase|seq <size> [stride N]"));
+                    return Err(err(
+                        line_no,
+                        "usage: stream <name> chase|seq <size> [stride N]",
+                    ));
                 }
                 let sname = tokens[1].to_string();
                 if streams.contains_key(&sname) {
@@ -178,9 +177,7 @@ pub fn parse(name: &str, source: &str) -> Result<Program, AsmError> {
                         };
                         StreamSpec::sequential(footprint, stride)
                     }
-                    other => {
-                        return Err(err(line_no, format!("unknown stream kind `{other}`")))
-                    }
+                    other => return Err(err(line_no, format!("unknown stream kind `{other}`"))),
                 };
                 let id = builder.stream(spec);
                 streams.insert(sname, id);
@@ -201,16 +198,32 @@ pub fn parse(name: &str, source: &str) -> Result<Program, AsmError> {
                 builder.push(inst);
             }
             "mul" => {
-                builder.push(with_operands(StaticInst::new(Op::IntMul), &tokens[1..], line_no)?);
+                builder.push(with_operands(
+                    StaticInst::new(Op::IntMul),
+                    &tokens[1..],
+                    line_no,
+                )?);
             }
             "div" => {
-                builder.push(with_operands(StaticInst::new(Op::IntDiv), &tokens[1..], line_no)?);
+                builder.push(with_operands(
+                    StaticInst::new(Op::IntDiv),
+                    &tokens[1..],
+                    line_no,
+                )?);
             }
             "fadd" | "fsub" | "fmul" | "fma" => {
-                builder.push(with_operands(StaticInst::new(Op::FpAlu), &tokens[1..], line_no)?);
+                builder.push(with_operands(
+                    StaticInst::new(Op::FpAlu),
+                    &tokens[1..],
+                    line_no,
+                )?);
             }
             "fdiv" => {
-                builder.push(with_operands(StaticInst::new(Op::FpDiv), &tokens[1..], line_no)?);
+                builder.push(with_operands(
+                    StaticInst::new(Op::FpDiv),
+                    &tokens[1..],
+                    line_no,
+                )?);
             }
             "ld" | "lfd" => {
                 // ld rD, <stream>   or   ld rD, <stream>[rA]
@@ -221,9 +234,9 @@ pub fn parse(name: &str, source: &str) -> Result<Program, AsmError> {
                 let operand = tokens[2].trim_end_matches(',');
                 let (sname, addr_reg) = match operand.split_once('[') {
                     Some((s, rest)) => {
-                        let r = rest.strip_suffix(']').ok_or_else(|| {
-                            err(line_no, format!("missing `]` in `{operand}`"))
-                        })?;
+                        let r = rest
+                            .strip_suffix(']')
+                            .ok_or_else(|| err(line_no, format!("missing `]` in `{operand}`")))?;
                         (s, Some(parse_reg(r, line_no)?))
                     }
                     None => (operand, None),
@@ -368,8 +381,7 @@ pub fn format(program: &Program) -> String {
                 let dst = inst.dst.expect("loads have destinations");
                 match inst.src1 {
                     Some(a) => {
-                        let _ =
-                            writeln!(out, "{mnemonic} {dst}, s{}[{a}]", stream.index());
+                        let _ = writeln!(out, "{mnemonic} {dst}, s{}[{a}]", stream.index());
                     }
                     None => {
                         let _ = writeln!(out, "{mnemonic} {dst}, s{}", stream.index());
@@ -377,7 +389,11 @@ pub fn format(program: &Program) -> String {
                 }
             }
             Op::Store { stream, kind } => {
-                let mnemonic = if kind == DataKind::Float { "stfd" } else { "st" };
+                let mnemonic = if kind == DataKind::Float {
+                    "stfd"
+                } else {
+                    "st"
+                };
                 let src = inst.src1.expect("stores have sources");
                 let _ = writeln!(out, "{mnemonic} s{}, {src}", stream.index());
             }
@@ -459,7 +475,9 @@ mod tests {
         assert!(matches!(p.body()[9].op, Op::OrNop(Priority::High)));
         assert!(matches!(
             p.body()[10].op,
-            Op::Branch(BranchBehavior::Random { taken_permille: 500 })
+            Op::Branch(BranchBehavior::Random {
+                taken_permille: 500
+            })
         ));
     }
 

@@ -289,7 +289,10 @@ mod tests {
         assert!(st.is_store() && !st.is_load());
         assert_eq!(ld.stream(), Some(StreamId::new(2)));
         assert_eq!(Op::IntAlu.stream(), None);
-        assert!(Op::Branch(BranchBehavior::Random { taken_permille: 500 }).is_branch());
+        assert!(Op::Branch(BranchBehavior::Random {
+            taken_permille: 500
+        })
+        .is_branch());
         assert!(!Op::IntAlu.is_branch());
     }
 

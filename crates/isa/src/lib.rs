@@ -44,12 +44,11 @@ mod reg;
 
 pub use inst::{BranchBehavior, FuClass, Op, StaticInst};
 pub use priority::{
-    decode_policy, DecodePolicy, OrNopEncoding, PriorityError, PrivilegeLevel, Priority,
+    decode_policy, DecodePolicy, OrNopEncoding, Priority, PriorityError, PrivilegeLevel,
     PRIORITY_TABLE,
 };
 pub use program::{
-    AccessPattern, BodyMix, DataKind, Program, ProgramBuilder, ProgramError, StreamId,
-    StreamSpec,
+    AccessPattern, BodyMix, DataKind, Program, ProgramBuilder, ProgramError, StreamId, StreamSpec,
 };
 pub use reg::Reg;
 

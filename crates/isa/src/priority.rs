@@ -167,9 +167,7 @@ impl Priority {
     pub fn required_privilege(self) -> PrivilegeLevel {
         match self {
             Priority::Off | Priority::VeryHigh => PrivilegeLevel::Hypervisor,
-            Priority::VeryLow | Priority::MediumHigh | Priority::High => {
-                PrivilegeLevel::Supervisor
-            }
+            Priority::VeryLow | Priority::MediumHigh | Priority::High => PrivilegeLevel::Supervisor,
             Priority::Low | Priority::MediumLow | Priority::Medium => PrivilegeLevel::User,
         }
     }
@@ -384,7 +382,11 @@ pub fn decode_policy(prio_p: Priority, prio_s: Priority) -> DecodePolicy {
         (VeryLow, VeryLow) => DecodePolicy::LowPower,
         (p, s) => {
             let diff = i32::from(p.level()) - i32::from(s.level());
-            let favoured = if diff >= 0 { ThreadId::T0 } else { ThreadId::T1 };
+            let favoured = if diff >= 0 {
+                ThreadId::T0
+            } else {
+                ThreadId::T1
+            };
             let r: u32 = 1 << (diff.unsigned_abs() + 1);
             DecodePolicy::Ratio {
                 favoured,
@@ -533,7 +535,10 @@ mod tests {
                 runner: ThreadId::T0
             }
         );
-        assert_eq!(decode_policy(Priority::Off, Priority::Off), DecodePolicy::BothOff);
+        assert_eq!(
+            decode_policy(Priority::Off, Priority::Off),
+            DecodePolicy::BothOff
+        );
     }
 
     #[test]
@@ -598,9 +603,11 @@ mod tests {
                     Priority::from_level(p).unwrap(),
                     Priority::from_level(s).unwrap(),
                 );
-                let total =
-                    policy.decode_share(ThreadId::T0) + policy.decode_share(ThreadId::T1);
-                assert!((total - 1.0).abs() < 1e-12, "shares for ({p},{s}) sum to {total}");
+                let total = policy.decode_share(ThreadId::T0) + policy.decode_share(ThreadId::T1);
+                assert!(
+                    (total - 1.0).abs() < 1e-12,
+                    "shares for ({p},{s}) sum to {total}"
+                );
             }
         }
     }

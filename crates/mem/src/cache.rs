@@ -171,9 +171,9 @@ impl Cache {
             .iter_mut()
             .min_by_key(|l| if l.valid { l.lru } else { 0 })
             .expect("associativity is nonzero");
-        let evicted = victim.valid.then(|| {
-            ((victim.tag << set_bits) | set as u64) << self.set_shift
-        });
+        let evicted = victim
+            .valid
+            .then(|| ((victim.tag << set_bits) | set as u64) << self.set_shift);
         *victim = Line {
             tag,
             valid: true,

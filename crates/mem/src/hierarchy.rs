@@ -117,15 +117,21 @@ impl SharedCaches {
     // consistent. Propagating the poison would cascade one crashed cell
     // into every neighbor sharing the chip.
     fn l2(&self) -> MutexGuard<'_, Cache> {
-        self.l2.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.l2
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     fn l3(&self) -> MutexGuard<'_, Cache> {
-        self.l3.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.l3
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     fn dtlb(&self) -> MutexGuard<'_, Tlb> {
-        self.dtlb.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.dtlb
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
@@ -434,9 +440,7 @@ impl MemoryHierarchy {
         let ok = self.l1d.restore(&snap.l1d)
             && match &mut self.levels {
                 Levels::Private(p) => {
-                    p.l2.restore(&snap.l2)
-                        && p.l3.restore(&snap.l3)
-                        && p.dtlb.restore(&snap.dtlb)
+                    p.l2.restore(&snap.l2) && p.l3.restore(&snap.l3) && p.dtlb.restore(&snap.dtlb)
                 }
                 Levels::Shared(s) => {
                     s.l2().restore(&snap.l2)
@@ -535,7 +539,9 @@ fn access_walk(
         // Recover (never propagate) poisoning: counter bumps are atomic
         // with respect to the guard, so a panicking neighbor cannot
         // leave the counters half-updated.
-        let mut c = pmu.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut c = pmu
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         c.accesses[i] += 1;
         c.served_by[level_index(level)][i] += 1;
         if tlb_miss {
@@ -601,7 +607,7 @@ mod tests {
     #[test]
     fn l1_eviction_leaves_line_in_l2() {
         let mut m = tiny(); // L1 1KiB (16 lines of 64B), L2 8KiB
-        // Fill 32 distinct lines: more than L1, less than L2.
+                            // Fill 32 distinct lines: more than L1, less than L2.
         for i in 0..32u64 {
             m.access(ThreadId::T0, i * 64, false);
         }
@@ -716,7 +722,11 @@ mod tests {
         }
         m.detach_pmu_counters();
         m.access(ThreadId::T0, 0x4000, false);
-        assert_eq!(cell.lock().unwrap().accesses[0], 2, "detached: no publishing");
+        assert_eq!(
+            cell.lock().unwrap().accesses[0],
+            2,
+            "detached: no publishing"
+        );
     }
 
     #[test]
@@ -764,7 +774,8 @@ mod tests {
         let cfg = MemConfig::tiny_for_tests();
         let shared = SharedCaches::new(&cfg);
         let mut victim = MemoryHierarchy::with_shared(cfg, shared.clone());
-        victim.access(ThreadId::T0, 0x4000, false); // warm the shared L2/L3
+        // Warm the shared L2/L3.
+        victim.access(ThreadId::T0, 0x4000, false);
         // A neighbor core panics while holding a shared-level lock.
         let poisoner = shared.clone();
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {

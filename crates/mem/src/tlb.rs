@@ -60,7 +60,10 @@ impl Tlb {
             "page size must be a power of two"
         );
         let sets = config.entries / config.associativity;
-        assert!(sets.is_power_of_two(), "TLB set count must be a power of two");
+        assert!(
+            sets.is_power_of_two(),
+            "TLB set count must be a power of two"
+        );
         Tlb {
             config,
             entries: vec![
@@ -194,7 +197,7 @@ mod tests {
     #[test]
     fn lru_eviction_within_set() {
         let mut t = tiny(); // 4 sets x 2 ways; set = vpn & 3
-        // vpns 0, 4, 8 all map to set 0.
+                            // vpns 0, 4, 8 all map to set 0.
         t.access(ThreadId::T0, 0 << 12);
         t.access(ThreadId::T0, 4 << 12);
         t.access(ThreadId::T0, 0 << 12); // refresh vpn 0

@@ -1,9 +1,7 @@
 //! Loop-body construction for each micro-benchmark.
 
 use crate::MicroBenchmark;
-use p5_isa::{
-    BranchBehavior, DataKind, Op, Program, ProgramBuilder, Reg, StaticInst, StreamSpec,
-};
+use p5_isa::{BranchBehavior, DataKind, Op, Program, ProgramBuilder, Reg, StaticInst, StreamSpec};
 
 /// Working-set sizes targeting each level of the POWER5-like hierarchy
 /// (L1D 32 KiB, L2 1.5 MiB, L3 32 MiB).
@@ -48,7 +46,12 @@ pub(crate) fn build(bench: MicroBenchmark, iterations: u64) -> Program {
         MicroBenchmark::CpuIntMul => cpu_int_mul(&mut b),
         MicroBenchmark::LngChainCpuint => lng_chain_cpuint(&mut b),
         MicroBenchmark::BrHit => branches(&mut b, BranchBehavior::ConstantNotTaken),
-        MicroBenchmark::BrMiss => branches(&mut b, BranchBehavior::Random { taken_permille: 500 }),
+        MicroBenchmark::BrMiss => branches(
+            &mut b,
+            BranchBehavior::Random {
+                taken_permille: 500,
+            },
+        ),
         MicroBenchmark::LdintL1 => load_l1(&mut b, DataKind::Int),
         MicroBenchmark::LdfpL1 => load_l1(&mut b, DataKind::Float),
         MicroBenchmark::LdintL2 => load_chase(&mut b, DataKind::Int, footprints::L2_FIT),
@@ -73,7 +76,12 @@ fn cpu_int(b: &mut ProgramBuilder) {
     let hoisted = tmp(0);
     // t = iter - 1; m = iter * t  (recomputed once per micro-iteration)
     b.push(StaticInst::new(Op::IntAlu).dst(hoisted).src1(iter));
-    b.push(StaticInst::new(Op::IntMul).dst(hoisted).src1(iter).src2(hoisted));
+    b.push(
+        StaticInst::new(Op::IntMul)
+            .dst(hoisted)
+            .src1(iter)
+            .src2(hoisted),
+    );
     for line in 0..54 {
         let m = tmp(1 + (line % 8));
         let s = tmp(9 + (line % 6));
@@ -192,7 +200,11 @@ fn load_chase(b: &mut ProgramBuilder, kind: DataKind, footprint: u64) {
     };
     let w = tmp(0);
     // ptr = *ptr  (the chase)
-    b.push(StaticInst::new(Op::Load { stream: s, kind }).dst(ptr).src1(ptr));
+    b.push(
+        StaticInst::new(Op::Load { stream: s, kind })
+            .dst(ptr)
+            .src1(ptr),
+    );
     // w = ptr + 1
     b.push(StaticInst::new(add_op).dst(w).src1(ptr));
     // *addr = w
@@ -278,10 +290,7 @@ mod tests {
     #[test]
     fn fp_load_variant_uses_fp_add() {
         let p = build(MicroBenchmark::LdfpL2, 1);
-        assert!(p
-            .body()
-            .iter()
-            .any(|i| matches!(i.op, Op::FpAlu)));
+        assert!(p.body().iter().any(|i| matches!(i.op, Op::FpAlu)));
     }
 
     #[test]

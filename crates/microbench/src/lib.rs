@@ -212,9 +212,7 @@ impl MicroBenchmark {
     #[must_use]
     pub fn loop_body_source(self) -> &'static str {
         match self {
-            MicroBenchmark::CpuInt => {
-                "a += (iter * (iter - 1)) - xi * iter : xi in {1..54}"
-            }
+            MicroBenchmark::CpuInt => "a += (iter * (iter - 1)) - xi * iter : xi in {1..54}",
             MicroBenchmark::CpuIntAdd => {
                 "a += (iter + (iterp)) - xi + iter : xi in {1..54}; iterp = iter - 1 + a"
             }
@@ -237,9 +235,7 @@ impl MicroBenchmark {
             MicroBenchmark::LdfpL1
             | MicroBenchmark::LdfpL2
             | MicroBenchmark::LdfpL3
-            | MicroBenchmark::LdfpMem => {
-                "a[i+s] = a[i+s]+1; a is an array of floats"
-            }
+            | MicroBenchmark::LdfpMem => "a[i+s] = a[i+s]+1; a is an array of floats",
             MicroBenchmark::CpuFp => {
                 "a += (tmp * (tmp - 1.0)) - xi * tmp : xi in {1.0..54.0}; tmp = iter * 1.0"
             }
@@ -317,10 +313,7 @@ mod tests {
 
     #[test]
     fn presented_set_matches_paper_table3_rows() {
-        let names: Vec<_> = MicroBenchmark::PRESENTED
-            .iter()
-            .map(|b| b.name())
-            .collect();
+        let names: Vec<_> = MicroBenchmark::PRESENTED.iter().map(|b| b.name()).collect();
         assert_eq!(
             names,
             vec![

@@ -583,7 +583,11 @@ mod tests {
         let mut k = kernel(KernelMode::Patched);
         for level in 1..=6u8 {
             let p = Priority::from_level(level).unwrap();
-            assert_eq!(k.set_user_priority(ThreadId::T0, p), Ok(()), "level {level}");
+            assert_eq!(
+                k.set_user_priority(ThreadId::T0, p),
+                Ok(()),
+                "level {level}"
+            );
         }
         // 0 and 7 still need the hypervisor even on the patched kernel.
         for p in [Priority::Off, Priority::VeryHigh] {
@@ -598,7 +602,8 @@ mod tests {
     fn vanilla_kernel_resets_priority_on_timer_interrupt() {
         let mut k = kernel(KernelMode::Vanilla);
         k.set_timer_interval(10_000).unwrap();
-        k.set_supervisor_priority(ThreadId::T0, Priority::High).unwrap();
+        k.set_supervisor_priority(ThreadId::T0, Priority::High)
+            .unwrap();
         assert_eq!(k.core().priority(ThreadId::T0), Priority::High);
         k.run_cycles(10_000);
         // "it also resets the thread priority to MEDIUM every time it
@@ -687,7 +692,10 @@ mod tests {
         for node in SysfsNode::ALL {
             assert_eq!(SysfsNode::parse(&node.path()), Ok(node), "{node}");
         }
-        assert_eq!(SysfsNode::parse("thread9/priority"), Err(OsError::InvalidPath));
+        assert_eq!(
+            SysfsNode::parse("thread9/priority"),
+            Err(OsError::InvalidPath)
+        );
         assert_eq!(SysfsNode::parse(""), Err(OsError::InvalidPath));
     }
 
@@ -735,13 +743,19 @@ mod tests {
             SysfsRequest::set_timer_interval(0).apply(&mut k),
             Err(OsError::InvalidTimerInterval)
         );
-        assert_eq!(SysfsRequest::set_timer_interval(5_000).apply(&mut k), Ok(()));
+        assert_eq!(
+            SysfsRequest::set_timer_interval(5_000).apply(&mut k),
+            Ok(())
+        );
     }
 
     #[test]
     fn sysfs_timer_interval_string_writes() {
         let mut k = kernel(KernelMode::Patched);
-        assert_eq!(sysfs_write(&mut k, "timer/interval_cycles", " 8000 "), Ok(()));
+        assert_eq!(
+            sysfs_write(&mut k, "timer/interval_cycles", " 8000 "),
+            Ok(())
+        );
         assert_eq!(
             sysfs_write(&mut k, "timer/interval_cycles", "soon"),
             Err(OsError::InvalidValue)
@@ -777,10 +791,7 @@ mod tests {
     #[test]
     fn zero_timer_interval_is_rejected() {
         let mut k = kernel(KernelMode::Patched);
-        assert_eq!(
-            k.set_timer_interval(0),
-            Err(OsError::InvalidTimerInterval)
-        );
+        assert_eq!(k.set_timer_interval(0), Err(OsError::InvalidTimerInterval));
         // The old interval stays in force and the kernel still runs.
         k.run_cycles(Kernel::DEFAULT_TIMER_INTERVAL);
         assert_eq!(k.stats().timer_interrupts, 1);
@@ -790,7 +801,8 @@ mod tests {
     fn try_run_cycles_delivers_interrupts_on_a_healthy_core() {
         let mut k = kernel(KernelMode::Vanilla);
         k.set_timer_interval(10_000).unwrap();
-        k.set_supervisor_priority(ThreadId::T0, Priority::High).unwrap();
+        k.set_supervisor_priority(ThreadId::T0, Priority::High)
+            .unwrap();
         k.try_run_cycles(50_000).expect("healthy core never stalls");
         assert_eq!(k.stats().timer_interrupts, 5);
         // Vanilla reset-on-kernel-entry still happens on the try_ path.

@@ -168,7 +168,10 @@ mod tests {
                 },
             );
         }
-        pmu.record_instant(Some(ThreadId::T0), PmuEventKind::PriorityChanged { level: 6 });
+        pmu.record_instant(
+            Some(ThreadId::T0),
+            PmuEventKind::PriorityChanged { level: 6 },
+        );
         let json = chrome_trace(&pmu, "unit");
         assert!(json.starts_with(r#"{"traceEvents":["#));
         assert!(json.contains(r#""name":"T0 CPI""#));

@@ -176,9 +176,7 @@ impl JsonValue {
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
-            JsonValue::Object(fields) => {
-                fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-            }
+            JsonValue::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -458,10 +456,7 @@ mod tests {
 
     #[test]
     fn field_order_is_insertion_order() {
-        let v = JsonObject::new()
-            .field("z", 1u64)
-            .field("a", 2u64)
-            .build();
+        let v = JsonObject::new().field("z", 1u64).field("a", 2u64).build();
         assert_eq!(v.to_string(), r#"{"z":1,"a":2}"#);
     }
 

@@ -586,7 +586,10 @@ mod tests {
     #[test]
     fn cycles_and_stacks_accumulate() {
         let mut pmu = Pmu::new(PmuConfig::counters_only());
-        pmu.on_cycle(1, &rec([CpiComponent::Base, CpiComponent::DecodeStarved], [4, 0]));
+        pmu.on_cycle(
+            1,
+            &rec([CpiComponent::Base, CpiComponent::DecodeStarved], [4, 0]),
+        );
         pmu.on_cycle(2, &rec([CpiComponent::GctFull, CpiComponent::Base], [4, 3]));
         assert_eq!(pmu.cycles(), 2);
         assert_eq!(pmu.stack(ThreadId::T0).get(CpiComponent::Base), 1);
@@ -619,7 +622,10 @@ mod tests {
     fn sampling_produces_interval_deltas() {
         let mut pmu = Pmu::new(PmuConfig::sampling(2));
         for c in 1..=6u64 {
-            pmu.on_cycle(c, &rec([CpiComponent::Base, CpiComponent::Idle], [c * 3, 0]));
+            pmu.on_cycle(
+                c,
+                &rec([CpiComponent::Base, CpiComponent::Idle], [c * 3, 0]),
+            );
         }
         assert_eq!(pmu.samples().len(), 3);
         let s = &pmu.samples()[1];

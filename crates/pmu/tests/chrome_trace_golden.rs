@@ -57,19 +57,28 @@ fn deterministic_pmu() -> Pmu {
         if cycle == 6 {
             pmu.record_instant(
                 Some(ThreadId::T1),
-                PmuEventKind::FaultInjected { what: "decode stall" },
+                PmuEventKind::FaultInjected {
+                    what: "decode stall",
+                },
             );
         }
-        pmu.on_cycle(cycle, &CycleRecord {
-            attr: *attr,
-            granted: Some(if cycle.is_multiple_of(2) { ThreadId::T1 } else { ThreadId::T0 }),
-            used: attr[0] == CpiComponent::Base || attr[1] == CpiComponent::Base,
-            stolen: cycle == 5,
-            gct_occupancy: (cycle % 4) as u32,
-            lmq_occupancy: (cycle % 2) as u32,
-            committed: [cycle * 3, cycle],
-            priorities: [if cycle >= 3 { 6 } else { 4 }, 4],
-        });
+        pmu.on_cycle(
+            cycle,
+            &CycleRecord {
+                attr: *attr,
+                granted: Some(if cycle.is_multiple_of(2) {
+                    ThreadId::T1
+                } else {
+                    ThreadId::T0
+                }),
+                used: attr[0] == CpiComponent::Base || attr[1] == CpiComponent::Base,
+                stolen: cycle == 5,
+                gct_occupancy: (cycle % 4) as u32,
+                lmq_occupancy: (cycle % 2) as u32,
+                committed: [cycle * 3, cycle],
+                priorities: [if cycle >= 3 { 6 } else { 4 }, 4],
+            },
+        );
     }
     pmu.reconcile().expect("attributions are total");
     pmu
@@ -88,9 +97,8 @@ fn chrome_trace_matches_golden_file() {
         std::fs::write(path, &trace).expect("write golden file");
         return;
     }
-    let golden = std::fs::read_to_string(path).expect(
-        "golden file missing — run with UPDATE_GOLDEN=1 to create it",
-    );
+    let golden = std::fs::read_to_string(path)
+        .expect("golden file missing — run with UPDATE_GOLDEN=1 to create it");
     assert_eq!(
         trace, golden,
         "Chrome trace output drifted from tests/golden/chrome_trace.json; \
@@ -106,9 +114,9 @@ fn chrome_trace_is_loadable_shape() {
     let trace = chrome_trace(&deterministic_pmu(), "golden");
     assert!(trace.starts_with(r#"{"traceEvents":["#));
     for needle in [
-        r#""ph":"M""#,   // metadata (process/thread names)
-        r#""ph":"C""#,   // counter samples
-        r#""ph":"i""#,   // instant events
+        r#""ph":"M""#, // metadata (process/thread names)
+        r#""ph":"C""#, // counter samples
+        r#""ph":"i""#, // instant events
         r#""name":"T0 CPI""#,
         r#""name":"T1 IPC""#,
         r#""name":"T0 priority""#,

@@ -53,8 +53,16 @@ const SWITCHES: [&str; 5] = ["--no-cache", "--stats", "--shutdown", "-h", "--hel
 /// The flags `--help` lists that take the next argument as their value,
 /// in its order.
 const VALUE_FLAGS: [&str; 10] = [
-    "--unix", "--tcp", "--grid", "--cell", "--fidelity", "--seed", "--plan", "--csv-dir",
-    "--json-dir", "--wait-ready",
+    "--unix",
+    "--tcp",
+    "--grid",
+    "--cell",
+    "--fidelity",
+    "--seed",
+    "--plan",
+    "--csv-dir",
+    "--json-dir",
+    "--wait-ready",
 ];
 
 fn value_of(args: &[String], flag: &str) -> Option<String> {

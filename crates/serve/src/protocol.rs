@@ -286,8 +286,9 @@ impl Request {
                     None => Vec::new(),
                 };
                 let plan = match v.get("plan").and_then(JsonValue::as_str) {
-                    Some(spec) => ExecutionPlan::parse(spec)
-                        .map_err(|e| format!("invalid plan: {e}"))?,
+                    Some(spec) => {
+                        ExecutionPlan::parse(spec).map_err(|e| format!("invalid plan: {e}"))?
+                    }
                     None => ExecutionPlan::detailed(),
                 };
                 Ok(Request::Campaign(CampaignRequest {
@@ -425,8 +426,7 @@ impl Response {
                     .ok_or_else(|| "malformed measurement".to_string())?,
             }),
             Some("done") => Ok(Response::Done {
-                cells: usize::try_from(int("cells")?)
-                    .map_err(|_| "cells overflow".to_string())?,
+                cells: usize::try_from(int("cells")?).map_err(|_| "cells overflow".to_string())?,
                 cached: usize::try_from(int("cached")?)
                     .map_err(|_| "cached overflow".to_string())?,
             }),

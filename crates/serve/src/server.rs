@@ -337,7 +337,13 @@ fn handle_connection(shared: &Shared, conn: Conn) {
             );
         }
         Ok(Request::Shutdown) => {
-            respond(&mut writer, &Response::Done { cells: 0, cached: 0 });
+            respond(
+                &mut writer,
+                &Response::Done {
+                    cells: 0,
+                    cached: 0,
+                },
+            );
             shared.shutdown.store(true, Ordering::SeqCst);
         }
         Ok(Request::Campaign(request)) => {
@@ -494,7 +500,10 @@ mod tests {
         let path = std::env::temp_dir().join(format!("p5-serve-stale-{}.sock", std::process::id()));
         std::fs::write(&path, b"stale").unwrap();
         let server = Server::bind_unix(&path, 1, ResultCache::in_memory()).expect("rebind");
-        assert!(server.local_addr().is_none(), "unix sockets have no TCP addr");
+        assert!(
+            server.local_addr().is_none(),
+            "unix sockets have no TCP addr"
+        );
         drop(server);
         let _ = std::fs::remove_file(&path);
     }

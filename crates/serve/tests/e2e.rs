@@ -95,12 +95,12 @@ fn start_server(
     (Endpoint::Tcp(addr.to_string()), handle)
 }
 
-fn shutdown_and_join(
-    endpoint: &Endpoint,
-    handle: std::thread::JoinHandle<std::io::Result<()>>,
-) {
+fn shutdown_and_join(endpoint: &Endpoint, handle: std::thread::JoinHandle<std::io::Result<()>>) {
     client::shutdown(endpoint).expect("shutdown request");
-    handle.join().expect("server thread").expect("serve exits cleanly");
+    handle
+        .join()
+        .expect("server thread")
+        .expect("serve exits cleanly");
 }
 
 /// The offline baseline for [`cells`]: the same resolved spec run
@@ -121,7 +121,11 @@ fn assert_bit_identical(
     served: &p5_experiments::campaign::CampaignResult,
     what: &str,
 ) {
-    assert_eq!(offline.cells.len(), served.cells.len(), "{what}: cell count");
+    assert_eq!(
+        offline.cells.len(),
+        served.cells.len(),
+        "{what}: cell count"
+    );
     for (o, s) in offline.cells.iter().zip(&served.cells) {
         assert_eq!(o.id, s.id, "{what}: id order");
         assert_eq!(o.label, s.label, "{what}: labels");
@@ -192,7 +196,10 @@ fn cache_opt_out_always_simulates() {
     let first = client::run_campaign(&endpoint, &request(false)).expect("first");
     let second = client::run_campaign(&endpoint, &request(false)).expect("second");
     assert_eq!(first.cached, 0);
-    assert_eq!(second.cached, 0, "cache off: the resubmission simulates too");
+    assert_eq!(
+        second.cached, 0,
+        "cache off: the resubmission simulates too"
+    );
     let stats = client::stats(&endpoint).expect("stats");
     assert_eq!(stats.entries, 0, "opted-out cells are never recorded");
     assert_eq!(stats.hits + stats.misses, 0, "nor tallied as lookups");

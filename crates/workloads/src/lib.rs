@@ -34,9 +34,7 @@ mod spec;
 
 pub use spec::SpecProxy;
 
-use p5_isa::{
-    BranchBehavior, DataKind, Op, Program, ProgramBuilder, Reg, StaticInst, StreamId,
-};
+use p5_isa::{BranchBehavior, DataKind, Op, Program, ProgramBuilder, Reg, StaticInst, StreamId};
 
 /// Shared body-construction helpers for workload kernels.
 pub(crate) struct BodyWriter<'a> {
@@ -54,7 +52,11 @@ impl<'a> BodyWriter<'a> {
 
     fn tmp(&mut self) -> Reg {
         let r = Reg::new(self.next_tmp);
-        self.next_tmp = if self.next_tmp >= 120 { 40 } else { self.next_tmp + 1 };
+        self.next_tmp = if self.next_tmp >= 120 {
+            40
+        } else {
+            self.next_tmp + 1
+        };
         r
     }
 
@@ -102,8 +104,11 @@ impl<'a> BodyWriter<'a> {
 
     /// Dependent pointer-chase load through `ptr`.
     pub(crate) fn chase(&mut self, stream: StreamId, kind: DataKind, ptr: Reg) {
-        self.builder
-            .push(StaticInst::new(Op::Load { stream, kind }).dst(ptr).src1(ptr));
+        self.builder.push(
+            StaticInst::new(Op::Load { stream, kind })
+                .dst(ptr)
+                .src1(ptr),
+        );
     }
 
     /// Store of `src` to `stream`'s last-loaded element.
@@ -121,7 +126,9 @@ impl<'a> BodyWriter<'a> {
     /// Poorly-predicted conditional branch (`taken_permille` of 1000).
     pub(crate) fn branch_random(&mut self, taken_permille: u16) {
         self.builder
-            .push(StaticInst::new(Op::Branch(BranchBehavior::Random { taken_permille })));
+            .push(StaticInst::new(Op::Branch(BranchBehavior::Random {
+                taken_permille,
+            })));
     }
 
     /// Closes the loop body.

@@ -29,7 +29,10 @@ impl ImbalancedApp {
     /// Panics if `ratio < 1.0` or is not finite.
     #[must_use]
     pub fn with_imbalance(ratio: f64) -> ImbalancedApp {
-        assert!(ratio.is_finite() && ratio >= 1.0, "imbalance ratio must be >= 1");
+        assert!(
+            ratio.is_finite() && ratio >= 1.0,
+            "imbalance ratio must be >= 1"
+        );
         let light = 1200u64;
         ImbalancedApp {
             heavy_iterations: (light as f64 * ratio) as u64,

@@ -13,25 +13,21 @@ use p5repro::microbench::MicroBenchmark;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let primary = args
-        .first()
-        .map_or(MicroBenchmark::CpuInt, |name| {
-            MicroBenchmark::from_name(name).unwrap_or_else(|| {
-                eprintln!("unknown benchmark {name}; available:");
-                for b in MicroBenchmark::ALL {
-                    eprintln!("  {b}");
-                }
-                std::process::exit(1);
-            })
-        });
-    let secondary = args
-        .get(1)
-        .map_or(MicroBenchmark::LdintL2, |name| {
-            MicroBenchmark::from_name(name).unwrap_or_else(|| {
-                eprintln!("unknown benchmark {name}");
-                std::process::exit(1);
-            })
-        });
+    let primary = args.first().map_or(MicroBenchmark::CpuInt, |name| {
+        MicroBenchmark::from_name(name).unwrap_or_else(|| {
+            eprintln!("unknown benchmark {name}; available:");
+            for b in MicroBenchmark::ALL {
+                eprintln!("  {b}");
+            }
+            std::process::exit(1);
+        })
+    });
+    let secondary = args.get(1).map_or(MicroBenchmark::LdintL2, |name| {
+        MicroBenchmark::from_name(name).unwrap_or_else(|| {
+            eprintln!("unknown benchmark {name}");
+            std::process::exit(1);
+        })
+    });
 
     let ctx = Experiments::quick();
     println!(

@@ -72,7 +72,11 @@ fn main() {
         core.run_cycles(2_000_000);
         let a = core.stats().ipc(ThreadId::T0);
         let b = core.stats().ipc(ThreadId::T1);
-        println!("{:>8} {a:>12.3} {b:>12.3} {:>10.3}", format!("({pp},{ps})"), a + b);
+        println!(
+            "{:>8} {a:>12.3} {b:>12.3} {:>10.3}",
+            format!("({pp},{ps})"),
+            a + b
+        );
     }
     println!(
         "\n(the rule of thumb from the paper applies: prioritize the custom\n\

@@ -44,16 +44,12 @@ fn main() {
     println!("experiment: boost T0 to priority 6, measure under timer interrupts\n");
 
     let (v0, v1, v_resets) = run(KernelMode::Vanilla);
-    println!(
-        "vanilla kernel:  T0 {v0:.3}  T1 {v1:.3}  (priority resets: {v_resets})"
-    );
+    println!("vanilla kernel:  T0 {v0:.3}  T1 {v1:.3}  (priority resets: {v_resets})");
     println!("  -> the boost evaporates at the first kernel entry;");
     println!("     both threads end up back at (4,4) for most of the run.\n");
 
     let (p0, p1, p_resets) = run(KernelMode::Patched);
-    println!(
-        "patched kernel:  T0 {p0:.3}  T1 {p1:.3}  (priority resets: {p_resets})"
-    );
+    println!("patched kernel:  T0 {p0:.3}  T1 {p1:.3}  (priority resets: {p_resets})");
     println!("  -> the +2 difference persists: T0 gets 7 of 8 decode cycles");
     println!("     for the whole measurement, as Equation 1 dictates.");
 

@@ -175,7 +175,12 @@ fn expired_campaign_budget_skips_every_cell() {
     let result = Campaign::run(&c, &CampaignSpec::for_ctx(&c, cells(5)));
     assert_eq!(result.cells.len(), 5, "skipped cells still report outcomes");
     for out in &result.cells {
-        assert_eq!(out.measured.status, CellStatus::Skipped, "cell {}", out.label);
+        assert_eq!(
+            out.measured.status,
+            CellStatus::Skipped,
+            "cell {}",
+            out.label
+        );
         assert!(out.measured.report.is_none(), "a skipped cell has no data");
     }
     assert_eq!(result.skipped, 5);

@@ -22,7 +22,11 @@ struct Rng(u64);
 
 impl Rng {
     fn new(seed: u64) -> Rng {
-        Rng(if seed == 0 { 0x9E37_79B9_7F4A_7C15 } else { seed })
+        Rng(if seed == 0 {
+            0x9E37_79B9_7F4A_7C15
+        } else {
+            seed
+        })
     }
 
     fn next(&mut self) -> u64 {
@@ -82,14 +86,8 @@ fn idle_skip_is_bit_identical_under_random_faults() {
             let mut cfg = CoreConfig::tiny_for_tests();
             cfg.plan.idle_skip = skip;
             let mut core = SmtCore::new(cfg);
-            core.load_program(
-                ThreadId::T0,
-                bench(benches[(rng.next() % 4) as usize]),
-            );
-            core.load_program(
-                ThreadId::T1,
-                bench(benches[(rng.next() % 4) as usize]),
-            );
+            core.load_program(ThreadId::T0, bench(benches[(rng.next() % 4) as usize]));
+            core.load_program(ThreadId::T1, bench(benches[(rng.next() % 4) as usize]));
             core.set_priority(
                 ThreadId::T0,
                 Priority::from_level(rng.range(0, 7) as u8).unwrap(),
@@ -102,17 +100,22 @@ fn idle_skip_is_bit_identical_under_random_faults() {
             for _ in 0..5 {
                 match rng.next() % 4 {
                     0 => {
-                        let t = if rng.next().is_multiple_of(2) { ThreadId::T0 } else { ThreadId::T1 };
+                        let t = if rng.next().is_multiple_of(2) {
+                            ThreadId::T0
+                        } else {
+                            ThreadId::T1
+                        };
                         core.inject_decode_stall(t, rng.range(100, 3_000));
                     }
                     1 => core.inject_cache_port_block(rng.range(100, 2_000)),
                     2 => core.inject_lmq_block(rng.range(100, 2_000)),
                     _ => {
-                        let t = if rng.next().is_multiple_of(2) { ThreadId::T0 } else { ThreadId::T1 };
-                        core.set_priority(
-                            t,
-                            Priority::from_level(rng.range(1, 6) as u8).unwrap(),
-                        );
+                        let t = if rng.next().is_multiple_of(2) {
+                            ThreadId::T0
+                        } else {
+                            ThreadId::T1
+                        };
+                        core.set_priority(t, Priority::from_level(rng.range(1, 6) as u8).unwrap());
                     }
                 }
                 core.run_cycles(rng.range(500, 6_000));
@@ -221,10 +224,9 @@ fn deadline_fires_within_one_horizon_jump() {
     cfg.lmq_entries = 1;
     let mut core = SmtCore::new(cfg);
     core.load_program(ThreadId::T0, bench("ldint_mem"));
-    let runner = FameRunner::new(FameConfig::quick())
-        .with_cancel(p5repro::core::CancelToken::with_budget(
-            std::time::Duration::ZERO,
-        ));
+    let runner = FameRunner::new(FameConfig::quick()).with_cancel(
+        p5repro::core::CancelToken::with_budget(std::time::Duration::ZERO),
+    );
     let err = runner
         .warm_only(&mut core)
         .expect_err("expired deadline must abort the warmup");

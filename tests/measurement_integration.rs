@@ -69,8 +69,14 @@ fn smt_halves_a_thread_paired_with_itself() {
     let st = st_ipc(MicroBenchmark::CpuInt, 20);
 
     let mut core = SmtCore::new(CoreConfig::tiny_for_tests());
-    core.load_program(ThreadId::T0, MicroBenchmark::CpuInt.program_with_iterations(20));
-    core.load_program(ThreadId::T1, MicroBenchmark::CpuInt.program_with_iterations(20));
+    core.load_program(
+        ThreadId::T0,
+        MicroBenchmark::CpuInt.program_with_iterations(20),
+    );
+    core.load_program(
+        ThreadId::T1,
+        MicroBenchmark::CpuInt.program_with_iterations(20),
+    );
     let report = quick_fame().measure(&mut core);
     let paired = report.thread(ThreadId::T0).expect("active").ipc;
 
@@ -112,7 +118,10 @@ fn fame_repetition_times_are_consistent_with_ipc() {
 #[test]
 fn faster_thread_runs_more_repetitions_like_paper_figure_1() {
     let mut core = SmtCore::new(CoreConfig::tiny_for_tests());
-    core.load_program(ThreadId::T0, MicroBenchmark::CpuInt.program_with_iterations(10));
+    core.load_program(
+        ThreadId::T0,
+        MicroBenchmark::CpuInt.program_with_iterations(10),
+    );
     core.load_program(
         ThreadId::T1,
         MicroBenchmark::LngChainCpuint.program_with_iterations(30),

@@ -9,8 +9,14 @@ use p5repro::os::{sysfs_write, Kernel, KernelMode, OsError};
 
 fn kernel(mode: KernelMode) -> Kernel {
     let mut core = SmtCore::new(CoreConfig::tiny_for_tests());
-    core.load_program(ThreadId::T0, MicroBenchmark::CpuInt.program_with_iterations(20));
-    core.load_program(ThreadId::T1, MicroBenchmark::CpuInt.program_with_iterations(20));
+    core.load_program(
+        ThreadId::T0,
+        MicroBenchmark::CpuInt.program_with_iterations(20),
+    );
+    core.load_program(
+        ThreadId::T1,
+        MicroBenchmark::CpuInt.program_with_iterations(20),
+    );
     Kernel::new(core, mode)
 }
 
@@ -90,7 +96,8 @@ fn spin_wait_scenario_reduces_spinner_interference() {
 #[test]
 fn hypervisor_call_reaches_single_thread_mode() {
     let mut k = kernel(KernelMode::Patched);
-    k.set_hypervisor_priority(ThreadId::T0, Priority::VeryHigh).unwrap();
+    k.set_hypervisor_priority(ThreadId::T0, Priority::VeryHigh)
+        .unwrap();
     k.run_cycles(20_000);
     assert!(k.core().stats().committed(ThreadId::T0) > 0);
     assert_eq!(k.core().stats().committed(ThreadId::T1), 0);

@@ -67,7 +67,10 @@ fn cpi_stacks_reconcile_over_seeded_configs() {
         let used: u64 = c.decode_used.iter().sum();
         let stolen: u64 = c.decode_stolen.iter().sum();
         assert!(granted <= CYCLES, "seed {seed}: granted {granted}");
-        assert!(used <= granted, "seed {seed}: used {used} > granted {granted}");
+        assert!(
+            used <= granted,
+            "seed {seed}: used {used} > granted {granted}"
+        );
         assert!(stolen <= granted, "seed {seed}: stolen {stolen}");
 
         if let Some(expected_samples) = CYCLES.checked_div(interval) {

@@ -70,13 +70,19 @@ fn symmetric_priorities_are_symmetric() {
     let a0 = a.stats().committed(ThreadId::T0);
     let b1 = b.stats().committed(ThreadId::T1);
     let rel = (a0 as f64 - b1 as f64).abs() / a0 as f64;
-    assert!(rel < 0.02, "mirrored priorities must mirror outcomes: {a0} vs {b1}");
+    assert!(
+        rel < 0.02,
+        "mirrored priorities must mirror outcomes: {a0} vs {b1}"
+    );
 }
 
 #[test]
 fn single_thread_mode_via_priority_7_matches_unloaded_sibling() {
     let mut st = SmtCore::new(CoreConfig::tiny_for_tests());
-    st.load_program(ThreadId::T0, MicroBenchmark::CpuInt.program_with_iterations(50));
+    st.load_program(
+        ThreadId::T0,
+        MicroBenchmark::CpuInt.program_with_iterations(50),
+    );
     st.run_cycles(100_000);
 
     let mut p7 = smt_core_with(MicroBenchmark::CpuInt);
@@ -139,14 +145,20 @@ fn or_nop_priority_requests_respect_privilege_end_to_end() {
 fn effective_policy_tracks_program_load_state() {
     let mut core = SmtCore::new(CoreConfig::tiny_for_tests());
     assert_eq!(core.effective_policy(), DecodePolicy::BothOff);
-    core.load_program(ThreadId::T1, MicroBenchmark::CpuInt.program_with_iterations(10));
+    core.load_program(
+        ThreadId::T1,
+        MicroBenchmark::CpuInt.program_with_iterations(10),
+    );
     assert_eq!(
         core.effective_policy(),
         DecodePolicy::SingleThread {
             runner: ThreadId::T1
         }
     );
-    core.load_program(ThreadId::T0, MicroBenchmark::CpuInt.program_with_iterations(10));
+    core.load_program(
+        ThreadId::T0,
+        MicroBenchmark::CpuInt.program_with_iterations(10),
+    );
     assert_eq!(
         core.effective_policy(),
         decode_policy(Priority::Medium, Priority::Medium)
@@ -158,13 +170,22 @@ fn transparent_background_thread_in_core_terms() {
     // Foreground cpu_fp at 6, background cpu_int at 1: the foreground's
     // IPC should be within a few percent of its single-thread IPC.
     let mut st = SmtCore::new(CoreConfig::tiny_for_tests());
-    st.load_program(ThreadId::T0, MicroBenchmark::CpuFp.program_with_iterations(30));
+    st.load_program(
+        ThreadId::T0,
+        MicroBenchmark::CpuFp.program_with_iterations(30),
+    );
     st.run_cycles(200_000);
     let st_ipc = st.stats().ipc(ThreadId::T0);
 
     let mut pair = SmtCore::new(CoreConfig::tiny_for_tests());
-    pair.load_program(ThreadId::T0, MicroBenchmark::CpuFp.program_with_iterations(30));
-    pair.load_program(ThreadId::T1, MicroBenchmark::CpuInt.program_with_iterations(30));
+    pair.load_program(
+        ThreadId::T0,
+        MicroBenchmark::CpuFp.program_with_iterations(30),
+    );
+    pair.load_program(
+        ThreadId::T1,
+        MicroBenchmark::CpuInt.program_with_iterations(30),
+    );
     pair.set_priority(ThreadId::T0, Priority::High);
     pair.set_priority(ThreadId::T1, Priority::VeryLow);
     pair.run_cycles(200_000);

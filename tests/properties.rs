@@ -9,9 +9,7 @@
 //! reproducible.
 
 use p5repro::core::{stream_base_address, CoreConfig, SmtCore};
-use p5repro::isa::{
-    decode_policy, DecodePolicy, Op, Priority, Program, Reg, StaticInst, ThreadId,
-};
+use p5repro::isa::{decode_policy, DecodePolicy, Op, Priority, Program, Reg, StaticInst, ThreadId};
 use p5repro::mem::{Cache, CacheConfig};
 
 /// Deterministic xorshift64* generator, the same family the simulator
@@ -20,7 +18,11 @@ struct Rng(u64);
 
 impl Rng {
     fn new(seed: u64) -> Rng {
-        Rng(if seed == 0 { 0x9E37_79B9_7F4A_7C15 } else { seed })
+        Rng(if seed == 0 {
+            0x9E37_79B9_7F4A_7C15
+        } else {
+            seed
+        })
     }
 
     fn next(&mut self) -> u64 {

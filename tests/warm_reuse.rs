@@ -45,7 +45,10 @@ fn restored_measurement_matches_in_place_for_presented_workloads() {
             cfg.plan.warmup = mode;
             let load = |core: &mut SmtCore| {
                 core.load_program(ThreadId::T0, bench.program_with_iterations(300));
-                core.load_program(ThreadId::T1, MicroBenchmark::CpuInt.program_with_iterations(300));
+                core.load_program(
+                    ThreadId::T1,
+                    MicroBenchmark::CpuInt.program_with_iterations(300),
+                );
             };
 
             // Reference: warm and measure in place.
@@ -64,7 +67,10 @@ fn restored_measurement_matches_in_place_for_presented_workloads() {
             restored.restore_warm_state(&snap).unwrap();
             let got = runner.try_measure_restored(&mut restored, warmup).unwrap();
 
-            assert_eq!(got.warmup_cycles, expected.warmup_cycles, "{bench:?} {mode:?}");
+            assert_eq!(
+                got.warmup_cycles, expected.warmup_cycles,
+                "{bench:?} {mode:?}"
+            );
             assert_eq!(
                 got.measured_cycles, expected.measured_cycles,
                 "{bench:?} {mode:?}"

@@ -51,7 +51,10 @@ fn fft_lu_prioritization_shifts_time_between_stages() {
     let lu = || fftlu::lu_program_with_iterations(700);
     let (fft_44, lu_44) = pair_times(fft(), lu(), Priority::Medium, Priority::Medium);
     let (fft_64, lu_64) = pair_times(fft(), lu(), Priority::High, Priority::Medium);
-    assert!(fft_64 <= fft_44 * 1.01, "prioritized FFT must not slow down");
+    assert!(
+        fft_64 <= fft_44 * 1.01,
+        "prioritized FFT must not slow down"
+    );
     assert!(lu_64 > lu_44, "the LU pays for the FFT's boost");
 }
 
@@ -86,7 +89,10 @@ fn spec_proxies_preserve_relative_boundedness_in_smt() {
     // h264ref (cpu-bound) keeps a much higher IPC than mcf (memory-bound)
     // when they share the core, as in the paper's case study.
     let mut core = SmtCore::new(CoreConfig::tiny_for_tests());
-    core.load_program(ThreadId::T0, SpecProxy::H264ref.program_with_iterations(400));
+    core.load_program(
+        ThreadId::T0,
+        SpecProxy::H264ref.program_with_iterations(400),
+    );
     core.load_program(ThreadId::T1, SpecProxy::Mcf.program_with_iterations(100));
     let report = quick_fame().measure(&mut core);
     let h = report.thread(ThreadId::T0).expect("active").ipc;
@@ -101,13 +107,19 @@ fn spec_proxies_preserve_relative_boundedness_in_smt() {
 fn prioritizing_the_cpu_bound_spec_proxy_does_not_lose_throughput() {
     let base = {
         let mut core = SmtCore::new(CoreConfig::tiny_for_tests());
-        core.load_program(ThreadId::T0, SpecProxy::H264ref.program_with_iterations(400));
+        core.load_program(
+            ThreadId::T0,
+            SpecProxy::H264ref.program_with_iterations(400),
+        );
         core.load_program(ThreadId::T1, SpecProxy::Mcf.program_with_iterations(100));
         quick_fame().measure(&mut core).total_ipc()
     };
     let boosted = {
         let mut core = SmtCore::new(CoreConfig::tiny_for_tests());
-        core.load_program(ThreadId::T0, SpecProxy::H264ref.program_with_iterations(400));
+        core.load_program(
+            ThreadId::T0,
+            SpecProxy::H264ref.program_with_iterations(400),
+        );
         core.load_program(ThreadId::T1, SpecProxy::Mcf.program_with_iterations(100));
         core.set_priority(ThreadId::T0, Priority::High);
         quick_fame().measure(&mut core).total_ipc()
