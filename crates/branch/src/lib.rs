@@ -255,36 +255,7 @@ impl Predictor {
     pub fn power5_like() -> Predictor {
         Predictor::Bimodal(Bimodal::new(16 * 1024))
     }
-
-    /// Captures the full predictor state — counter tables, per-thread
-    /// history registers and accuracy statistics — for later
-    /// [`Predictor::restore`].
-    #[must_use]
-    pub fn snapshot(&self) -> PredictorState {
-        PredictorState(self.clone())
-    }
-
-    /// Restores state captured by [`Predictor::snapshot`]; subsequent
-    /// predictions are bit-identical to the snapshotted predictor's.
-    /// Returns `false` (leaving the predictor untouched) if the snapshot
-    /// came from a different predictor kind or geometry.
-    pub fn restore(&mut self, state: &PredictorState) -> bool {
-        match (&*self, &state.0) {
-            (Predictor::Bimodal(a), Predictor::Bimodal(b)) if a.mask == b.mask => {}
-            (Predictor::Gshare(a), Predictor::Gshare(b))
-                if a.mask == b.mask && a.history_bits == b.history_bits => {}
-            (Predictor::StaticTaken(_), Predictor::StaticTaken(_)) => {}
-            _ => return false,
-        }
-        self.clone_from(&state.0);
-        true
-    }
 }
-
-/// Opaque copy of a [`Predictor`]'s warm state (tables, histories,
-/// statistics), produced by [`Predictor::snapshot`].
-#[derive(Debug, Clone)]
-pub struct PredictorState(Predictor);
 
 impl BranchPredictorOps for Predictor {
     fn predict(&mut self, thread: ThreadId, pc: u64) -> bool {
@@ -421,40 +392,6 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn bad_size_panics() {
         let _ = Bimodal::new(100);
-    }
-
-    #[test]
-    fn snapshot_restore_round_trips() {
-        let mut trained = Predictor::Gshare(Gshare::new(256, 8));
-        let mut taken = false;
-        for _ in 0..500 {
-            taken = !taken;
-            let _ = trained.predict(ThreadId::T0, 0x40);
-            trained.update(ThreadId::T0, 0x40, taken);
-            trained.record(ThreadId::T0, false);
-        }
-        let snap = trained.snapshot();
-        let mut fresh = Predictor::Gshare(Gshare::new(256, 8));
-        assert!(fresh.restore(&snap));
-        assert_eq!(fresh.stats(), trained.stats());
-        for _ in 0..16 {
-            taken = !taken;
-            assert_eq!(
-                fresh.predict(ThreadId::T0, 0x40),
-                trained.predict(ThreadId::T0, 0x40)
-            );
-            fresh.update(ThreadId::T0, 0x40, taken);
-            trained.update(ThreadId::T0, 0x40, taken);
-        }
-    }
-
-    #[test]
-    fn restore_refuses_mismatched_predictor() {
-        let snap = Predictor::Gshare(Gshare::new(256, 8)).snapshot();
-        let mut bimodal = Predictor::power5_like();
-        assert!(!bimodal.restore(&snap));
-        let mut narrow = Predictor::Gshare(Gshare::new(128, 8));
-        assert!(!narrow.restore(&snap));
     }
 
     #[test]

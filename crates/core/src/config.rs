@@ -217,27 +217,17 @@ pub enum MeasureMode {
 }
 
 /// The unified three-speed execution plan: how a core is warmed, how the
-/// measured phase runs, whether campaigns may share warm-state
-/// checkpoints between cells, and whether the engine skips idle spans.
-/// Replaces the former loose trio of `warmup_mode` / `--fast-forward` /
-/// `--reuse-warmup` knobs.
+/// measured phase runs, and whether the engine skips idle spans.
 ///
-/// The canonical text form (accepted by [`ExecutionPlan::parse`] and
-/// produced by `Display`) is
-/// `detailed | sampled[:interval,period]` with optional `+ff`
-/// (functional warmup under a detailed measure), `+dw` (detailed warmup
-/// under a sampled measure), `+noskip` (disable the event-horizon idle
-/// skip) and `+reuse` (warm-checkpoint sharing) suffixes, e.g.
-/// `sampled:10000,40000+reuse` or `detailed+ff+noskip`.
+/// The canonical text form is [`ExecutionPlan::GRAMMAR`], accepted by
+/// [`ExecutionPlan::parse`] and produced by `Display`, e.g.
+/// `sampled:10000,40000+dw` or `detailed+ff+noskip`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutionPlan {
     /// How the warmup phase preceding measurement is executed.
     pub warmup: WarmupMode,
     /// How the measured phase is executed.
     pub measure: MeasureMode,
-    /// Whether campaign cells sharing a warmup signature may reuse one
-    /// warm-state checkpoint (wall-clock only; bit-identical results).
-    pub warm_reuse: bool,
     /// Whether the detailed engine may batch-advance over spans of
     /// provably idle cycles to the next event horizon (wall-clock only;
     /// bit-identical by construction — same stats, same PMU totals, same
@@ -251,7 +241,6 @@ impl Default for ExecutionPlan {
         ExecutionPlan {
             warmup: WarmupMode::default(),
             measure: MeasureMode::default(),
-            warm_reuse: false,
             idle_skip: true,
         }
     }
@@ -259,8 +248,8 @@ impl Default for ExecutionPlan {
 
 /// A plan's share of a measurement's identity: the warm-up engine and
 /// the measure mode, the two fields that change the measured bytes.
-/// The others, `warm_reuse` and `idle_skip`, are left out by name: they
-/// change only wall time (both are bit-identical by construction).
+/// The other, `idle_skip`, is left out by name: it changes only wall
+/// time (bit-identical by construction).
 ///
 /// The pattern names every field, so a new one does not compile until
 /// its author decides whether it splits a cache key.
@@ -269,7 +258,6 @@ impl Hash for ExecutionPlan {
         let ExecutionPlan {
             warmup,
             measure,
-            warm_reuse: _,
             idle_skip: _,
         } = self;
         (warmup, measure).hash(state);
@@ -278,8 +266,8 @@ impl Hash for ExecutionPlan {
 
 impl ExecutionPlan {
     /// Fully detailed execution — warmup and measurement both
-    /// cycle-accurate, no checkpoint sharing. Bit-identical to the
-    /// pre-plan engine; presented artifacts use this.
+    /// cycle-accurate. Bit-identical to the pre-plan engine; presented
+    /// artifacts use this.
     #[must_use]
     pub fn detailed() -> ExecutionPlan {
         ExecutionPlan::default()
@@ -292,16 +280,8 @@ impl ExecutionPlan {
         ExecutionPlan {
             warmup: WarmupMode::Functional,
             measure: MeasureMode::Sampled(sampling),
-            warm_reuse: false,
             idle_skip: true,
         }
-    }
-
-    /// Returns a copy with `warm_reuse` set.
-    #[must_use]
-    pub fn with_warm_reuse(mut self, reuse: bool) -> ExecutionPlan {
-        self.warm_reuse = reuse;
-        self
     }
 
     /// Returns a copy with the event-horizon idle skip set.
@@ -311,27 +291,24 @@ impl ExecutionPlan {
         self
     }
 
-    /// Parses the canonical plan grammar. The full shape is
-    ///
-    /// ```text
-    /// plan    := speed flag*
-    /// speed   := "detailed"
-    ///          | "sampled"                     (default 10000,40000 schedule)
-    ///          | "sampled:" interval "," period
-    /// flag    := "+ff"                         (functional warmup)
-    ///          | "+dw"                         (detailed warmup)
-    ///          | "+noskip"                     (disable the event-horizon
-    ///                                           idle skip)
-    ///          | "+skip"                       (re-enable the idle skip;
-    ///                                           the default)
-    ///          | "+reuse"                      (share warm checkpoints)
-    /// ```
-    ///
-    /// Flags may appear in any order; later flags win on conflict
-    /// (`+ff+dw` ends detailed, `+noskip+skip` ends skipping). `Display`
+    /// The plan grammar [`parse`](ExecutionPlan::parse) accepts, one
+    /// form or flag per line, as the binaries' `--help` texts and usage
+    /// errors print it.
+    pub const GRAMMAR: &'static str = "\
+detailed           cycle-level throughout (default)
+sampled[:INT,PER]  interval sampling, 95% confidence
+                   intervals (default 10000,40000)
++ff                functional warmup, detailed measure
++dw                detailed warmup, sampled measure
++noskip            no idle skip (same bits, slower)
+";
+
+    /// Parses [`GRAMMAR`](ExecutionPlan::GRAMMAR): a speed, then flags
+    /// in any order. Later flags win on conflict (`+ff+dw` ends
+    /// detailed). `Display`
     /// emits the canonical form — speed, then `+ff`/`+dw` if the warmup
     /// differs from the speed's default, then `+noskip` if the idle skip
-    /// is off, then `+reuse` — so parse/display round-trips.
+    /// is off — so parse/display round-trips.
     ///
     /// ```
     /// use p5_core::{ExecutionPlan, MeasureMode, WarmupMode};
@@ -390,8 +367,6 @@ impl ExecutionPlan {
                 "ff" => plan.warmup = WarmupMode::Functional,
                 "dw" => plan.warmup = WarmupMode::Detailed,
                 "noskip" => plan.idle_skip = false,
-                "skip" => plan.idle_skip = true,
-                "reuse" => plan.warm_reuse = true,
                 other => return Err(format!("unknown plan flag `+{other}`")),
             }
         }
@@ -417,9 +392,6 @@ impl fmt::Display for ExecutionPlan {
         }
         if !self.idle_skip {
             f.write_str("+noskip")?;
-        }
-        if self.warm_reuse {
-            f.write_str("+reuse")?;
         }
         Ok(())
     }
@@ -1016,15 +988,12 @@ mod tests {
         for text in [
             "detailed",
             "detailed+ff",
-            "detailed+reuse",
-            "detailed+ff+reuse",
             "detailed+noskip",
-            "detailed+ff+noskip+reuse",
+            "detailed+ff+noskip",
             "sampled:10000,40000",
             "sampled:512,2048+dw",
-            "sampled:512,2048+reuse",
             "sampled:512,2048+noskip",
-            "sampled:10000,40000+dw+noskip+reuse",
+            "sampled:10000,40000+dw+noskip",
         ] {
             let plan = ExecutionPlan::parse(text).expect(text);
             assert_eq!(plan.to_string(), text, "round-trip of `{text}`");
@@ -1044,25 +1013,58 @@ mod tests {
         assert!(ExecutionPlan::parse("sampled:10,0").is_err());
         assert!(ExecutionPlan::parse("sampled:a,b").is_err());
         assert!(ExecutionPlan::parse("detailed+warp").is_err());
-        // The threaded chip is gone: its flags are unknown, not ignored.
-        for text in ["detailed+mt", "detailed+mt:4096"] {
+        // Retired flags are unknown, not ignored: the threaded chip's
+        // `+mt`, the warm-state checkpoints' `+reuse` and `+skip`, a
+        // second spelling of the default.
+        for (text, flag) in [
+            ("detailed+mt", "+mt"),
+            ("detailed+mt:4096", "+mt:4096"),
+            ("detailed+reuse", "+reuse"),
+            ("sampled+reuse", "+reuse"),
+            ("detailed+noskip+skip", "+skip"),
+        ] {
             let err = ExecutionPlan::parse(text).expect_err(text);
-            assert!(err.contains("unknown plan flag `+mt"), "{text}: {err}");
+            assert!(
+                err.contains(&format!("unknown plan flag `{flag}`")),
+                "{text}: {err}"
+            );
         }
     }
 
     #[test]
-    fn plan_idle_skip_flag_parses_and_later_flag_wins() {
+    fn every_form_and_flag_the_grammar_names_parses() {
+        let entries: Vec<&str> = ExecutionPlan::GRAMMAR
+            .lines()
+            .filter(|line| !line.starts_with(' '))
+            .filter_map(|line| line.split_whitespace().next())
+            .collect();
+        assert_eq!(
+            entries,
+            ["detailed", "sampled[:INT,PER]", "+ff", "+dw", "+noskip"]
+        );
+        for entry in entries {
+            let texts = if entry.starts_with('+') {
+                [format!("detailed{entry}"), format!("sampled{entry}")]
+            } else {
+                [
+                    entry.replace("[:INT,PER]", ""),
+                    entry.replace("[:INT,PER]", ":64,256"),
+                ]
+            };
+            for text in texts {
+                assert!(
+                    ExecutionPlan::parse(&text).is_ok(),
+                    "`{text}` from `{entry}`"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn plan_idle_skip_flag_parses() {
         assert!(ExecutionPlan::parse("detailed").unwrap().idle_skip);
         assert!(!ExecutionPlan::parse("detailed+noskip").unwrap().idle_skip);
         assert!(!ExecutionPlan::parse("sampled+noskip").unwrap().idle_skip);
-        let plan = ExecutionPlan::parse("detailed+noskip+skip").unwrap();
-        assert!(plan.idle_skip, "later flag wins");
-        assert_eq!(
-            plan.to_string(),
-            "detailed",
-            "+skip is the default, not emitted"
-        );
         assert_eq!(
             ExecutionPlan::detailed().with_idle_skip(false),
             ExecutionPlan::parse("detailed+noskip").unwrap()

@@ -104,57 +104,6 @@ pub struct SmtCore {
     idle_skip: bool,
 }
 
-/// Checkpoint of everything a warm phase produces, captured by
-/// [`SmtCore::snapshot_warm_state`] and reinstated by
-/// [`SmtCore::restore_warm_state`]: per-thread architectural state
-/// (program, PC, registers-in-flight bookkeeping, repetition counts,
-/// privilege), the priority registers, every in-flight pipeline
-/// structure (GCT groups with their issue progress, register producers,
-/// issue-queue slots and wakeup masks, LMQ, functional-unit busy
-/// horizons), the RNG, the cycle clock and statistics, plus the full
-/// memory hierarchy and branch-predictor contents. A restored core is
-/// bit-identical to the snapshotted one — stepping both produces the
-/// same state and the same statistics cycle for cycle.
-///
-/// The snapshot pins the [`CoreConfig`] and address-space salt it was
-/// taken under; restoring into an incompatible core is refused. The
-/// PMU is deliberately *not* part of the snapshot: it is an observer,
-/// attached per measurement, and FAME enables it only after the warmup
-/// boundary.
-///
-/// Cloning is cheap relative to re-simulating the warmup (the dominant
-/// payload is the cache line arrays); campaign workers share one
-/// checkpoint behind an `Arc` and restore it per cell.
-#[derive(Debug, Clone)]
-pub struct WarmState {
-    config: CoreConfig,
-    address_space_salt: u64,
-    mem: p5_mem::MemSnapshot,
-    predictor: p5_branch::PredictorState,
-    threads: [Option<ThreadState>; 2],
-    priorities: [Priority; 2],
-    cycle: u64,
-    next_seq: u64,
-    queues: IssueQueues,
-    lmq: LoadMissQueue,
-    stats: CoreStats,
-    skipped_cycles: u64,
-    fu_busy: [Vec<u64>; 4],
-    rng: u64,
-    last_commit_cycle: u64,
-    cache_port_blocked_until: u64,
-    lmq_blocked_until: u64,
-}
-
-impl WarmState {
-    /// The cycle count at which the snapshot was taken (i.e. the warmup
-    /// length when captured at the warmup boundary).
-    #[must_use]
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-}
-
 impl SmtCore {
     /// Creates an idle core.
     ///
@@ -403,95 +352,6 @@ impl SmtCore {
     #[must_use]
     pub fn skipped_cycles(&self) -> u64 {
         self.skipped_cycles
-    }
-
-    /// Captures a [`WarmState`] checkpoint of the core as it stands —
-    /// typically at the warmup→measurement boundary, so the (expensive)
-    /// warmup can be replayed for free by
-    /// [`restore_warm_state`](SmtCore::restore_warm_state) on any
-    /// identically-configured core. The PMU is not captured (it is
-    /// attached per measurement, after the boundary).
-    #[must_use]
-    pub fn snapshot_warm_state(&self) -> WarmState {
-        WarmState {
-            config: self.config.clone(),
-            address_space_salt: self.address_space_salt,
-            mem: self.mem.snapshot(),
-            predictor: self.predictor.snapshot(),
-            threads: self.threads.clone(),
-            priorities: self.priorities,
-            cycle: self.cycle,
-            next_seq: self.next_seq,
-            queues: self.queues.clone(),
-            lmq: self.lmq.clone(),
-            stats: self.stats.clone(),
-            skipped_cycles: self.skipped_cycles,
-            fu_busy: self.fu_busy.clone(),
-            rng: self.rng,
-            last_commit_cycle: self.last_commit_cycle,
-            cache_port_blocked_until: self.cache_port_blocked_until,
-            lmq_blocked_until: self.lmq_blocked_until,
-        }
-    }
-
-    /// Reinstates a [`WarmState`] checkpoint: afterwards this core is
-    /// bit-identical to the one [`snapshot_warm_state`](Self::snapshot_warm_state)
-    /// captured, including its RNG position, so a measurement run from
-    /// here matches a measurement run from the original warmup exactly.
-    /// The PMU attached to *this* core is left as it is.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] if the checkpoint was taken
-    /// under a different configuration or address-space salt; the core is
-    /// left untouched. `rng_seed` is exempt from the comparison: the
-    /// checkpoint carries the live RNG value itself, and callers that
-    /// share checkpoints across differently-seeded cells (the campaign
-    /// engine) only do so when the warmup provably never draws from the
-    /// RNG.
-    pub fn restore_warm_state(&mut self, state: &WarmState) -> Result<(), SimError> {
-        let mut theirs = state.config.clone();
-        theirs.rng_seed = self.config.rng_seed;
-        if theirs != self.config {
-            return Err(SimError::InvalidConfig {
-                field: "warm_state",
-                message: "checkpoint was taken under a different core configuration".into(),
-            });
-        }
-        if state.address_space_salt != self.address_space_salt {
-            return Err(SimError::InvalidConfig {
-                field: "warm_state",
-                message: "checkpoint was taken under a different address-space salt".into(),
-            });
-        }
-        if !self.mem.restore(&state.mem) {
-            return Err(SimError::InvalidConfig {
-                field: "warm_state",
-                message: "checkpoint memory snapshot does not fit this hierarchy".into(),
-            });
-        }
-        if !self.predictor.restore(&state.predictor) {
-            return Err(SimError::InvalidConfig {
-                field: "warm_state",
-                message: "checkpoint predictor state does not fit this predictor".into(),
-            });
-        }
-        self.threads.clone_from(&state.threads);
-        self.priorities = state.priorities;
-        self.refresh_policy();
-        self.cycle = state.cycle;
-        self.next_seq = state.next_seq;
-        self.queues.clone_from(&state.queues);
-        self.lmq.clone_from(&state.lmq);
-        self.stats.clone_from(&state.stats);
-        self.skipped_cycles = state.skipped_cycles;
-        self.fu_busy.clone_from(&state.fu_busy);
-        self.fu_busy_max = self.fu_busy.iter().flatten().copied().max().unwrap_or(0);
-        self.rng = state.rng;
-        self.last_commit_cycle = state.last_commit_cycle;
-        self.cache_port_blocked_until = state.cache_port_blocked_until;
-        self.lmq_blocked_until = state.lmq_blocked_until;
-        Ok(())
     }
 
     /// The decode policy currently in force, accounting for inactive
@@ -1828,69 +1688,6 @@ mod tests {
         SmtCore::new(CoreConfig::tiny_for_tests())
     }
 
-    /// Extracts everything bit-comparable about a core's observable
-    /// state for the snapshot/restore identity tests.
-    fn observable(c: &SmtCore) -> (u64, [u64; 2], [u64; 2], p5_mem::MemStats, BranchStats) {
-        (
-            c.cycle(),
-            [
-                c.stats().committed(ThreadId::T0),
-                c.stats().committed(ThreadId::T1),
-            ],
-            [
-                c.stats().thread(ThreadId::T0).decoded,
-                c.stats().thread(ThreadId::T1).decoded,
-            ],
-            *c.mem().stats(),
-            *c.branch_stats(),
-        )
-    }
-
-    #[test]
-    fn warm_state_restore_is_bit_identical_mid_flight() {
-        // Snapshot while groups are in flight (a detailed warmup never
-        // ends at a clean boundary), restore into a fresh core, and run
-        // both forward: every observable must stay identical.
-        let mut warm = core();
-        warm.load_program(ThreadId::T0, chase_program(64 * 1024, 1_000_000));
-        warm.load_program(ThreadId::T1, cpu_program(9, 1_000_000));
-        warm.run_cycles(20_000);
-        let snap = warm.snapshot_warm_state();
-
-        let mut restored = core();
-        restored.restore_warm_state(&snap).unwrap();
-        assert_eq!(observable(&restored), observable(&warm));
-        for _ in 0..10 {
-            warm.run_cycles(1_000);
-            restored.run_cycles(1_000);
-            assert_eq!(observable(&restored), observable(&warm));
-        }
-        let a = warm.stats().ipc(ThreadId::T0);
-        let b = restored.stats().ipc(ThreadId::T0);
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
-
-    #[test]
-    fn warm_state_restore_ignores_rng_seed_but_rejects_other_config() {
-        let warm = core();
-        let snap = warm.snapshot_warm_state();
-
-        let mut reseeded_cfg = CoreConfig::tiny_for_tests();
-        reseeded_cfg.rng_seed = 0xDEAD_BEEF;
-        let mut reseeded = SmtCore::new(reseeded_cfg);
-        reseeded.restore_warm_state(&snap).unwrap();
-        // The restored RNG is the checkpoint's, not the seed's.
-        assert_eq!(observable(&reseeded), observable(&warm));
-
-        let mut other_cfg = CoreConfig::tiny_for_tests();
-        other_cfg.mispredict_penalty += 1;
-        let mut other = SmtCore::new(other_cfg);
-        assert!(matches!(
-            other.restore_warm_state(&snap),
-            Err(SimError::InvalidConfig { .. })
-        ));
-    }
-
     #[test]
     fn single_thread_commits_and_records_repetitions() {
         let mut c = core();
@@ -2415,18 +2212,12 @@ mod tests {
             c.functional_warmup(3);
             check(&c, "an or-nop in the functional warm-up");
         }
-        let snap = c.snapshot_warm_state();
         c.unload_program(ThreadId::T1);
         check(&c, "unload_program");
         c.set_priority(ThreadId::T0, Priority::Off);
         check(&c, "set_priority on the only active context");
-        c.restore_warm_state(&snap).unwrap();
-        check(&c, "restore_warm_state");
         c.unload_program(ThreadId::T0);
-        c.unload_program(ThreadId::T1);
         check(&c, "unloading both contexts");
-        c.restore_warm_state(&snap).unwrap();
-        check(&c, "restoring into an empty core");
     }
 
     #[test]

@@ -108,7 +108,7 @@ pub use config::{
     BalancerConfig, ConfigError, CoreConfig, CoreConfigBuilder, ExecutionPlan, MeasureMode,
     OpLatencies, SamplingConfig, WarmupMode,
 };
-pub use engine::{RunOutcome, SmtCore, WarmState};
+pub use engine::{RunOutcome, SmtCore};
 pub use error::{DiagnosticSnapshot, SimError, StuckResource, ThreadDiag};
 pub use stats::{CoreStats, DecodeBlock, RepetitionRecord, ThreadStats};
 pub use thread::stream_base_address;

@@ -10,12 +10,9 @@
 //! on the calibrated core's configuration. `detailed+ff` warms each
 //! cell on the functional fast-forward engine (DESIGN.md §11): faster,
 //! statistically equivalent, not bit-identical to the default detailed
-//! warmup. `+reuse` checkpoints each single-thread warm-up the first
-//! time it runs and restores it for later tables that repeat the
-//! identical warm phase (the CPI-stack table re-warms every ST bench
-//! otherwise): output is bit-identical, only wall-clock changes
-//! (DESIGN.md §12). Calibration measures fixed windows, so a sampled
-//! measure is a usage error.
+//! warmup. Calibration measures fixed windows, so a sampled measure is
+//! a usage error, and so is a plan that does not parse: the error
+//! prints the grammar.
 //!
 //! Pass `--journal DIR` to journal every measured scalar (ST IPC and
 //! each SMT matrix cell) write-ahead to `DIR/journal.jsonl`, and
@@ -25,14 +22,13 @@
 //!
 //! Any other argument, and a flag missing its value, is a usage error.
 
-use p5_core::{CoreConfig, ExecutionPlan, MeasureMode, RunOutcome, SmtCore, WarmState, WarmupMode};
+use p5_core::{CoreConfig, ExecutionPlan, MeasureMode, RunOutcome, SmtCore, WarmupMode};
 use p5_experiments::journal::{CellKey, ResultJournal, StableHasher, JOURNAL_SCHEMA_VERSION};
 use p5_isa::ThreadId;
 use p5_microbench::MicroBenchmark;
 use p5_pmu::{CpiComponent, PmuConfig};
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// The scalar journal, when `--journal DIR` was passed.
 fn journal() -> &'static OnceLock<ResultJournal> {
@@ -44,9 +40,9 @@ fn journal() -> &'static OnceLock<ResultJournal> {
 /// a label naming the measurement (kind, benchmarks, warm cycles, cycle
 /// budget), and the calibrated core configuration through its typed
 /// `Hash`, which covers the plan's warmup engine. Any change to the
-/// measurement invalidates the journaled value; wall-clock-only plan
-/// flags (`+reuse`, `+noskip`) are not part of that `Hash`, so they
-/// replay from the same records.
+/// measurement invalidates the journaled value; the wall-clock-only
+/// `+noskip` is not part of that `Hash`, so it replays from the same
+/// records.
 fn scalar_key(cfg: &CoreConfig, label: &str) -> CellKey {
     let mut h = StableHasher::new();
     (JOURNAL_SCHEMA_VERSION, label, cfg).hash(&mut h);
@@ -73,40 +69,14 @@ fn journaled(
     Ok((value, converged))
 }
 
-/// Warm-state checkpoints keyed by (bench name, warm cycles): the ST IPC
-/// table fills it, the CPI-stack table restores from it.
-fn warm_cache() -> &'static Mutex<HashMap<(String, u64), WarmState>> {
-    static CACHE: OnceLock<Mutex<HashMap<(String, u64), WarmState>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Warms a single-thread core for `cycles` and resets stats, restoring a
-/// cached checkpoint of the identical warm phase when one exists (and
-/// recording one otherwise, if the plan has `+reuse`).
-fn warm_st_cached(core: &mut SmtCore, bench: MicroBenchmark, cycles: u64) {
-    if !core.config().plan.warm_reuse {
-        warm(core, cycles);
-        core.reset_stats();
-        return;
-    }
-    let key = (bench.name().to_string(), cycles);
-    let mut cache = warm_cache().lock().unwrap();
-    if let Some(state) = cache.get(&key) {
-        if core.restore_warm_state(state).is_ok() {
-            return;
-        }
-    }
-    warm(core, cycles);
-    core.reset_stats();
-    cache.insert(key, core.snapshot_warm_state());
-}
-
-/// Warms `core` for `cycles` on the engine its plan selects.
+/// Warms `core` for `cycles` on the engine its plan selects, then
+/// resets its statistics so the measurement counts from here.
 fn warm(core: &mut SmtCore, cycles: u64) {
     match core.config().plan.warmup {
         WarmupMode::Detailed => core.run_cycles(cycles),
         WarmupMode::Functional => core.functional_warmup(cycles),
     }
+    core.reset_stats();
 }
 
 /// Runs to the repetition target, surfacing truncation and stalls: a
@@ -129,7 +99,7 @@ fn st_ipc(cfg: &CoreConfig, bench: MicroBenchmark) -> Result<(f64, bool), String
             let mut core = SmtCore::new(cfg.clone());
             core.load_program(ThreadId::T0, bench.program());
             // Warm caches/TLB/predictor, then measure.
-            warm_st_cached(&mut core, bench, 4_000_000);
+            warm(&mut core, 4_000_000);
             let complete = run_to(&mut core, [10, 0], 50_000_000)?;
             Ok((core.stats().ipc(ThreadId::T0), complete))
         },
@@ -145,7 +115,6 @@ fn smt_ipc(cfg: &CoreConfig, a: MicroBenchmark, b: MicroBenchmark) -> Result<(f6
             core.load_program(ThreadId::T0, a.program());
             core.load_program(ThreadId::T1, b.program());
             warm(&mut core, 6_000_000);
-            core.reset_stats();
             let complete = run_to(&mut core, [10, 10], 100_000_000)?;
             Ok((core.stats().ipc(ThreadId::T0), complete))
         },
@@ -161,7 +130,7 @@ fn st_cpi_stack(
     const MEASURE_CYCLES: u64 = 2_000_000;
     let mut core = SmtCore::new(cfg.clone());
     core.load_program(ThreadId::T0, bench.program());
-    warm_st_cached(&mut core, bench, 4_000_000);
+    warm(&mut core, 4_000_000);
     core.enable_pmu(PmuConfig::counters_only());
     core.try_run_cycles(MEASURE_CYCLES)
         .map_err(|e| e.to_string())?;
@@ -226,7 +195,7 @@ fn main() {
     let pmu_flag = args.iter().any(|a| a == "--pmu");
     let plan = flag_value(&args, "--plan")
         .map_or(Ok(ExecutionPlan::detailed()), |s| ExecutionPlan::parse(s))
-        .unwrap_or_else(|e| usage_error(&format!("--plan: {e}")));
+        .unwrap_or_else(|e| usage_error(&format!("--plan: {e}\n{}", ExecutionPlan::GRAMMAR)));
     if matches!(plan.measure, MeasureMode::Sampled(_)) {
         usage_error(&format!(
             "--plan {plan}: calibration measures fixed windows, \

@@ -22,16 +22,16 @@
 //! `--check` exits non-zero if the PMU's measured overhead exceeds the
 //! gates ([`MAX_COUNTERS_OVERHEAD_PCT`], [`MAX_SAMPLING_OVERHEAD_PCT`]),
 //! the functional warmup path is less than
-//! [`MIN_WARMUP_SPEEDUP`]× faster than detailed warmup, warm-state
-//! checkpoint sharing is less than [`MIN_REUSE_SPEEDUP`]× faster (or
-//! not bit-identical) on the sweep-shaped campaign leg, write-ahead
+//! [`MIN_WARMUP_SPEEDUP`]× faster than detailed warmup, shared cells
+//! are less than [`MIN_REUSE_SPEEDUP`]× faster (or not bit-identical)
+//! on the sweep-shaped campaign leg, write-ahead
 //! result journaling costs more than [`MAX_JOURNAL_OVERHEAD_PCT`] over
 //! the identical un-journaled leg, the three-speed `sampled` plan is
 //! less than [`MIN_SAMPLED_SPEEDUP`]× faster than fully detailed on the
 //! long-repetition cell, or the event-horizon idle skip is less than
 //! [`MIN_IDLE_SKIP_SPEEDUP`]× faster (or not bit-identical) on the
 //! stall-heavy starved cell — how CI keeps the instrumentation, the
-//! two-speed engine, the checkpoint layer, the durability layer, the
+//! two-speed engine, shared cells, the durability layer, the
 //! sampling engine and the idle-skip fast path honest. `--quick`
 //! shrinks the cycle budgets and cell counts for a CI smoke run. The
 //! `off` mode *is* the disabled-PMU state — its hot-path cost is one
@@ -59,9 +59,9 @@ const MAX_SAMPLING_OVERHEAD_PCT: f64 = 20.0;
 /// Gate: functional warmup must fast-forward the warm phase at least
 /// this many times faster than the detailed engine simulates it.
 const MIN_WARMUP_SPEEDUP: f64 = 2.0;
-/// Gate: warm-state checkpoint sharing must cut the wall-clock of the
-/// sweep-shaped campaign leg by at least this factor (and the shared
-/// results must stay bit-identical to the plain run).
+/// Gate: shared cells must cut the wall-clock of the sweep-shaped
+/// campaign leg by at least this factor (and the shared results must
+/// stay bit-identical to the plain run).
 const MIN_REUSE_SPEEDUP: f64 = 3.0;
 /// Gate: write-ahead result journaling must cost at most this much over
 /// the identical un-journaled campaign leg, in percent of wall-clock —
@@ -99,8 +99,7 @@ struct Params {
     /// Duplicate cells in the warm-reuse leg.
     reuse_cells: usize,
     /// Fixed warm-phase length of the warm-reuse leg: pinned via the
-    /// FAME clamp so warmup dominates each cell, the regime checkpoint
-    /// sharing targets.
+    /// FAME clamp so warmup dominates each cell.
     reuse_warm_cycles: u64,
     /// Iteration count of the sampled-plan leg's programs: long enough
     /// that one repetition costs far more detailed cycles than the
@@ -303,13 +302,13 @@ fn timed_campaign(jobs: usize, count: usize) -> f64 {
 
 /// Runs the sweep-shaped warm-reuse leg — `reuse_cells` copies of the
 /// identical `ldint_l2`+`cpu_int` pair at (4,4), each dominated by the
-/// same fixed-length warm phase — with checkpoint sharing on or off.
-/// Returns the wall time and the per-cell IPC bit patterns so the two
-/// runs can be checked for bit-identity, which is the optimisation's
-/// whole contract.
+/// same fixed-length warm phase — with shared cells on or off. The leg
+/// is one identity, so sharing simulates one cell instead of
+/// `reuse_cells`. Returns the wall time and the per-cell IPC bit
+/// patterns so the two runs can be checked for bit-identity, which is
+/// the optimisation's whole contract.
 fn timed_reuse(p: &Params, reuse: bool) -> (f64, Vec<u64>) {
     let mut ctx = Experiments::quick().with_jobs(1);
-    ctx.core.plan.warm_reuse = reuse;
     ctx.fame.warmup = p5_fame::WarmupBudget::fixed(p.reuse_warm_cycles);
     let default = Priority::from_level(4).expect("valid");
     // Short repetitions keep the measure phase small next to the pinned
@@ -325,7 +324,10 @@ fn timed_reuse(p: &Params, reuse: bool) -> (f64, Vec<u64>) {
             )
         })
         .collect();
-    let spec = CampaignSpec::for_ctx(&ctx, cells);
+    let spec = CampaignSpec {
+        reuse_warmup: reuse,
+        ..CampaignSpec::for_ctx(&ctx, cells)
+    };
     let t = Instant::now();
     let result = Campaign::run(&ctx, &spec);
     let wall = t.elapsed().as_secs_f64();
@@ -550,10 +552,10 @@ fn main() {
         spread_pct(&journal_on_samples),
     );
 
-    // Warm-state checkpoint sharing on a sweep-shaped campaign: many
-    // cells repeating one workload pair, each dominated by the identical
-    // warm phase. Interleaved off/on rounds, medians, and a bit-identity
-    // check — the optimisation must be both fast and invisible.
+    // Shared cells on a sweep-shaped campaign: many cells repeating one
+    // workload pair, each dominated by the identical warm phase.
+    // Interleaved off/on rounds, medians, and a bit-identity check — the
+    // optimisation must be both fast and invisible.
     println!(
         "== warm reuse: {} duplicate cells, {} warm cycles each, reuse off vs on ==",
         p.reuse_cells, p.reuse_warm_cycles

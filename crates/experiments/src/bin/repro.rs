@@ -24,10 +24,9 @@
 //! statistically equivalent), or `sampled[:interval,period]` (interval
 //! sampling: short detailed measurement bursts alternating with
 //! functional fast-forward, every IPC reported as a mean with a 95%
-//! confidence interval). Suffix `+reuse` shares warm-state checkpoints
-//! across identical warm phases (bit-identical, wall-clock only —
-//! DESIGN.md §12). Any argument `--help` does not list, and a flag
-//! missing its value, is a usage error.
+//! confidence interval). `--help` prints the whole grammar. Any
+//! argument `--help` does not list, and a flag missing its value, is a
+//! usage error.
 //!
 //! `--pmu` adds the per-cell CPI-stack section; `--trace <path>`
 //! additionally captures the priority-switch transient and writes it as
@@ -100,12 +99,9 @@ OPTIONS:
     --json-dir DIR          export JSON artifacts into DIR
     --jobs N                campaign worker threads (default: all cores);
                             artifacts are byte-identical for every N
-    --plan SPEC             execution plan (DESIGN.md §15):
-                              detailed              cycle-level (default)
-                              detailed+ff           functional warmup
-                              sampled[:INT,PER]     interval sampling with
-                                                    95% confidence intervals
-                            append +reuse to share warm-state checkpoints
+    --plan SPEC             execution plan (DESIGN.md §15), a speed
+                            and any flags, e.g. detailed+ff:
+{plan}
     --pmu                   add the per-cell CPI-stack section
     --trace PATH            write the priority-switch Chrome trace to PATH
     --journal DIR           journal finished cells to DIR/journal.jsonl
@@ -129,6 +125,11 @@ EXIT CODES:
          fired; unfinished cells were skipped (with --journal, a
          --resume run picks up exactly where this one stopped)
 ";
+
+/// `HELP` with the plan grammar under `--plan SPEC`.
+fn help() -> String {
+    p5_experiments::with_plan_grammar(HELP, 28)
+}
 
 /// Every section `--only` accepts, in the order `--help` lists them.
 const SECTIONS: [&str; 14] = [
@@ -207,7 +208,7 @@ fn parsed_flag(args: &[String], flag: &str) -> Option<u64> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{HELP}");
+        print!("{}", help());
         return;
     }
     if let Err(e) = p5_experiments::check_args(&args, &SWITCHES, &VALUE_FLAGS) {
@@ -235,7 +236,7 @@ fn main() {
         Some(spec) => match p5_core::ExecutionPlan::parse(spec) {
             Ok(plan) => plan,
             Err(e) => {
-                eprintln!("--plan: {e}");
+                eprintln!("--plan: {e} (see --help)");
                 std::process::exit(1);
             }
         },
@@ -289,9 +290,9 @@ fn main() {
     }
     .with_jobs(jobs)
     // Three-speed engine: the plan picks the warmup engine, the measure
-    // schedule (detailed vs. interval sampling) and warm-state
-    // checkpoint sharing. The default detailed plan keeps artifacts
-    // bit-identical with earlier revisions. See DESIGN.md §15.
+    // schedule (detailed vs. interval sampling) and the idle skip. The
+    // default detailed plan keeps artifacts bit-identical with earlier
+    // revisions. See DESIGN.md §15.
     .with_plan(plan);
     if let Some(dir) = &journal_dir {
         let journal = if resume {
@@ -622,11 +623,12 @@ fn section(name: &str, run: impl FnOnce() -> String) {
 
 #[cfg(test)]
 mod tests {
-    use super::{HELP, SECTIONS, SWITCHES, VALUE_FLAGS};
+    use super::{help, SECTIONS, SWITCHES, VALUE_FLAGS};
 
     #[test]
     fn accepts_exactly_the_flags_help_lists() {
-        let options = HELP
+        let help = help();
+        let options = help
             .split_once("OPTIONS:")
             .and_then(|(_, rest)| rest.split_once("EXIT CODES:"))
             .expect("--help has an OPTIONS section")
@@ -657,7 +659,8 @@ mod tests {
 
     #[test]
     fn only_accepts_exactly_the_sections_help_names() {
-        let listed = HELP
+        let help = help();
+        let listed = help
             .split_once("sections (")
             .and_then(|(_, rest)| rest.split_once(')'))
             .expect("--help lists the sections in parentheses")

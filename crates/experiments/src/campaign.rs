@@ -25,6 +25,10 @@
 //!   shared between concurrently running cells. The `Arc<Mutex<_>>`
 //!   cells inside a core exist to make it `Send`, not to share data
 //!   across cells; their locks are uncontended.
+//! - **Shared cells.** Cells with one identity (what [`cell_key`]
+//!   hashes) have one result, so the campaign simulates the lowest id
+//!   of each such group once and gives its outcome to the others
+//!   ([`CampaignSpec::reuse_warmup`], DESIGN.md §12).
 //!
 //! Aggregated results — cell values, `recovered` counts, `degraded`
 //! annotations — are therefore independent of `jobs`, which the
@@ -83,15 +87,14 @@
 
 use crate::journal::{CellKey, StableHasher, JOURNAL_SCHEMA_VERSION};
 use crate::{CellCounts, CellStatus, Degradation, Experiments, Measured};
-use p5_core::{CancelToken, CoreConfig, SimError, WarmState, WarmupMode};
-use p5_fame::FameRunner;
+use p5_core::{CancelToken, CoreConfig, SimError, WarmupMode};
 use p5_fault::{FaultKind, FaultPlan, HostFaultKind};
 use p5_isa::{BranchBehavior, Op, Priority, Program, ThreadId};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Runs `f(0..n)` on up to `jobs` worker threads and returns the results
 /// in index order.
@@ -233,24 +236,24 @@ pub struct CampaignSpec {
     pub jobs: usize,
     /// Campaign seed each cell's RNG seed is derived from.
     pub seed: u64,
-    /// Whether cells with provably identical warm-ups may share one
-    /// warm-state checkpoint instead of each re-running the warm-up.
-    /// Results are byte-identical either way (see the warm-reuse notes
-    /// in the module docs).
+    /// Whether cells with one identity (what [`cell_key`] hashes) share
+    /// one simulation, warm-up and measurement both: the lowest id of
+    /// each group runs, and every other id gets its outcome. Results
+    /// are byte-identical either way (DESIGN.md §12).
     pub reuse_warmup: bool,
 }
 
 impl CampaignSpec {
     /// Builds a spec from an [`Experiments`] context: `jobs` from
     /// `ctx.jobs`, campaign seed from the configured core RNG seed,
-    /// warm-reuse from the plan's `warm_reuse` flag.
+    /// and shared cells on.
     #[must_use]
     pub fn for_ctx(ctx: &Experiments, cells: Vec<CellSpec>) -> CampaignSpec {
         CampaignSpec {
             cells,
             jobs: ctx.jobs,
             seed: ctx.core.rng_seed,
-            reuse_warmup: ctx.core.plan.warm_reuse,
+            reuse_warmup: true,
         }
     }
 }
@@ -385,21 +388,18 @@ pub fn derive_cell_seed(campaign_seed: u64, cell_id: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Identity of a cell's warm-up, for checkpoint sharing: two cells with
-/// equal keys run bit-identical warm phases, so the warm state of one
-/// is, byte for byte, the warm state of the other.
+/// The per-cell part of a cell's identity: two cells of one campaign
+/// with equal keys (and equal fault schedules) simulate bit-identically.
 ///
-/// The key covers everything the warm phase can observe: both programs
-/// (full structural fingerprints — body, streams, iteration counts),
-/// the priorities applied at setup (normalized to a sentinel for
+/// The key covers everything a cell sets up: both programs (full
+/// structural fingerprints — body, streams, iteration counts), the
+/// priorities applied at setup (normalized to a sentinel for
 /// single-thread cells, which never apply priorities), the warmup
 /// engine, and — only when a program contains `Random` branches, the
-/// one place the warm phase can consume the seeded RNG — the derived
-/// per-cell seed. Everything else the warm-up depends on (core and
-/// memory geometry, FAME warm-up budgets) is campaign-wide and thus
-/// equal across cells by construction; `restore_warm_state` re-checks
-/// the configuration anyway and the cell falls back to warming in place
-/// if it ever mismatched. [`cell_key`] hashes the same identity.
+/// one place a cell can consume the seeded RNG — the derived per-cell
+/// seed. Everything else a cell depends on (core and memory geometry,
+/// FAME budgets) is campaign-wide and thus equal across cells by
+/// construction. [`cell_key`] hashes the same identity.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct WarmupKey {
     primary: u64,
@@ -411,8 +411,8 @@ struct WarmupKey {
 
 /// Structural fingerprint of a program (name, iteration count, loop
 /// body, address streams). Hashed with [`StableHasher`] so the same
-/// binary produces the same fingerprint in every run — the warm-reuse
-/// table only needs within-process stability, but the result journal
+/// binary produces the same fingerprint in every run — shared cells
+/// only need within-process stability, but the result journal
 /// addresses records *across* runs with these fingerprints.
 fn program_fingerprint(program: &Program) -> u64 {
     let mut h = StableHasher::new();
@@ -424,7 +424,7 @@ fn program_fingerprint(program: &Program) -> u64 {
 }
 
 /// Whether the program can draw from the core's seeded RNG (only
-/// `Random` branches do). If so, differently-seeded cells warm
+/// `Random` branches do). If so, differently-seeded cells simulate
 /// differently and must not share.
 fn uses_rng(program: &Program) -> bool {
     program
@@ -433,9 +433,9 @@ fn uses_rng(program: &Program) -> bool {
         .any(|inst| matches!(inst.op, Op::Branch(BranchBehavior::Random { .. })))
 }
 
-/// The warm-up identity of cell `id`: the one definition that both
-/// checkpoint sharing ([`warmup_key`]) and the journal key
-/// ([`cell_key`]) hash.
+/// The per-cell identity of cell `id`: the one definition that both
+/// shared cells ([`shared_groups`]) and the journal key ([`cell_key`])
+/// hash.
 fn warm_identity(ctx: &Experiments, spec: &CampaignSpec, id: usize, cell: &CellSpec) -> WarmupKey {
     let rng_relevant = uses_rng(&cell.primary) || cell.secondary.as_ref().is_some_and(uses_rng);
     WarmupKey {
@@ -454,25 +454,12 @@ fn warm_identity(ctx: &Experiments, spec: &CampaignSpec, id: usize, cell: &CellS
     }
 }
 
-/// The warm-up identity of cell `id` for checkpoint sharing, or `None`
-/// if the cell is excluded: reuse disabled for the campaign, or a fault
-/// schedule attached (faults are injected at setup and land inside the
-/// warm phase, so a faulted warm-up is never identical to a clean one).
-fn warmup_key(
-    ctx: &Experiments,
-    spec: &CampaignSpec,
-    id: usize,
-    cell: &CellSpec,
-) -> Option<WarmupKey> {
-    (spec.reuse_warmup && cell.faults.is_none()).then(|| warm_identity(ctx, spec, id, cell))
-}
-
 /// Content-addressed journal key of cell `id` (see
 /// [`crate::journal`]): a [`StableHasher`] digest of the typed values
 /// the cell's measurement depends on —
 ///
 /// - the journal schema version (a bump invalidates every old record);
-/// - the cell's warm-up identity (`WarmupKey`): both program
+/// - the cell's identity (`WarmupKey`): both program
 ///   fingerprints, the normalized priorities, the warmup engine, and
 ///   the derived per-cell seed, but *only* when a program consumes the
 ///   seeded RNG — so identical RNG-free cells at different indices (or
@@ -485,8 +472,8 @@ fn warmup_key(
 /// The configurations hash through their `Hash` impls, which decide
 /// field by field what is identity. `ExecutionPlan` contributes its
 /// warmup engine and measure mode, so sampled results never stand in
-/// for detailed ones or vice versa. It leaves out warm reuse and the
-/// idle skip, which do not change a cell's bytes. `jobs`, the journal,
+/// for detailed ones or vice versa. It leaves out the idle skip, which
+/// does not change a cell's bytes. `jobs`, shared cells, the journal,
 /// deadlines, cancellation and chaos live outside the configurations
 /// and never reach the key.
 #[must_use]
@@ -507,7 +494,7 @@ pub fn cell_key(ctx: &Experiments, spec: &CampaignSpec, id: usize, cell: &CellSp
 }
 
 /// Loads a cell's programs and priorities onto a core — the setup every
-/// attempt (warm-in-place, checkpoint donor, restored) runs identically.
+/// attempt runs identically.
 fn setup_cell(core: &mut p5_core::SmtCore, cell: &CellSpec) {
     core.load_program(ThreadId::T0, cell.primary.clone());
     if let Some(secondary) = &cell.secondary {
@@ -517,89 +504,29 @@ fn setup_cell(core: &mut p5_core::SmtCore, cell: &CellSpec) {
     }
 }
 
-/// One shared warm-state checkpoint: which cell defines it and its
-/// lazily-computed payload.
-struct WarmGroup {
-    /// The *lowest* cell id carrying this key — chosen at planning time,
-    /// in id order, so the checkpoint's defining cell is independent of
-    /// worker scheduling.
-    rep_id: usize,
-    /// Computed by whichever worker needs the key first. `Some(None)`
-    /// records a failed computation (e.g. the warm-up stalled): every
-    /// member then warms in place, reproducing the non-reuse flow —
-    /// including its errors — exactly.
-    slot: OnceLock<Option<(Arc<WarmState>, u64)>>,
-}
-
-/// The campaign's checkpoint table: one [`WarmGroup`] per
-/// [`WarmupKey`] shared by at least two cells. Singleton keys get no
-/// entry — a checkpoint nobody else restores is pure overhead.
-struct WarmCheckpoints {
-    groups: HashMap<WarmupKey, WarmGroup>,
-}
-
-impl WarmCheckpoints {
-    /// Plans the sharing table for a campaign (cheap: hashes programs,
-    /// simulates nothing).
-    fn plan(ctx: &Experiments, spec: &CampaignSpec) -> WarmCheckpoints {
-        let mut members: HashMap<WarmupKey, (usize, usize)> = HashMap::new();
-        for (id, cell) in spec.cells.iter().enumerate() {
-            if let Some(key) = warmup_key(ctx, spec, id, cell) {
-                members.entry(key).or_insert((id, 0)).1 += 1;
-            }
+/// The cells of `spec` grouped by identity: each group in id order, the
+/// groups in the order of their lowest ids. The identity is what
+/// [`cell_key`] hashes within one campaign, [`warm_identity`] plus the
+/// fault schedule, so a group never merges cells the journal keeps
+/// apart. With `reuse_warmup` off, every cell is a group of its own.
+fn shared_groups(ctx: &Experiments, spec: &CampaignSpec) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut by_identity = HashMap::new();
+    for (id, cell) in spec.cells.iter().enumerate() {
+        let next = groups.len();
+        let group = if spec.reuse_warmup {
+            *by_identity
+                .entry((warm_identity(ctx, spec, id, cell), cell.faults))
+                .or_insert(next)
+        } else {
+            next
+        };
+        if group == next {
+            groups.push(Vec::new());
         }
-        WarmCheckpoints {
-            groups: members
-                .into_iter()
-                .filter(|&(_, (_, count))| count >= 2)
-                .map(|(key, (rep_id, _))| {
-                    (
-                        key,
-                        WarmGroup {
-                            rep_id,
-                            slot: OnceLock::new(),
-                        },
-                    )
-                })
-                .collect(),
-        }
+        groups[group].push(id);
     }
-
-    /// The shared checkpoint for cell `id`, computing it on first use,
-    /// or `None` if the cell does not participate in sharing (or the
-    /// computation failed).
-    fn checkpoint_for(
-        &self,
-        ctx: &Experiments,
-        spec: &CampaignSpec,
-        id: usize,
-        cell: &CellSpec,
-    ) -> Option<(Arc<WarmState>, u64)> {
-        let key = warmup_key(ctx, spec, id, cell)?;
-        let group = self.groups.get(&key)?;
-        group
-            .slot
-            .get_or_init(|| compute_checkpoint(ctx, spec, group.rep_id))
-            .clone()
-    }
-}
-
-/// Warms the representative cell once and checkpoints the boundary. A
-/// pure function of (ctx, spec, rep_id) — no worker identity, no time —
-/// so the checkpoint is deterministic no matter which worker gets here
-/// first.
-fn compute_checkpoint(
-    ctx: &Experiments,
-    spec: &CampaignSpec,
-    rep_id: usize,
-) -> Option<(Arc<WarmState>, u64)> {
-    let cell = &spec.cells[rep_id];
-    let mut rep_ctx = ctx.clone();
-    rep_ctx.core.rng_seed = derive_cell_seed(spec.seed, rep_id as u64);
-    let mut core = rep_ctx.try_new_core().ok()?;
-    setup_cell(&mut core, cell);
-    let warmup = FameRunner::new(rep_ctx.fame).warm_only(&mut core).ok()?;
-    Some((Arc::new(core.snapshot_warm_state()), warmup))
+    groups
 }
 
 /// The campaign engine. Stateless: [`Campaign::run`] is a function from
@@ -617,36 +544,55 @@ impl Campaign {
 
     /// [`Campaign::run`] with a progress observer. `on_event` is invoked
     /// from worker threads (hence `Sync`); see [`CampaignEvent`].
+    ///
+    /// The workers run one `execute_cell` per group of shared cells
+    /// (see [`CampaignSpec::reuse_warmup`]), on the group's lowest id.
+    /// Every other id of the group takes that `(measured, replayed)`
+    /// pair under its own id and label, and its `CellStarted` and
+    /// `CellFinished` events fire once the lowest id has finished.
     #[must_use]
     pub fn run_observed(
         ctx: &Experiments,
         spec: &CampaignSpec,
         on_event: impl Fn(&CampaignEvent<'_>) + Sync,
     ) -> CampaignResult {
-        let checkpoints = WarmCheckpoints::plan(ctx, spec);
-        let cells = parallel_map(spec.jobs, spec.cells.len(), |id| {
-            let cell = &spec.cells[id];
+        let groups = shared_groups(ctx, spec);
+        let results = parallel_map(spec.jobs, groups.len(), |g| {
+            let lowest = groups[g][0];
+            let cell = &spec.cells[lowest];
             on_event(&CampaignEvent::CellStarted {
-                id,
+                id: lowest,
                 label: &cell.label,
             });
-            let (measured, replayed) = execute_cell(ctx, spec, id, cell, &checkpoints);
-            on_event(&CampaignEvent::CellFinished {
-                id,
-                label: &cell.label,
-                status: measured.status,
-            });
-            CellOutcome {
-                id,
-                label: cell.label.clone(),
-                measured,
-                replayed,
+            let (measured, replayed) = execute_cell(ctx, spec, lowest, cell);
+            for &id in &groups[g] {
+                let label = &spec.cells[id].label;
+                if id != lowest {
+                    on_event(&CampaignEvent::CellStarted { id, label });
+                }
+                on_event(&CampaignEvent::CellFinished {
+                    id,
+                    label,
+                    status: measured.status,
+                });
             }
+            (measured, replayed)
         });
         if let Some(journal) = &ctx.journal {
             journal.flush();
         }
-        aggregate(cells)
+        let mut cells: Vec<Option<CellOutcome>> = vec![None; spec.cells.len()];
+        for (group, (measured, replayed)) in groups.iter().zip(results) {
+            for &id in group {
+                cells[id] = Some(CellOutcome {
+                    id,
+                    label: spec.cells[id].label.clone(),
+                    measured: measured.clone(),
+                    replayed,
+                });
+            }
+        }
+        aggregate(cells.into_iter().flatten().collect())
     }
 }
 
@@ -656,10 +602,7 @@ impl Campaign {
 /// journal-replay, deadline, panic-isolation, interruption and
 /// write-ahead steps), so with a journal attached as `ctx.journal` this
 /// is a content-addressed memoized call: a recorded key returns
-/// `(measured, true)` without simulating. What it deliberately does
-/// *not* get is a warm-checkpoint table — isolated calls have no
-/// sibling cells to share warm-ups with — which cannot change the bytes
-/// (warm reuse is bit-identical by contract), only the wall-clock.
+/// `(measured, true)` without simulating.
 ///
 /// The caller flushes the journal (if any) when its batch of cells is
 /// done; [`Campaign::run`] does the same at campaign end.
@@ -670,10 +613,7 @@ pub fn run_isolated_cell(
     id: usize,
     cell: &CellSpec,
 ) -> (Measured, bool) {
-    let checkpoints = WarmCheckpoints {
-        groups: HashMap::new(),
-    };
-    execute_cell(ctx, spec, id, cell, &checkpoints)
+    execute_cell(ctx, spec, id, cell)
 }
 
 /// The journal-replay step of the per-cell worker flow on its own: the
@@ -720,7 +660,7 @@ fn skipped() -> Measured {
 /// 4. **Per-cell deadline.** The cell's token is derived *here*, before
 ///    any chaos stall, so a stalled worker burns its own cell's budget.
 /// 5. **Panic isolation.** Everything that can execute cell code —
-///    chaos panics, checkpoint warming, the simulation itself — runs
+///    chaos panics and the simulation itself — runs
 ///    under `catch_unwind`; a panic becomes a `Crashed` outcome (with
 ///    [`SimError::CellPanic`] carrying the message) and the campaign
 ///    carries on.
@@ -733,12 +673,15 @@ fn skipped() -> Measured {
 ///    skipped cell, and never a [`SimError::Deadline`]: a wall-clock
 ///    limit depends on the host, and `cell_key` leaves it out, so a
 ///    journaled one would replay into runs that set no deadline.
+///
+/// A campaign calls this once per group of shared cells, on the group's
+/// lowest id, so a [`p5_fault::ChaosPlan`] fault scheduled on any other
+/// id of the group never fires: nothing runs there.
 fn execute_cell(
     ctx: &Experiments,
     spec: &CampaignSpec,
     id: usize,
     cell: &CellSpec,
-    checkpoints: &WarmCheckpoints,
 ) -> (Measured, bool) {
     if let Some(chaos) = &ctx.chaos {
         if chaos
@@ -780,15 +723,7 @@ fn execute_cell(
                 panic!("chaos: scheduled worker panic in cell {id}");
             }
         }
-        let warm = checkpoints.checkpoint_for(ctx, spec, id, cell);
-        run_cell(
-            ctx,
-            spec,
-            id,
-            cell,
-            warm.as_ref().map(|(state, cycles)| (&**state, *cycles)),
-            token.as_ref(),
-        )
+        run_cell(ctx, spec, id, cell, token.as_ref())
     }));
     let measured = match result {
         Ok(measured) => measured,
@@ -819,15 +754,12 @@ fn execute_cell(
 
 /// Simulates one cell: fresh context with the derived per-cell seed,
 /// programs loaded, priorities applied (pairs only), faults injected,
-/// then the shared resilient measure/retry path. When `warm` carries a
-/// shared checkpoint the first attempt restores it instead of warming
-/// in place; the result is bit-identical either way.
+/// then the shared resilient measure/retry path.
 fn run_cell(
     ctx: &Experiments,
     spec: &CampaignSpec,
     id: usize,
     cell: &CellSpec,
-    warm: Option<(&WarmState, u64)>,
     cancel: Option<&CancelToken>,
 ) -> Measured {
     let mut cell_ctx = ctx.clone();
@@ -844,7 +776,6 @@ fn run_cell(
                 }
             }
         },
-        warm,
         cancel,
     )
 }
@@ -878,6 +809,7 @@ mod tests {
     use p5_isa::{Op, Reg, StaticInst};
     use std::collections::HashSet;
     use std::sync::atomic::AtomicU64;
+    use std::sync::Arc;
 
     fn tiny_ctx() -> Experiments {
         Experiments::with_configs(
@@ -1207,65 +1139,6 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// A sweep-shaped campaign (identical workload pair, varying
-    /// priorities would split keys, so priorities are held fixed here)
-    /// plus one faulted cell. With reuse on, the three clean cells share
-    /// one checkpoint and the faulted cell is excluded; every number
-    /// must still be bit-identical to the reuse-off run.
-    #[test]
-    fn warm_reuse_is_bit_identical_and_excludes_faulted_cells() {
-        let ctx = tiny_ctx();
-        let run = |reuse: bool, jobs: usize| {
-            let mut cells: Vec<CellSpec> = (0..3)
-                .map(|i| {
-                    CellSpec::pair(
-                        format!("cell{i}"),
-                        load_program(60),
-                        cpu_program(40),
-                        crate::priority_pair(2),
-                    )
-                })
-                .collect();
-            cells.push(
-                CellSpec::pair(
-                    "faulted",
-                    load_program(60),
-                    cpu_program(40),
-                    crate::priority_pair(2),
-                )
-                .with_faults(CellFaults {
-                    seed: 0xFA_17,
-                    count: 2,
-                    horizon: 5_000,
-                }),
-            );
-            Campaign::run(
-                &ctx,
-                &CampaignSpec {
-                    cells,
-                    jobs,
-                    seed: 21,
-                    reuse_warmup: reuse,
-                },
-            )
-        };
-        let baseline = run(false, 1);
-        for (reuse, jobs) in [(true, 1), (true, 4)] {
-            let shared = run(reuse, jobs);
-            assert_eq!(baseline.cells.len(), shared.cells.len());
-            for (b, s) in baseline.cells.iter().zip(&shared.cells) {
-                assert_eq!(b.id, s.id);
-                assert_eq!(b.measured.status, s.measured.status);
-                assert_eq!(
-                    b.measured.total_ipc().map(f64::to_bits),
-                    s.measured.total_ipc().map(f64::to_bits),
-                    "cell {} must be bit-identical (reuse={reuse}, jobs={jobs})",
-                    b.label,
-                );
-            }
-        }
-    }
-
     /// Everything `cell_key` reads: the context, the campaign and the
     /// cell's index in it.
     #[derive(Clone)]
@@ -1318,7 +1191,7 @@ mod tests {
             id: 0,
         };
         #[rustfmt::skip]
-        let rows: [KeyRow; 39] = [
+        let rows: [KeyRow; 38] = [
             (SPLIT, "decode_width", |c| c.ctx.core.decode_width += 1),
             (SPLIT, "latencies.fp_div", |c| c.ctx.core.latencies.fp_div += 1),
             (SPLIT, "balancer.enabled", |c| c.ctx.core.balancer.enabled ^= true),
@@ -1351,7 +1224,6 @@ mod tests {
                 rng_cells(c);
                 c.spec.seed += 1;
             }),
-            (SHARE, "+reuse", |c| c.ctx.core.plan = plan("detailed+reuse")),
             (SHARE, "+noskip", |c| c.ctx.core.plan = plan("detailed+noskip")),
             (SHARE, "spec.reuse_warmup", |c| c.spec.reuse_warmup = true),
             (SHARE, "ctx.jobs", |c| c.ctx.jobs = 4),
@@ -1432,43 +1304,6 @@ mod tests {
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Identical clean cells share a warm-up key; a faulted cell gets
-    /// none, so the other members of its would-be group still share
-    /// among themselves. With reuse off, no cell gets a key.
-    #[test]
-    fn warmup_key_needs_reuse_and_no_faults() {
-        let ctx = tiny_ctx();
-        let mut spec = CampaignSpec {
-            cells: vec![
-                CellSpec::single("a", cpu_program(40)),
-                CellSpec::single("b", cpu_program(40)),
-                CellSpec::single("c", cpu_program(40)).with_faults(CellFaults {
-                    seed: 1,
-                    count: 1,
-                    horizon: 1_000,
-                }),
-            ],
-            jobs: 1,
-            seed: 5,
-            reuse_warmup: true,
-        };
-        let keys: Vec<Option<WarmupKey>> = spec
-            .cells
-            .iter()
-            .enumerate()
-            .map(|(id, cell)| warmup_key(&ctx, &spec, id, cell))
-            .collect();
-        assert!(keys[0].is_some());
-        assert_eq!(keys[0], keys[1], "identical clean cells share a key");
-        assert_eq!(keys[2], None, "faulted cells never share");
-        let table = WarmCheckpoints::plan(&ctx, &spec);
-        assert_eq!(table.groups.len(), 1, "one group of two members");
-        assert_eq!(table.groups.values().next().unwrap().rep_id, 0);
-        spec.reuse_warmup = false;
-        let table = WarmCheckpoints::plan(&ctx, &spec);
-        assert!(table.groups.is_empty(), "reuse off shares nothing");
     }
 
     /// A campaign run under a sampled plan produces estimates with a

@@ -409,9 +409,7 @@ impl Experiments {
     /// Returns this context running under the given
     /// [`ExecutionPlan`](p5_core::ExecutionPlan) (the `--plan` flag of
     /// the binaries): the plan lands on the core configuration, where
-    /// every campaign cell reads it, and its `warm_reuse` flag becomes
-    /// the campaign's checkpoint-sharing default
-    /// ([`campaign::CampaignSpec::for_ctx`]).
+    /// every campaign cell reads it.
     #[must_use]
     pub fn with_plan(mut self, plan: p5_core::ExecutionPlan) -> Experiments {
         self.core.plan = plan;
@@ -495,7 +493,6 @@ impl Experiments {
         self.measure_resilient(
             move |core| core.load_program(ThreadId::T0, program.clone()),
             None,
-            None,
         )
     }
 
@@ -509,15 +506,6 @@ impl Experiments {
     /// converged report after that is `Degraded`; it keeps the best
     /// report observed plus the error that limited it.
     ///
-    /// When `warm` is `Some((state, cycles))`, the first attempt
-    /// restores `state` (a checkpoint taken at
-    /// [`FameRunner::warm_only`]'s boundary for an identically-prepared
-    /// core) instead of re-running the warm-up, which is bit-identical
-    /// and much cheaper. A checkpoint that does not fit the cell — or a
-    /// first attempt that needs the escalated-budget retry — falls back
-    /// to the full warm-in-place path, so results never depend on
-    /// whether a checkpoint was supplied.
-    ///
     /// Under a [`CancelToken`](p5_core::CancelToken) every attempt's FAME
     /// runner checks the token between simulation chunks, so an expired
     /// token stops the measurement at a clean boundary with a
@@ -527,7 +515,6 @@ impl Experiments {
     pub fn measure_resilient(
         &self,
         setup: impl Fn(&mut SmtCore),
-        warm: Option<(&p5_core::WarmState, u64)>,
         cancel: Option<&p5_core::CancelToken>,
     ) -> Measured {
         let runner = |fame: FameConfig| -> FameRunner {
@@ -541,18 +528,6 @@ impl Experiments {
             setup(&mut core);
             runner(fame).try_measure(&mut core)
         };
-        let attempt_restored =
-            |state: &p5_core::WarmState, warmup_cycles: u64| -> Result<FameReport, SimError> {
-                let mut core = self.try_new_core()?;
-                setup(&mut core);
-                if core.restore_warm_state(state).is_err() {
-                    // Mismatched checkpoint: warm in place instead. The
-                    // measurement is bit-identical either way; only the
-                    // wall-clock differs.
-                    return attempt(self.fame);
-                }
-                runner(self.fame).try_measure_restored(&mut core, warmup_cycles)
-            };
         let budget_error = |fame: &FameConfig, report: &FameReport| SimError::BudgetExhausted {
             cycle_budget: fame.max_cycles,
             repetitions: [0, 1].map(|i| report.threads[i].map_or(0, |m| m.repetitions)),
@@ -565,10 +540,7 @@ impl Experiments {
             }),
         };
 
-        let first = match warm {
-            Some((state, warmup_cycles)) => attempt_restored(state, warmup_cycles),
-            None => attempt(self.fame),
-        };
+        let first = attempt(self.fame);
         if let Ok(report) = &first {
             if report.converged() {
                 return Measured {
@@ -676,6 +648,17 @@ pub fn check_args(args: &[String], switches: &[&str], value_flags: &[&str]) -> R
         }
     }
     Ok(())
+}
+
+/// A binary's `--help` text with its `{plan}` line replaced by
+/// [`ExecutionPlan::GRAMMAR`](p5_core::ExecutionPlan::GRAMMAR), each
+/// grammar line indented to `column`.
+#[must_use]
+pub fn with_plan_grammar(help: &str, column: usize) -> String {
+    let grammar: String = (p5_core::ExecutionPlan::GRAMMAR.lines())
+        .map(|line| format!("{:column$}{line}\n", ""))
+        .collect();
+    help.replace("{plan}\n", &grammar)
 }
 
 #[cfg(test)]

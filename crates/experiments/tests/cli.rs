@@ -36,6 +36,9 @@ fn help_documents_the_plan_flag() {
     assert_eq!(out.status.code(), Some(0));
     let text = String::from_utf8(out.stdout).expect("help is UTF-8");
     assert!(text.contains("--plan SPEC"), "help documents --plan");
+    for line in p5_core::ExecutionPlan::GRAMMAR.lines() {
+        assert!(text.contains(line), "help prints the grammar line {line:?}");
+    }
 }
 
 #[test]
@@ -79,9 +82,10 @@ fn unknown_arguments_are_usage_errors() {
 
 #[test]
 fn invalid_plan_spec_is_a_usage_error() {
-    // `+mt` named the threaded chip, which is gone: it is an unknown
-    // plan flag now, not one silently ignored.
-    for spec in ["warp-speed", "detailed+mt"] {
+    // `+mt` named the threaded chip and `+reuse` the warm-state
+    // checkpoints, which are gone: they are unknown plan flags now, not
+    // ones silently ignored.
+    for spec in ["warp-speed", "detailed+mt", "detailed+reuse"] {
         let out = repro()
             .args(["--quick", "--only", "table1", "--plan", spec])
             .output()
@@ -129,12 +133,13 @@ fn calibrate_resume_without_journal_is_a_usage_error() {
 #[test]
 fn calibrate_rejects_arguments_it_cannot_run() {
     // A sampled measure does not fit fixed-window calibration, the
-    // threaded chip's `+mt` and the pre-plan flags are gone, and a value
-    // flag needs its value: each fails before anything is simulated,
-    // naming the argument.
+    // threaded chip's `+mt`, the checkpoints' `+reuse` and the pre-plan
+    // flags are gone, and a value flag needs its value: each fails
+    // before anything is simulated, naming the argument.
     for (args, named) in [
         (&["--plan", "sampled"][..], "--plan"),
         (&["--plan", "detailed+mt"], "--plan"),
+        (&["--plan", "detailed+reuse"], "--plan"),
         (&["--fast-forward"], "--fast-forward"),
         (&["--chip-threads", "2"], "--chip-threads"),
         (&["--journal"], "--journal"),
@@ -146,6 +151,16 @@ fn calibrate_rejects_arguments_it_cannot_run() {
         let text = String::from_utf8(out.stdout).expect("stdout is UTF-8");
         assert!(text.is_empty(), "nothing ran: {text}");
     }
+    // A plan that does not parse prints the grammar.
+    let out = calibrate()
+        .args(["--plan", "detailed+reuse"])
+        .output()
+        .expect("calibrate runs");
+    let err = String::from_utf8(out.stderr).expect("stderr is UTF-8");
+    assert!(
+        err.contains(p5_core::ExecutionPlan::GRAMMAR),
+        "usage error prints the grammar: {err}"
+    );
 }
 
 #[test]

@@ -542,10 +542,10 @@ impl FameRunner {
     /// and statistics reset [`try_measure`](FameRunner::try_measure)
     /// performs before it starts measuring — and returns the warm-up
     /// length in cycles. On success the core sits exactly at the
-    /// warmup→measurement boundary; capturing it there with
-    /// [`SmtCore::snapshot_warm_state`] and later restoring it makes
-    /// [`try_measure_restored`](FameRunner::try_measure_restored)
-    /// bit-identical to having called `try_measure` outright.
+    /// warmup→measurement boundary, so following it with
+    /// [`try_measure_restored`](FameRunner::try_measure_restored) is
+    /// `try_measure` itself, split where a caller can time or inspect
+    /// the two phases apart.
     ///
     /// The two-speed engine dispatches here: functional mode
     /// fast-forwards the whole budget in one stall-free call; detailed
@@ -577,14 +577,11 @@ impl FameRunner {
         Ok(warmup)
     }
 
-    /// Runs the measurement phase on a core whose warm state was just
-    /// reinstated by [`SmtCore::restore_warm_state`] from a checkpoint
-    /// taken at [`warm_only`](FameRunner::warm_only)'s boundary.
-    /// `warmup_cycles` is the value `warm_only` returned when the
-    /// checkpoint was made (reported verbatim in the
-    /// [`FameReport`]). The report is bit-identical to what
-    /// [`try_measure`](FameRunner::try_measure) would have produced by
-    /// re-running the warm-up in place.
+    /// Runs the measurement phase on a core that
+    /// [`warm_only`](FameRunner::warm_only) has just warmed.
+    /// `warmup_cycles` is the value `warm_only` returned (reported
+    /// verbatim in the [`FameReport`]). The two calls in sequence are
+    /// [`try_measure`](FameRunner::try_measure), bit for bit.
     ///
     /// # Errors
     ///
@@ -1156,45 +1153,6 @@ mod tests {
             FameRunner::new(FameConfig::quick()).measure(&mut core)
         };
         assert_eq!(run(), run(), "same seed, same schedule, same bits");
-    }
-
-    #[test]
-    fn restored_measurement_is_bit_identical_to_in_place() {
-        for mode in [WarmupMode::Detailed, WarmupMode::Functional] {
-            let mut cfg = CoreConfig::tiny_for_tests();
-            cfg.plan.warmup = mode;
-            let runner = FameRunner::new(FameConfig::quick());
-
-            // Reference: warm and measure in place.
-            let mut reference = SmtCore::new(cfg.clone());
-            reference.load_program(ThreadId::T0, chase_program(8 * 1024, 500));
-            let expected = runner.try_measure(&mut reference).unwrap();
-
-            // Checkpoint path: warm once, snapshot, restore into a cold
-            // core, measure from the restored state.
-            let mut donor = SmtCore::new(cfg.clone());
-            donor.load_program(ThreadId::T0, chase_program(8 * 1024, 500));
-            let warmup = runner.warm_only(&mut donor).unwrap();
-            let snap = donor.snapshot_warm_state();
-
-            let mut restored = SmtCore::new(cfg);
-            restored.restore_warm_state(&snap).unwrap();
-            let got = runner.try_measure_restored(&mut restored, warmup).unwrap();
-
-            assert_eq!(got.warmup_cycles, expected.warmup_cycles, "{mode:?}");
-            assert_eq!(got.measured_cycles, expected.measured_cycles, "{mode:?}");
-            let (a, b) = (
-                got.thread(ThreadId::T0).unwrap(),
-                expected.thread(ThreadId::T0).unwrap(),
-            );
-            assert_eq!(a.ipc.to_bits(), b.ipc.to_bits(), "{mode:?}");
-            assert_eq!(a.repetitions, b.repetitions, "{mode:?}");
-            assert_eq!(
-                a.avg_repetition_cycles.to_bits(),
-                b.avg_repetition_cycles.to_bits(),
-                "{mode:?}"
-            );
-        }
     }
 
     #[test]

@@ -202,45 +202,6 @@ impl Cache {
     pub fn resident_lines(&self) -> usize {
         self.lines.iter().filter(|l| l.valid).count()
     }
-
-    /// Captures the full replacement state (lines, LRU clock, statistics)
-    /// for later [`Cache::restore`]. The snapshot pins the geometry it was
-    /// taken under so a restore into a differently-shaped cache is refused.
-    #[must_use]
-    pub fn snapshot(&self) -> CacheSnapshot {
-        CacheSnapshot {
-            config: self.config,
-            lines: self.lines.clone(),
-            tick: self.tick,
-            stats: self.stats,
-        }
-    }
-
-    /// Restores state captured by [`Cache::snapshot`]. After this call the
-    /// cache behaves bit-identically to the one the snapshot was taken
-    /// from: same contents, same LRU ordering, same statistics.
-    ///
-    /// Returns `false` (leaving the cache untouched) if the snapshot was
-    /// taken under a different geometry.
-    pub fn restore(&mut self, snap: &CacheSnapshot) -> bool {
-        if snap.config != self.config {
-            return false;
-        }
-        self.lines.clone_from(&snap.lines);
-        self.tick = snap.tick;
-        self.stats = snap.stats;
-        true
-    }
-}
-
-/// Opaque copy of a [`Cache`]'s warm state: contents, LRU ordering and
-/// statistics, tied to the geometry it was captured under.
-#[derive(Debug, Clone)]
-pub struct CacheSnapshot {
-    config: CacheConfig,
-    lines: Vec<Line>,
-    tick: u64,
-    stats: CacheStats,
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! The three-level shared hierarchy.
 
-use crate::cache::{Cache, CacheSnapshot, CacheStats};
+use crate::cache::{Cache, CacheStats};
 use crate::config::MemConfig;
-use crate::tlb::{Tlb, TlbSnapshot, TlbStats};
+use crate::tlb::{Tlb, TlbStats};
 use p5_isa::ThreadId;
 use p5_pmu::SharedMemCounters;
 use std::fmt;
@@ -409,56 +409,6 @@ impl MemoryHierarchy {
         self.l1d.probe(addr)
     }
 
-    /// Captures the warm state of every level — L1, L2, L3, the data
-    /// TLB, the prefetcher's stream trackers and the aggregated
-    /// statistics — for later [`MemoryHierarchy::restore`]. Works for
-    /// both private and chip-shared levels (a shared level is copied out
-    /// under its lock). The attached PMU cell, if any, is not part of the
-    /// snapshot.
-    #[must_use]
-    pub fn snapshot(&self) -> MemSnapshot {
-        MemSnapshot {
-            config: self.config,
-            l1d: self.l1d.snapshot(),
-            l2: self.l2_ref().snapshot(),
-            l3: self.l3_ref().snapshot(),
-            dtlb: self.dtlb_ref().snapshot(),
-            stats: self.stats,
-            last_line: self.last_line,
-        }
-    }
-
-    /// Restores state captured by [`MemoryHierarchy::snapshot`]: after
-    /// this call, accesses behave bit-identically to the hierarchy the
-    /// snapshot was taken from. Returns `false` (leaving the hierarchy
-    /// untouched) if the snapshot was taken under a different
-    /// configuration. The attached PMU cell, if any, is left as-is.
-    pub fn restore(&mut self, snap: &MemSnapshot) -> bool {
-        if snap.config != self.config {
-            return false;
-        }
-        let ok = self.l1d.restore(&snap.l1d)
-            && match &mut self.levels {
-                Levels::Private(p) => {
-                    p.l2.restore(&snap.l2) && p.l3.restore(&snap.l3) && p.dtlb.restore(&snap.dtlb)
-                }
-                Levels::Shared(s) => {
-                    s.l2().restore(&snap.l2)
-                        && s.l3().restore(&snap.l3)
-                        && s.dtlb().restore(&snap.dtlb)
-                }
-            };
-        if !ok {
-            // Unreachable when `snap.config == self.config` (each level's
-            // geometry is derived from the same `MemConfig`), but keep the
-            // contract honest rather than asserting.
-            return false;
-        }
-        self.stats = snap.stats;
-        self.last_line = snap.last_line;
-        true
-    }
-
     /// Invalidates all cache levels (not the TLB).
     pub fn invalidate_caches(&mut self) {
         self.l1d.invalidate_all();
@@ -557,21 +507,6 @@ fn access_walk(
         latency: base_latency + tlb_penalty,
         tlb_miss,
     }
-}
-
-/// Opaque copy of a [`MemoryHierarchy`]'s warm state: every level's
-/// contents and LRU ordering, the prefetcher stream trackers, and the
-/// aggregated statistics, tied to the [`MemConfig`] it was captured
-/// under. Produced by [`MemoryHierarchy::snapshot`].
-#[derive(Debug, Clone)]
-pub struct MemSnapshot {
-    config: MemConfig,
-    l1d: CacheSnapshot,
-    l2: CacheSnapshot,
-    l3: CacheSnapshot,
-    dtlb: TlbSnapshot,
-    stats: MemStats,
-    last_line: [Option<u64>; 2],
 }
 
 fn level_index(level: HitLevel) -> usize {
@@ -730,46 +665,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_is_bit_identical() {
-        let mut warm = tiny();
-        for i in 0..64u64 {
-            warm.access(ThreadId::T0, i * 64, false);
-            warm.access(ThreadId::T1, 0x40000 + i * 128, i % 2 == 0);
-        }
-        let snap = warm.snapshot();
-
-        // A cold hierarchy restored from the snapshot must serve the
-        // exact same levels at the exact same latencies as the warm one.
-        let mut restored = tiny();
-        assert!(restored.restore(&snap));
-        assert_eq!(restored.stats(), warm.stats());
-        assert_eq!(restored.resident_lines(), warm.resident_lines());
-        for i in (0..80u64).rev() {
-            let a = warm.access(ThreadId::T0, i * 64, false);
-            let b = restored.access(ThreadId::T0, i * 64, false);
-            assert_eq!(a, b, "divergence at line {i}");
-        }
-        assert_eq!(restored.stats(), warm.stats());
-    }
-
-    #[test]
-    fn snapshot_restore_works_on_shared_levels() {
-        let cfg = MemConfig::tiny_for_tests();
-        let mut private = MemoryHierarchy::new(cfg);
-        for i in 0..32u64 {
-            private.access(ThreadId::T0, i * 64, false);
-        }
-        let snap = private.snapshot();
-        let mut shared = MemoryHierarchy::with_shared(cfg, SharedCaches::new(&cfg));
-        assert!(shared.restore(&snap));
-        assert_eq!(shared.resident_lines(), private.resident_lines());
-        assert_eq!(
-            shared.access(ThreadId::T0, 0, false),
-            private.access(ThreadId::T0, 0, false)
-        );
-    }
-
-    #[test]
     fn shared_levels_survive_a_neighbor_panic() {
         let cfg = MemConfig::tiny_for_tests();
         let shared = SharedCaches::new(&cfg);
@@ -789,15 +684,6 @@ mod tests {
         assert_eq!(a.level, HitLevel::Memory);
         let b = victim.access(ThreadId::T0, 0x4000, false);
         assert_eq!(b.level, HitLevel::L1, "earlier warm state survives");
-    }
-
-    #[test]
-    fn restore_refuses_mismatched_config() {
-        let snap = tiny().snapshot();
-        let mut cfg = MemConfig::tiny_for_tests();
-        cfg.memory_latency += 1;
-        let mut other = MemoryHierarchy::new(cfg);
-        assert!(!other.restore(&snap));
     }
 
     #[test]

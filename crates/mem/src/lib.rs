@@ -32,7 +32,7 @@ mod config;
 mod hierarchy;
 mod tlb;
 
-pub use cache::{Cache, CacheSnapshot, CacheStats};
+pub use cache::{Cache, CacheStats};
 pub use config::{CacheConfig, MemConfig, TlbConfig};
-pub use hierarchy::{Access, HitLevel, MemSnapshot, MemStats, MemoryHierarchy, SharedCaches};
-pub use tlb::{Tlb, TlbSnapshot, TlbStats};
+pub use hierarchy::{Access, HitLevel, MemStats, MemoryHierarchy, SharedCaches};
+pub use tlb::{Tlb, TlbStats};

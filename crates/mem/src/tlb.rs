@@ -127,41 +127,6 @@ impl Tlb {
         };
         self.config.miss_penalty
     }
-
-    /// Captures entries, LRU clock and statistics for later
-    /// [`Tlb::restore`].
-    #[must_use]
-    pub fn snapshot(&self) -> TlbSnapshot {
-        TlbSnapshot {
-            config: self.config,
-            entries: self.entries.clone(),
-            tick: self.tick,
-            stats: self.stats,
-        }
-    }
-
-    /// Restores state captured by [`Tlb::snapshot`]; bit-identical
-    /// behaviour follows. Returns `false` (leaving the TLB untouched) if
-    /// the snapshot was taken under a different configuration.
-    pub fn restore(&mut self, snap: &TlbSnapshot) -> bool {
-        if snap.config != self.config {
-            return false;
-        }
-        self.entries.clone_from(&snap.entries);
-        self.tick = snap.tick;
-        self.stats = snap.stats;
-        true
-    }
-}
-
-/// Opaque copy of a [`Tlb`]'s warm state, tied to the configuration it
-/// was captured under.
-#[derive(Debug, Clone)]
-pub struct TlbSnapshot {
-    config: TlbConfig,
-    entries: Vec<Entry>,
-    tick: u64,
-    stats: TlbStats,
 }
 
 #[cfg(test)]

@@ -29,10 +29,10 @@ OPTIONS:
     --fidelity NAME     paper | quick | tiny (default: quick)
     --seed N            campaign seed (default: the fidelity's seed,
                         matching offline repro)
-    --plan SPEC         execution plan, same grammar as repro --plan:
-                        detailed (default), detailed+ff, or
-                        sampled[:INTERVAL,PERIOD]; sampled and detailed
-                        results occupy disjoint cache entries
+    --plan SPEC         execution plan, a speed and any flags (sampled
+                        and detailed results occupy disjoint cache
+                        entries):
+{plan}
     --no-cache          force every cell to simulate server-side
     --csv-dir DIR       with --grid table3: write table3.csv into DIR
     --json-dir DIR      with --grid table3: write table3.json into DIR
@@ -110,7 +110,7 @@ fn write_artifact(dir: Option<&PathBuf>, name: &str, contents: &str) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{HELP}");
+        print!("{}", p5_experiments::with_plan_grammar(HELP, 24));
         return;
     }
     if let Err(e) = p5_experiments::check_args(&args, &SWITCHES, &VALUE_FLAGS) {

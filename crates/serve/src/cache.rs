@@ -8,9 +8,8 @@
 //! schedule, and the core + FAME configuration through their typed
 //! `Hash` impls), so *any* two requests that would measure the same
 //! bytes share one record — across clients, across connections, across
-//! plans that differ only in wall-time settings (warm reuse, the idle
-//! skip), and (with a journal directory) across daemon
-//! restarts. The daemon attaches the cache's journal to each
+//! plans that differ only in a wall-time setting (the idle skip), and
+//! (with a journal directory) across daemon restarts. The daemon attaches the cache's journal to each
 //! request's [`Experiments`](p5_experiments::Experiments) context and
 //! looks every cell up with
 //! [`p5_experiments::campaign::replay_cell`] on the connection's

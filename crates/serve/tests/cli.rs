@@ -17,8 +17,10 @@ fn unknown_arguments_are_usage_errors_before_connecting() {
             "--chip-threads",
         ),
         (&["--cell", "cpu_int", "--cell"], "--cell"),
-        // The threaded chip's `+mt` is an unknown plan flag.
+        // The threaded chip's `+mt` and the warm-state checkpoints'
+        // `+reuse` are unknown plan flags.
         (&["--cell", "cpu_int", "--plan", "detailed+mt"], "--plan"),
+        (&["--cell", "cpu_int", "--plan", "detailed+reuse"], "--plan"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_p5_client"))
             .args(["--unix", socket])
@@ -28,5 +30,18 @@ fn unknown_arguments_are_usage_errors_before_connecting() {
         assert_eq!(out.status.code(), Some(1), "{args:?} exits 1");
         let err = String::from_utf8(out.stderr).expect("stderr is UTF-8");
         assert!(err.contains(named), "{args:?}: error names {named}: {err}");
+    }
+}
+
+#[test]
+fn help_prints_the_plan_grammar() {
+    let out = Command::new(env!("CARGO_BIN_EXE_p5_client"))
+        .arg("--help")
+        .output()
+        .expect("p5_client runs");
+    assert_eq!(out.status.code(), Some(0));
+    let text = String::from_utf8(out.stdout).expect("help is UTF-8");
+    for line in p5_core::ExecutionPlan::GRAMMAR.lines() {
+        assert!(text.contains(line), "help prints the grammar line {line:?}");
     }
 }

@@ -6,8 +6,8 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
-echo "== cargo fmt --check (p5-core, p5-fame) =="
-cargo fmt --check -p p5-core -p p5-fame
+echo "== cargo fmt --check (whole workspace) =="
+cargo fmt --check --all
 
 echo "== cargo build --release =="
 cargo build --release --offline --workspace
@@ -39,20 +39,24 @@ if ! diff -r artifacts/jobs1 artifacts/jobs2 > artifacts/determinism.diff; then
 fi
 rm artifacts/determinism.diff
 
-# Warm-reuse determinism: the same artifact with checkpoint sharing on
-# (and a different worker count) must be byte-identical to the plain
-# jobs-1 run — reuse is wall-clock only (DESIGN.md §12).
-echo "== warm-reuse determinism: --plan detailed+reuse artifacts vs plain =="
-mkdir -p artifacts/reuse_on
+# Shared-cell determinism: fig6 is the presented campaign whose cells
+# repeat (its worst-case points re-measure eight grid cells), so each
+# repeat takes its twin's outcome (DESIGN.md §12). Its artifacts must be
+# byte-identical at --jobs 1 and --jobs 2.
+echo "== shared-cell determinism: fig6 --jobs 1 vs --jobs 2 artifacts =="
+mkdir -p artifacts/fig6_jobs1 artifacts/fig6_jobs2
 cargo run --release --offline -p p5-experiments --bin repro -- \
-  --quick --only table3 --jobs 2 --plan detailed+reuse \
-  --csv-dir artifacts/reuse_on --json-dir artifacts/reuse_on > /dev/null
-if ! diff -r artifacts/jobs1 artifacts/reuse_on > artifacts/warm_reuse.diff; then
-  echo "WARM-REUSE GATE FAILED: --plan detailed+reuse artifacts differ from plain run"
-  cat artifacts/warm_reuse.diff
+  --quick --only fig6 --jobs 1 \
+  --csv-dir artifacts/fig6_jobs1 --json-dir artifacts/fig6_jobs1 > /dev/null
+cargo run --release --offline -p p5-experiments --bin repro -- \
+  --quick --only fig6 --jobs 2 \
+  --csv-dir artifacts/fig6_jobs2 --json-dir artifacts/fig6_jobs2 > /dev/null
+if ! diff -r artifacts/fig6_jobs1 artifacts/fig6_jobs2 > artifacts/shared_cells.diff; then
+  echo "SHARED-CELL GATE FAILED: fig6 --jobs 1 and --jobs 2 artifacts differ"
+  cat artifacts/shared_cells.diff
   exit 1
 fi
-rm artifacts/warm_reuse.diff
+rm artifacts/shared_cells.diff
 
 # Idle-skip determinism: the event-horizon idle skip is wall-clock only
 # (DESIGN.md §17) — `--plan detailed+noskip` runs of the quick table3
@@ -242,13 +246,13 @@ test -s artifacts/priority_switch_trace.json
 test -s artifacts/pmu.json
 
 # Smoke-sized run (--quick): gates PMU overhead, the two-speed warmup
-# speedup, the warm-reuse speedup/bit-identity, the result-journal
+# speedup, the shared-cell speedup/bit-identity, the result-journal
 # write overhead, the sampled-plan speedup, and the idle-skip
 # speedup/bit-identity without the full snapshot's cost. The committed
 # BENCH_repro.json is the full-methodology snapshot, refreshed manually
 # on perf-relevant changes (see PERF.md), so the quick artifact stays in
 # artifacts/ and does not overwrite it.
-echo "== perf smoke: PMU overhead + two-speed warmup + warm-reuse + journal + sampled + idle-skip gates =="
+echo "== perf smoke: PMU overhead + two-speed warmup + shared cells + journal + sampled + idle-skip gates =="
 cargo run --release --offline -p p5-experiments --bin perf_snapshot -- \
   --out artifacts/BENCH_quick.json --check --quick
 
