@@ -6,40 +6,6 @@ use p5_mem::MemConfig;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-/// A configuration rejected by [`CoreConfigBuilder::build`].
-///
-/// Carries the offending field plus a human-readable reason, and
-/// converts into [`SimError::InvalidConfig`] for callers that propagate
-/// simulator errors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfigError {
-    /// The field (or field pair, for cross-field checks) at fault.
-    pub field: &'static str,
-    /// Why the value was rejected.
-    pub message: String,
-}
-
-impl fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "invalid core configuration ({}): {}",
-            self.field, self.message
-        )
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
-impl From<ConfigError> for SimError {
-    fn from(e: ConfigError) -> SimError {
-        SimError::InvalidConfig {
-            field: e.field,
-            message: e.message,
-        }
-    }
-}
-
 /// Execution latencies per instruction class, in cycles from issue to
 /// result availability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -459,9 +425,9 @@ pub struct CoreConfig {
     /// well under 1 000 cycles).
     pub watchdog_stall_cycles: u64,
     /// The execution plan: how warmup runs, how the measured phase runs,
-    /// and whether warm-state checkpoints may be shared (see
-    /// [`ExecutionPlan`]). The FAME runner consults this; the default
-    /// fully detailed plan is bit-identical to the pre-plan engine.
+    /// and whether the engine skips idle spans (see [`ExecutionPlan`]).
+    /// The FAME runner consults this; the default fully detailed plan is
+    /// bit-identical to the pre-plan engine.
     pub plan: ExecutionPlan,
 }
 
@@ -508,15 +474,19 @@ impl CoreConfig {
     ///
     /// `lmq_entries == 0` is deliberately allowed (see the field docs):
     /// it is the canonical way to build a wedged core for watchdog
-    /// tests. Everything else that would make the pipeline degenerate is
-    /// rejected.
+    /// tests, so the balancer's miss cap is not checked against the LMQ
+    /// either. Everything else that would make the pipeline degenerate
+    /// is rejected.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] naming the offending field if
     /// any width, queue or table size is zero (other than the LMQ), an
     /// issue queue has more than 64 entries, or the watchdog window is
-    /// absurdly small.
+    /// absurdly small; then, after those per-field checks, if an enabled
+    /// balancer has a zero cap, a GCT cap above `gct_entries` or a
+    /// deep-miss cap above the plain GCT cap, if an execution latency
+    /// is zero, or if an occupancy falls outside `1..=` its latency.
     pub fn try_validate(&self) -> Result<(), SimError> {
         fn nonzero(field: &'static str, n: usize) -> Result<(), SimError> {
             if n == 0 {
@@ -585,190 +555,25 @@ impl CoreConfig {
             }
         }
         self.mem.validate();
-        Ok(())
-    }
-
-    /// Validates structural parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`CoreConfig::try_validate`] rejects the configuration.
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
-
-    /// A validating fluent builder, seeded with the
-    /// [`CoreConfig::power5_like`] defaults.
-    ///
-    /// Unlike constructing the struct directly, [`CoreConfigBuilder::build`]
-    /// rejects degenerate GCT/LMQ/latency combinations up front — including
-    /// the deliberately pathological `lmq_entries == 0` that the raw struct
-    /// permits for watchdog tests.
-    #[must_use]
-    pub fn builder() -> CoreConfigBuilder {
-        CoreConfigBuilder {
-            config: CoreConfig::power5_like(),
-        }
-    }
-}
-
-/// Fluent, validating builder for [`CoreConfig`]. Obtain via
-/// [`CoreConfig::builder`]; every setter returns `self`, and
-/// [`CoreConfigBuilder::build`] validates the whole configuration —
-/// per-field structural checks plus the cross-field invariants (balancer
-/// caps versus table sizes, execution-unit occupancies versus latencies)
-/// that a hand-rolled struct literal can silently violate.
-#[derive(Debug, Clone)]
-pub struct CoreConfigBuilder {
-    config: CoreConfig,
-}
-
-impl CoreConfigBuilder {
-    /// Instructions decoded per decode cycle.
-    #[must_use]
-    pub fn decode_width(mut self, width: usize) -> Self {
-        self.config.decode_width = width;
-        self
-    }
-
-    /// Global Completion Table entries.
-    #[must_use]
-    pub fn gct_entries(mut self, entries: usize) -> Self {
-        self.config.gct_entries = entries;
-        self
-    }
-
-    /// Load-miss-queue entries. `build` rejects zero — use a raw struct
-    /// literal when a deliberately wedged core is wanted.
-    #[must_use]
-    pub fn lmq_entries(mut self, entries: usize) -> Self {
-        self.config.lmq_entries = entries;
-        self
-    }
-
-    /// Branch mispredict penalty in cycles.
-    #[must_use]
-    pub fn mispredict_penalty(mut self, cycles: u64) -> Self {
-        self.config.mispredict_penalty = cycles;
-        self
-    }
-
-    /// Execution latencies.
-    #[must_use]
-    pub fn latencies(mut self, latencies: OpLatencies) -> Self {
-        self.config.latencies = latencies;
-        self
-    }
-
-    /// Dynamic resource balancer configuration.
-    #[must_use]
-    pub fn balancer(mut self, balancer: BalancerConfig) -> Self {
-        self.config.balancer = balancer;
-        self
-    }
-
-    /// Memory hierarchy configuration.
-    #[must_use]
-    pub fn mem(mut self, mem: MemConfig) -> Self {
-        self.config.mem = mem;
-        self
-    }
-
-    /// Low-power-mode decode period (both threads at priority 1).
-    #[must_use]
-    pub fn low_power_decode_period(mut self, period: u64) -> Self {
-        self.config.low_power_decode_period = period;
-        self
-    }
-
-    /// RNG seed for data-dependent branch outcomes.
-    #[must_use]
-    pub fn rng_seed(mut self, seed: u64) -> Self {
-        self.config.rng_seed = seed;
-        self
-    }
-
-    /// Whether idle decode slots are offered to the sibling (ablation).
-    #[must_use]
-    pub fn steal_idle_decode_slots(mut self, steal: bool) -> Self {
-        self.config.steal_idle_decode_slots = steal;
-        self
-    }
-
-    /// Forward-progress watchdog window (0 disables).
-    #[must_use]
-    pub fn watchdog_stall_cycles(mut self, cycles: u64) -> Self {
-        self.config.watchdog_stall_cycles = cycles;
-        self
-    }
-
-    /// The full execution plan (default: [`ExecutionPlan::detailed`]).
-    #[must_use]
-    pub fn plan(mut self, plan: ExecutionPlan) -> Self {
-        self.config.plan = plan;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if any per-field check of
-    /// [`CoreConfig::try_validate`] fails, if `lmq_entries` is zero, if an
-    /// enabled balancer's caps exceed the tables they police (GCT cap
-    /// above `gct_entries`, miss cap above `lmq_entries`, deep-miss cap
-    /// above the plain GCT cap, or any cap zero), or if an execution-unit
-    /// occupancy is zero or exceeds its operation's latency.
-    pub fn build(self) -> Result<CoreConfig, ConfigError> {
-        let c = self.config;
-        if let Err(e) = c.try_validate() {
-            return Err(match e {
-                SimError::InvalidConfig { field, message } => ConfigError { field, message },
-                other => ConfigError {
-                    field: "config",
-                    message: other.to_string(),
-                },
-            });
-        }
-        if c.lmq_entries == 0 {
-            return Err(ConfigError {
-                field: "lmq_entries",
-                message: "LMQ must have at least one entry (beyond-L1 misses \
-                          could never issue); build the struct directly for \
-                          deliberately wedged watchdog-test cores"
-                    .into(),
-            });
-        }
-        if c.balancer.enabled {
-            let b = &c.balancer;
+        let b = &self.balancer;
+        if b.enabled {
             if b.gct_cap_per_thread == 0 || b.miss_cap_per_thread == 0 || b.gct_cap_deep_miss == 0 {
-                return Err(ConfigError {
+                return Err(SimError::InvalidConfig {
                     field: "balancer",
                     message: "an enabled balancer cap of 0 would stall decode forever".into(),
                 });
             }
-            if b.gct_cap_per_thread > c.gct_entries {
-                return Err(ConfigError {
+            if b.gct_cap_per_thread > self.gct_entries {
+                return Err(SimError::InvalidConfig {
                     field: "balancer.gct_cap_per_thread",
                     message: format!(
                         "GCT cap {} exceeds the {}-entry GCT it polices",
-                        b.gct_cap_per_thread, c.gct_entries
-                    ),
-                });
-            }
-            if b.miss_cap_per_thread > c.lmq_entries {
-                return Err(ConfigError {
-                    field: "balancer.miss_cap_per_thread",
-                    message: format!(
-                        "miss cap {} exceeds the {}-entry LMQ it polices",
-                        b.miss_cap_per_thread, c.lmq_entries
+                        b.gct_cap_per_thread, self.gct_entries
                     ),
                 });
             }
             if b.gct_cap_deep_miss > b.gct_cap_per_thread {
-                return Err(ConfigError {
+                return Err(SimError::InvalidConfig {
                     field: "balancer.gct_cap_deep_miss",
                     message: format!(
                         "deep-miss GCT cap {} exceeds the plain GCT cap {}",
@@ -777,7 +582,7 @@ impl CoreConfigBuilder {
                 });
             }
         }
-        let l = &c.latencies;
+        let l = &self.latencies;
         for (field, latency) in [
             ("latencies.int_alu", l.int_alu),
             ("latencies.int_mul", l.int_mul),
@@ -788,7 +593,7 @@ impl CoreConfigBuilder {
             ("latencies.store", l.store),
         ] {
             if latency == 0 {
-                return Err(ConfigError {
+                return Err(SimError::InvalidConfig {
                     field,
                     message: "execution latency must be at least one cycle".into(),
                 });
@@ -808,7 +613,7 @@ impl CoreConfigBuilder {
             ("latencies.fp_div_occupancy", l.fp_div_occupancy, l.fp_div),
         ] {
             if occupancy == 0 || occupancy > latency {
-                return Err(ConfigError {
+                return Err(SimError::InvalidConfig {
                     field,
                     message: format!(
                         "issue-to-issue occupancy {occupancy} must be in 1..={latency} \
@@ -817,7 +622,18 @@ impl CoreConfigBuilder {
                 });
             }
         }
-        Ok(c)
+        Ok(())
+    }
+
+    /// Validates structural parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`CoreConfig::try_validate`] rejects the configuration.
+    pub fn validate(&self) {
+        if let Err(e) = self.try_validate() {
+            panic!("{e}");
+        }
     }
 }
 
@@ -855,91 +671,82 @@ mod tests {
         assert_eq!(b.gct_cap_per_thread, usize::MAX);
     }
 
-    #[test]
-    fn builder_defaults_match_power5_like() {
-        let built = CoreConfig::builder().build().expect("defaults valid");
-        assert_eq!(built, CoreConfig::power5_like());
+    /// The field `cfg` is rejected for.
+    fn rejected_field(cfg: &CoreConfig) -> &'static str {
+        match cfg.try_validate() {
+            Err(SimError::InvalidConfig { field, .. }) => field,
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
     }
 
     #[test]
-    fn builder_setters_apply() {
-        let c = CoreConfig::builder()
-            .decode_width(4)
-            .gct_entries(16)
-            .lmq_entries(4)
-            .rng_seed(7)
-            .watchdog_stall_cycles(0)
-            .balancer(BalancerConfig {
-                enabled: true,
-                gct_cap_per_thread: 14,
-                miss_cap_per_thread: 3,
-                gct_cap_deep_miss: 10,
-            })
-            .build()
-            .expect("valid");
-        assert_eq!(c.decode_width, 4);
-        assert_eq!(c.gct_entries, 16);
-        assert_eq!(c.lmq_entries, 4);
-        assert_eq!(c.rng_seed, 7);
-        assert_eq!(c.balancer.gct_cap_deep_miss, 10);
+    fn shipped_configs_keep_the_lmq_and_its_miss_cap() {
+        // `try_validate` accepts a zero LMQ and any miss cap on purpose
+        // (wedged-core tests build both), so the configs the repository
+        // measures with are checked here instead.
+        for cfg in [CoreConfig::power5_like(), CoreConfig::tiny_for_tests()] {
+            assert!(cfg.lmq_entries >= 1);
+            assert!(cfg.balancer.miss_cap_per_thread <= cfg.lmq_entries);
+        }
     }
 
     #[test]
-    fn builder_rejects_zero_lmq() {
-        let err = CoreConfig::builder().lmq_entries(0).build().unwrap_err();
-        assert_eq!(err.field, "lmq_entries");
-    }
-
-    #[test]
-    fn builder_rejects_balancer_cap_above_gct() {
-        let err = CoreConfig::builder()
-            .gct_entries(10)
-            .balancer(BalancerConfig {
+    fn try_validate_rejects_balancer_cap_above_gct() {
+        let cfg = CoreConfig {
+            gct_entries: 10,
+            balancer: BalancerConfig {
                 enabled: true,
                 gct_cap_per_thread: 12,
                 miss_cap_per_thread: 4,
                 gct_cap_deep_miss: 8,
-            })
-            .build()
-            .unwrap_err();
-        assert_eq!(err.field, "balancer.gct_cap_per_thread");
+            },
+            ..CoreConfig::power5_like()
+        };
+        assert_eq!(rejected_field(&cfg), "balancer.gct_cap_per_thread");
     }
 
     #[test]
-    fn builder_rejects_miss_cap_above_lmq() {
-        let err = CoreConfig::builder()
-            .lmq_entries(4)
-            .balancer(BalancerConfig {
-                enabled: true,
-                gct_cap_per_thread: 18,
-                miss_cap_per_thread: 6,
-                gct_cap_deep_miss: 18,
-            })
-            .build()
-            .unwrap_err();
-        assert_eq!(err.field, "balancer.miss_cap_per_thread");
-    }
-
-    #[test]
-    fn builder_accepts_disabled_balancer_caps() {
+    fn try_validate_accepts_disabled_balancer_caps() {
         // usize::MAX caps are fine when the balancer is off.
-        let c = CoreConfig::builder()
-            .balancer(BalancerConfig::disabled())
-            .build()
-            .expect("disabled balancer valid");
-        assert!(!c.balancer.enabled);
+        let cfg = CoreConfig {
+            balancer: BalancerConfig::disabled(),
+            ..CoreConfig::power5_like()
+        };
+        assert!(cfg.try_validate().is_ok());
     }
 
     #[test]
-    fn builder_rejects_occupancy_above_latency() {
-        let err = CoreConfig::builder()
-            .latencies(OpLatencies {
+    fn try_validate_rejects_occupancy_above_latency() {
+        let cfg = CoreConfig {
+            latencies: OpLatencies {
                 int_mul_occupancy: 9,
                 ..OpLatencies::power5_like()
-            })
-            .build()
-            .unwrap_err();
-        assert_eq!(err.field, "latencies.int_mul_occupancy");
+            },
+            ..CoreConfig::power5_like()
+        };
+        assert_eq!(rejected_field(&cfg), "latencies.int_mul_occupancy");
+    }
+
+    #[test]
+    fn try_validate_rejects_zero_caps_deep_miss_cap_and_zero_latency() {
+        let caps = |gct_cap_per_thread, gct_cap_deep_miss| CoreConfig {
+            balancer: BalancerConfig {
+                gct_cap_per_thread,
+                gct_cap_deep_miss,
+                ..BalancerConfig::power5_like()
+            },
+            ..CoreConfig::power5_like()
+        };
+        assert_eq!(rejected_field(&caps(0, 0)), "balancer");
+        assert_eq!(rejected_field(&caps(12, 14)), "balancer.gct_cap_deep_miss");
+        let cfg = CoreConfig {
+            latencies: OpLatencies {
+                fp_alu: 0,
+                ..OpLatencies::power5_like()
+            },
+            ..CoreConfig::power5_like()
+        };
+        assert_eq!(rejected_field(&cfg), "latencies.fp_alu");
     }
 
     #[test]
@@ -965,22 +772,20 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_structural_zero_via_try_validate() {
-        let err = CoreConfig::builder().decode_width(0).build().unwrap_err();
-        assert_eq!(err.field, "decode_width");
-    }
-
-    #[test]
-    fn config_error_converts_to_sim_error() {
-        let err = CoreConfig::builder().gct_entries(1).build().unwrap_err();
-        let sim: SimError = err.into();
-        assert!(matches!(
-            sim,
-            SimError::InvalidConfig {
-                field: "gct_entries",
-                ..
-            }
-        ));
+    fn try_validate_rejects_structural_zero_before_cross_field_checks() {
+        // A zero GCT also breaks the balancer's GCT cap; the per-field
+        // check runs first and names its own field.
+        let cfg = CoreConfig {
+            decode_width: 0,
+            gct_entries: 0,
+            ..CoreConfig::power5_like()
+        };
+        assert_eq!(rejected_field(&cfg), "decode_width");
+        let cfg = CoreConfig {
+            gct_entries: 1,
+            ..CoreConfig::power5_like()
+        };
+        assert_eq!(rejected_field(&cfg), "gct_entries");
     }
 
     #[test]

@@ -607,22 +607,6 @@ impl SmtCore {
     }
 
     /// Runs until every active thread has completed at least its target
-    /// number of program repetitions, or `max_cycles` elapse.
-    ///
-    /// Compatibility wrapper around
-    /// [`try_run_until_repetitions`](SmtCore::try_run_until_repetitions):
-    /// a forward-progress stall is reported as [`RunOutcome::MaxCycles`]
-    /// (the run did not complete) without burning the rest of the cycle
-    /// budget. Callers that want the diagnostic should use the `try_`
-    /// variant.
-    pub fn run_until_repetitions(&mut self, target: [usize; 2], max_cycles: u64) -> RunOutcome {
-        match self.try_run_until_repetitions(target, max_cycles) {
-            Ok(outcome) => outcome,
-            Err(_) => RunOutcome::MaxCycles,
-        }
-    }
-
-    /// Runs until every active thread has completed at least its target
     /// number of program repetitions, the cycle budget elapses, or the
     /// forward-progress watchdog trips.
     ///
@@ -1692,8 +1676,8 @@ mod tests {
     fn single_thread_commits_and_records_repetitions() {
         let mut c = core();
         c.load_program(ThreadId::T0, cpu_program(9, 10)); // 100 insts/rep
-        let outcome = c.run_until_repetitions([3, 0], 100_000);
-        assert_eq!(outcome, RunOutcome::Completed);
+        let outcome = c.try_run_until_repetitions([3, 0], 100_000);
+        assert_eq!(outcome, Ok(RunOutcome::Completed));
         let st = c.stats().thread(ThreadId::T0);
         assert!(st.repetitions.len() >= 3);
         assert_eq!(st.repetitions[0].committed_at_end % 100, 0);
@@ -1705,7 +1689,8 @@ mod tests {
     fn repetition_cycle_deltas_are_stable_in_steady_state() {
         let mut c = core();
         c.load_program(ThreadId::T0, cpu_program(9, 50));
-        c.run_until_repetitions([6, 0], 1_000_000);
+        c.try_run_until_repetitions([6, 0], 1_000_000)
+            .expect("no stall");
         let reps = &c.stats().thread(ThreadId::T0).repetitions;
         let d1 = reps[4].end_cycle - reps[3].end_cycle;
         let d2 = reps[5].end_cycle - reps[4].end_cycle;
@@ -1951,11 +1936,11 @@ mod tests {
     }
 
     #[test]
-    fn run_until_repetitions_times_out() {
+    fn try_run_until_repetitions_times_out() {
         let mut c = core();
         c.load_program(ThreadId::T0, cpu_program(9, u64::MAX / 1024));
-        let outcome = c.run_until_repetitions([1, 0], 1_000);
-        assert_eq!(outcome, RunOutcome::MaxCycles);
+        let outcome = c.try_run_until_repetitions([1, 0], 1_000);
+        assert_eq!(outcome, Ok(RunOutcome::MaxCycles));
     }
 
     /// A zero-entry LMQ wedges any beyond-L1 workload: misses can never
@@ -1979,16 +1964,6 @@ mod tests {
             c.cycle() < 100_000,
             "watchdog must fire long before the budget: cycle {}",
             c.cycle()
-        );
-        // The legacy wrapper reports the same wedge as MaxCycles.
-        let mut cfg = CoreConfig::tiny_for_tests();
-        cfg.lmq_entries = 0;
-        cfg.watchdog_stall_cycles = 10_000;
-        let mut c = SmtCore::new(cfg);
-        c.load_program(ThreadId::T0, chase_program(256 * 1024, 1_000));
-        assert_eq!(
-            c.run_until_repetitions([1, 0], 10_000_000),
-            RunOutcome::MaxCycles
         );
     }
 

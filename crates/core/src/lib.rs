@@ -76,9 +76,11 @@
 //! b.iterations(10_000);
 //! let prog = b.build()?;
 //!
-//! let config = CoreConfig::builder()
-//!     .plan(ExecutionPlan::parse("detailed+ff").unwrap())
-//!     .build()?;
+//! let config = CoreConfig {
+//!     plan: ExecutionPlan::parse("detailed+ff")?,
+//!     ..CoreConfig::power5_like()
+//! };
+//! config.try_validate()?;
 //! assert_eq!(config.plan.warmup, WarmupMode::Functional);
 //!
 //! let mut core = SmtCore::new(config);
@@ -105,8 +107,7 @@ mod thread;
 pub use cancel::CancelToken;
 pub use chip::{Chip, CoreId};
 pub use config::{
-    BalancerConfig, ConfigError, CoreConfig, CoreConfigBuilder, ExecutionPlan, MeasureMode,
-    OpLatencies, SamplingConfig, WarmupMode,
+    BalancerConfig, CoreConfig, ExecutionPlan, MeasureMode, OpLatencies, SamplingConfig, WarmupMode,
 };
 pub use engine::{RunOutcome, SmtCore};
 pub use error::{DiagnosticSnapshot, SimError, StuckResource, ThreadDiag};

@@ -546,7 +546,8 @@ impl Campaign {
     /// from worker threads (hence `Sync`); see [`CampaignEvent`].
     ///
     /// The workers run one `execute_cell` per group of shared cells
-    /// (see [`CampaignSpec::reuse_warmup`]), on the group's lowest id.
+    /// (see [`CampaignSpec::reuse_warmup`]), on the group's lowest id;
+    /// a chaos fault scheduled on any id of the group fires on that run.
     /// Every other id of the group takes that `(measured, replayed)`
     /// pair under its own id and label, and its `CellStarted` and
     /// `CellFinished` events fire once the lowest id has finished.
@@ -564,7 +565,7 @@ impl Campaign {
                 id: lowest,
                 label: &cell.label,
             });
-            let (measured, replayed) = execute_cell(ctx, spec, lowest, cell);
+            let (measured, replayed) = execute_cell(ctx, spec, &groups[g], cell);
             for &id in &groups[g] {
                 let label = &spec.cells[id].label;
                 if id != lowest {
@@ -613,7 +614,7 @@ pub fn run_isolated_cell(
     id: usize,
     cell: &CellSpec,
 ) -> (Measured, bool) {
-    execute_cell(ctx, spec, id, cell)
+    execute_cell(ctx, spec, &[id], cell)
 }
 
 /// The journal-replay step of the per-cell worker flow on its own: the
@@ -674,23 +675,29 @@ fn skipped() -> Measured {
 ///    limit depends on the host, and `cell_key` leaves it out, so a
 ///    journaled one would replay into runs that set no deadline.
 ///
-/// A campaign calls this once per group of shared cells, on the group's
-/// lowest id, so a [`p5_fault::ChaosPlan`] fault scheduled on any other
-/// id of the group never fires: nothing runs there.
+/// A campaign calls this once per group of shared cells: `ids` is the
+/// group in id order, and the cell runs as the lowest, `ids[0]`. Every
+/// step reads the [`p5_fault::ChaosPlan`] faults of *all* the ids, so a
+/// fault scheduled on a shared copy fires on the one run the copy
+/// takes its outcome from.
 fn execute_cell(
     ctx: &Experiments,
     spec: &CampaignSpec,
-    id: usize,
+    ids: &[usize],
     cell: &CellSpec,
 ) -> (Measured, bool) {
-    if let Some(chaos) = &ctx.chaos {
-        if chaos
-            .for_cell(id)
-            .any(|k| k == HostFaultKind::AbortCampaign)
-        {
-            if let Some(token) = &ctx.cancel {
-                token.cancel();
-            }
+    let id = ids[0];
+    let chaos: Vec<(usize, HostFaultKind)> = ctx.chaos.as_ref().map_or_else(Vec::new, |chaos| {
+        (ids.iter())
+            .flat_map(|&victim| chaos.for_cell(victim).map(move |kind| (victim, kind)))
+            .collect()
+    });
+    if chaos
+        .iter()
+        .any(|&(_, kind)| kind == HostFaultKind::AbortCampaign)
+    {
+        if let Some(token) = &ctx.cancel {
+            token.cancel();
         }
     }
     let cancelled = || ctx.cancel.as_ref().is_some_and(CancelToken::expired);
@@ -706,11 +713,9 @@ fn execute_cell(
         (Some(t), None) => Some(t.clone()),
         (None, None) => None,
     };
-    if let Some(chaos) = &ctx.chaos {
-        for kind in chaos.for_cell(id) {
-            if let HostFaultKind::StallCell { millis } = kind {
-                std::thread::sleep(std::time::Duration::from_millis(millis));
-            }
+    for &(_, kind) in &chaos {
+        if let HostFaultKind::StallCell { millis } = kind {
+            std::thread::sleep(std::time::Duration::from_millis(millis));
         }
     }
     // `AssertUnwindSafe` is sound here: on panic every value captured
@@ -718,10 +723,11 @@ fn execute_cell(
     // only through the poison-recovering shared cells, whose per-lock
     // updates are atomic with respect to their guards.
     let result = catch_unwind(AssertUnwindSafe(|| {
-        if let Some(chaos) = &ctx.chaos {
-            if chaos.for_cell(id).any(|k| k == HostFaultKind::PanicCell) {
-                panic!("chaos: scheduled worker panic in cell {id}");
-            }
+        if let Some(&(victim, _)) = chaos
+            .iter()
+            .find(|&&(_, kind)| kind == HostFaultKind::PanicCell)
+        {
+            panic!("chaos: scheduled worker panic in cell {victim}");
         }
         run_cell(ctx, spec, id, cell, token.as_ref())
     }));

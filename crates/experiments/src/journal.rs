@@ -34,12 +34,22 @@
 //!   ran to completion.
 //!
 //! Keys are stable across runs of the same binary (FNV-1a over the
-//! `Hash` byte stream), which is the resume contract; a different
-//! build may simply miss and re-simulate.
+//! `Hash` byte stream), which is the resume contract. Keys hash no
+//! engine code, though: a build whose simulation changes a bit still
+//! finds the old records under the same keys and replays them. Until
+//! keys carry an engine fingerprint, any such change must bump
+//! [`JOURNAL_SCHEMA_VERSION`].
 //!
+//! # Record layout
+//!
+//! Each line is one cell: the header `{"v":V,"kind":"cell","key":K`
+//! (`V` is [`JOURNAL_SCHEMA_VERSION`]) followed by the fields of
+//! [`measured_to_json`], the codec the `p5-serve` protocol streams.
 //! Floats are stored as IEEE-754 bit patterns, so a replayed
-//! measurement is *bit*-identical to the original — the resumed CSV and
-//! JSON artifacts match the uninterrupted ones byte for byte.
+//! measurement is *bit*-identical to the original — the resumed CSV
+//! and JSON artifacts match the uninterrupted ones byte for byte. A
+//! line of any other kind (such as the `"kind":"scalar"` lines older
+//! calibration runs wrote) counts as corrupt.
 
 use crate::{CellStatus, Measured};
 use p5_core::SimError;
@@ -130,62 +140,6 @@ pub struct LoadStats {
     pub corrupt: usize,
 }
 
-/// One journaled cell measurement, convertible to/from [`Measured`].
-#[derive(Debug, Clone, PartialEq)]
-struct CellRecord {
-    status: CellStatus,
-    error: Option<String>,
-    report: Option<FameReport>,
-}
-
-impl CellRecord {
-    /// Captures `m` for the journal; `None` for statuses that must be
-    /// retried on resume rather than replayed.
-    fn capture(m: &Measured) -> Option<CellRecord> {
-        match m.status {
-            CellStatus::Ok | CellStatus::Recovered | CellStatus::Degraded => Some(CellRecord {
-                status: m.status,
-                error: m.error.as_ref().map(SimError::to_string),
-                report: m.report.clone(),
-            }),
-            CellStatus::Crashed | CellStatus::Skipped => None,
-        }
-    }
-
-    /// Reconstructs the measurement a replayed cell reports. The error
-    /// comes back as [`SimError::Replayed`], which displays the
-    /// original cause verbatim, so degradation annotations round-trip
-    /// byte-identically.
-    fn replay(&self) -> Measured {
-        Measured {
-            report: self.report.clone(),
-            status: self.status,
-            error: self.error.as_ref().map(|cause| SimError::Replayed {
-                cause: cause.clone(),
-            }),
-        }
-    }
-}
-
-fn status_tag(status: CellStatus) -> &'static str {
-    match status {
-        CellStatus::Ok => "ok",
-        CellStatus::Recovered => "recovered",
-        CellStatus::Degraded => "degraded",
-        CellStatus::Crashed => "crashed",
-        CellStatus::Skipped => "skipped",
-    }
-}
-
-fn tag_status(tag: &str) -> Option<CellStatus> {
-    match tag {
-        "ok" => Some(CellStatus::Ok),
-        "recovered" => Some(CellStatus::Recovered),
-        "degraded" => Some(CellStatus::Degraded),
-        _ => None,
-    }
-}
-
 fn thread_json(m: &ThreadMeasurement) -> JsonValue {
     JsonObject::new()
         .field("repetitions", m.repetitions)
@@ -214,37 +168,35 @@ fn report_json(r: &FameReport) -> JsonValue {
         .build()
 }
 
-fn cell_line(key: CellKey, rec: &CellRecord) -> String {
-    let mut obj = JsonObject::new()
-        .field("v", JOURNAL_SCHEMA_VERSION)
-        .field("kind", "cell")
-        .field("key", key.0)
-        .field("status", status_tag(rec.status));
-    if let Some(error) = &rec.error {
-        obj = obj.field("error", error.as_str());
-    }
-    if let Some(report) = &rec.report {
-        obj = obj.field("report", report_json(report));
-    }
-    obj.build().to_string()
-}
-
-/// Serializes a [`Measured`] — *any* status, unlike the journal's own
-/// records — into the journal's JSON shape (`status`, optional `error`
-/// text, optional bit-exact `report`). This is the wire format the
-/// `p5-serve` protocol streams per-cell results in; floats travel as
-/// IEEE-754 bit patterns, so a measurement received over a socket is
-/// bit-identical to the one the worker produced.
-#[must_use]
-pub fn measured_to_json(m: &Measured) -> JsonValue {
-    let mut obj = JsonObject::new().field("status", status_tag(m.status));
+/// Appends the fields of [`measured_to_json`] to `obj`.
+fn measured_fields(obj: JsonObject, m: &Measured) -> JsonObject {
+    let status = match m.status {
+        CellStatus::Ok => "ok",
+        CellStatus::Recovered => "recovered",
+        CellStatus::Degraded => "degraded",
+        CellStatus::Crashed => "crashed",
+        CellStatus::Skipped => "skipped",
+    };
+    let mut obj = obj.field("status", status);
     if let Some(error) = &m.error {
         obj = obj.field("error", error.to_string());
     }
     if let Some(report) = &m.report {
         obj = obj.field("report", report_json(report));
     }
-    obj.build()
+    obj
+}
+
+/// Serializes a [`Measured`] of *any* status into its JSON shape
+/// (`status`, optional `error` text, optional bit-exact `report`).
+/// This is the wire format the `p5-serve` protocol streams per-cell
+/// results in, and each journal line is a key header followed by the
+/// same fields; floats travel as IEEE-754 bit patterns, so a
+/// measurement received over a socket or replayed from disk is
+/// bit-identical to the one the worker produced.
+#[must_use]
+pub fn measured_to_json(m: &Measured) -> JsonValue {
+    measured_fields(JsonObject::new(), m).build()
 }
 
 /// Reconstructs a [`Measured`] from [`measured_to_json`]'s shape.
@@ -281,15 +233,22 @@ pub fn measured_from_json(v: &JsonValue) -> Option<Measured> {
     })
 }
 
-fn scalar_line(key: CellKey, bits: u64, converged: bool) -> String {
-    JsonObject::new()
+/// Whether a cell with `status` is journaled: only outcomes a resumed
+/// run may trust. `Crashed` and `Skipped` cells must be retried.
+fn is_journaled(status: CellStatus) -> bool {
+    matches!(
+        status,
+        CellStatus::Ok | CellStatus::Recovered | CellStatus::Degraded
+    )
+}
+
+/// One journal line: the key header, then [`measured_to_json`]'s fields.
+fn journal_line(key: CellKey, m: &Measured) -> String {
+    let header = JsonObject::new()
         .field("v", JOURNAL_SCHEMA_VERSION)
-        .field("kind", "scalar")
-        .field("key", key.0)
-        .field("value_bits", bits)
-        .field("converged", converged)
-        .build()
-        .to_string()
+        .field("kind", "cell")
+        .field("key", key.0);
+    measured_fields(header, m).build().to_string()
 }
 
 // ---------------------------------------------------------------------
@@ -329,44 +288,23 @@ fn parse_report(v: &JsonValue) -> Option<FameReport> {
 
 /// One parsed journal line.
 enum Line {
-    Cell(CellKey, CellRecord),
-    Scalar(CellKey, u64, bool),
+    Cell(CellKey, Measured),
     Stale,
 }
 
+/// Parses one line through [`measured_from_json`]. A status that is
+/// never journaled (`crashed`, `skipped`) makes the line corrupt.
 fn parse_line(text: &str) -> Option<Line> {
     let v = JsonValue::parse(text)?;
     if v.get("v")?.as_u64()? != u64::from(JOURNAL_SCHEMA_VERSION) {
         return Some(Line::Stale);
     }
     let key = CellKey(v.get("key")?.as_u64()?);
-    match v.get("kind")?.as_str()? {
-        "cell" => {
-            let status = tag_status(v.get("status")?.as_str()?)?;
-            let report = match v.get("report") {
-                Some(r) => Some(parse_report(r)?),
-                None => None,
-            };
-            let error = match v.get("error") {
-                Some(e) => Some(e.as_str()?.to_string()),
-                None => None,
-            };
-            Some(Line::Cell(
-                key,
-                CellRecord {
-                    status,
-                    error,
-                    report,
-                },
-            ))
-        }
-        "scalar" => Some(Line::Scalar(
-            key,
-            v.get("value_bits")?.as_u64()?,
-            v.get("converged")?.as_bool()?,
-        )),
-        _ => None,
+    if v.get("kind")?.as_str()? != "cell" {
+        return None;
     }
+    let measured = measured_from_json(&v)?;
+    is_journaled(measured.status).then_some(Line::Cell(key, measured))
 }
 
 // ---------------------------------------------------------------------
@@ -379,8 +317,9 @@ struct JournalState {
     /// ([`ResultJournal::in_memory`] — the `p5-serve` result cache
     /// without a `--cache-dir`).
     file: Option<File>,
-    cells: HashMap<CellKey, CellRecord>,
-    scalars: HashMap<CellKey, (u64, bool)>,
+    /// The index: each cell as [`ResultJournal::lookup_cell`] returns
+    /// it, its error already a [`SimError::Replayed`].
+    cells: HashMap<CellKey, Measured>,
     unsynced: usize,
     /// Cell keys in first-insertion order — the FIFO eviction queue.
     /// Invariant: exactly the keys of `cells`, each once (re-recording
@@ -458,18 +397,12 @@ impl ResultJournal {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(Self::FILE_NAME);
         let file = File::create(&path)?;
-        Ok(ResultJournal {
+        Ok(ResultJournal::open(
             path,
-            state: Mutex::new(JournalState {
-                file: Some(file),
-                cells: HashMap::new(),
-                scalars: HashMap::new(),
-                unsynced: 0,
-                order: VecDeque::new(),
-                max_cells: None,
-                evicted: 0,
-            }),
-        })
+            Some(file),
+            HashMap::new(),
+            VecDeque::new(),
+        ))
     }
 
     /// A journal with no backing file: the in-memory index works exactly
@@ -479,14 +412,22 @@ impl ResultJournal {
     /// path for it.
     #[must_use]
     pub fn in_memory() -> ResultJournal {
+        ResultJournal::open(PathBuf::new(), None, HashMap::new(), VecDeque::new())
+    }
+
+    fn open(
+        path: PathBuf,
+        file: Option<File>,
+        cells: HashMap<CellKey, Measured>,
+        order: VecDeque<CellKey>,
+    ) -> ResultJournal {
         ResultJournal {
-            path: PathBuf::new(),
+            path,
             state: Mutex::new(JournalState {
-                file: None,
-                cells: HashMap::new(),
-                scalars: HashMap::new(),
+                file,
+                cells,
                 unsynced: 0,
-                order: VecDeque::new(),
+                order,
                 max_cells: None,
                 evicted: 0,
             }),
@@ -506,7 +447,6 @@ impl ResultJournal {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(Self::FILE_NAME);
         let mut cells = HashMap::new();
-        let mut scalars = HashMap::new();
         let mut order = VecDeque::new();
         let mut stats = LoadStats::default();
         if let Ok(existing) = File::open(&path) {
@@ -517,15 +457,11 @@ impl ResultJournal {
                     continue;
                 }
                 match parse_line(text.trim()) {
-                    Some(Line::Cell(key, rec)) => {
+                    Some(Line::Cell(key, measured)) => {
                         stats.entries += 1;
-                        if cells.insert(key, rec).is_none() {
+                        if cells.insert(key, measured).is_none() {
                             order.push_back(key);
                         }
-                    }
-                    Some(Line::Scalar(key, bits, converged)) => {
-                        stats.entries += 1;
-                        scalars.insert(key, (bits, converged));
                     }
                     Some(Line::Stale) => stats.stale += 1,
                     None => stats.corrupt += 1,
@@ -533,21 +469,7 @@ impl ResultJournal {
             }
         }
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok((
-            ResultJournal {
-                path,
-                state: Mutex::new(JournalState {
-                    file: Some(file),
-                    cells,
-                    scalars,
-                    unsynced: 0,
-                    order,
-                    max_cells: None,
-                    evicted: 0,
-                }),
-            },
-            stats,
-        ))
+        Ok((ResultJournal::open(path, Some(file), cells, order), stats))
     }
 
     /// The journal file's path.
@@ -568,40 +490,31 @@ impl ResultJournal {
     /// replay (error causes come back as [`SimError::Replayed`]).
     #[must_use]
     pub fn lookup_cell(&self, key: CellKey) -> Option<Measured> {
-        self.state().cells.get(&key).map(CellRecord::replay)
+        self.state().cells.get(&key).cloned()
     }
 
     /// Journals a finished cell. `Crashed` and `Skipped` measurements
     /// are deliberately not recorded (they must be retried on resume);
-    /// recording one is a no-op.
+    /// recording one is a no-op. The error is indexed as
+    /// [`SimError::Replayed`], which displays the original cause
+    /// verbatim, so degradation annotations round-trip byte-identically.
     pub fn record_cell(&self, key: CellKey, measured: &Measured) {
-        let Some(rec) = CellRecord::capture(measured) else {
+        if !is_journaled(measured.status) {
             return;
+        }
+        let replay = Measured {
+            report: measured.report.clone(),
+            status: measured.status,
+            error: measured.error.as_ref().map(|e| SimError::Replayed {
+                cause: e.to_string(),
+            }),
         };
-        let line = cell_line(key, &rec);
+        let line = journal_line(key, &replay);
         let mut state = self.state();
-        if state.cells.insert(key, rec).is_none() {
+        if state.cells.insert(key, replay).is_none() {
             state.order.push_back(key);
         }
         state.evict_to_bound();
-        state.append(&line);
-    }
-
-    /// The journaled scalar for `key` (calibration measurements:
-    /// bit-exact value plus its convergence flag).
-    #[must_use]
-    pub fn lookup_scalar(&self, key: CellKey) -> Option<(f64, bool)> {
-        self.state()
-            .scalars
-            .get(&key)
-            .map(|&(bits, converged)| (f64::from_bits(bits), converged))
-    }
-
-    /// Journals one calibration scalar.
-    pub fn record_scalar(&self, key: CellKey, value: f64, converged: bool) {
-        let line = scalar_line(key, value.to_bits(), converged);
-        let mut state = self.state();
-        state.scalars.insert(key, (value.to_bits(), converged));
         state.append(&line);
     }
 
@@ -679,47 +592,6 @@ mod tests {
     }
 
     #[test]
-    fn cell_records_round_trip_bit_exactly() {
-        let dir = tmp_dir("roundtrip");
-        let key = CellKey(0xDEAD_BEEF_CAFE_F00D);
-        {
-            let j = ResultJournal::create(&dir).unwrap();
-            j.record_cell(key, &sample_measured(CellStatus::Degraded));
-        }
-        let (j, stats) = ResultJournal::resume(&dir).unwrap();
-        assert_eq!(
-            stats,
-            LoadStats {
-                entries: 1,
-                stale: 0,
-                corrupt: 0
-            }
-        );
-        let m = j.lookup_cell(key).expect("journaled cell found");
-        assert_eq!(m.status, CellStatus::Degraded);
-        let original = sample_measured(CellStatus::Degraded);
-        let (a, b) = (m.report.unwrap(), original.report.unwrap());
-        assert_eq!(a, b, "report round-trips exactly");
-        assert_eq!(
-            a.threads[0].unwrap().ipc.to_bits(),
-            b.threads[0].unwrap().ipc.to_bits(),
-            "floats are bit-exact"
-        );
-        assert_eq!(
-            a.threads[0].unwrap().estimate.ci95.to_bits(),
-            b.threads[0].unwrap().estimate.ci95.to_bits(),
-            "sampling estimates are bit-exact"
-        );
-        assert_eq!(a.threads[0].unwrap().estimate.samples, 12);
-        assert_eq!(
-            m.error.unwrap().to_string(),
-            original.error.unwrap().to_string(),
-            "error text replays verbatim"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn crashed_and_skipped_cells_are_never_journaled() {
         let dir = tmp_dir("retry");
         let j = ResultJournal::create(&dir).unwrap();
@@ -790,21 +662,6 @@ mod tests {
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.stale, 1);
         assert!(j.lookup_cell(CellKey(2)).is_none(), "stale record ignored");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn scalars_round_trip_bit_exactly() {
-        let dir = tmp_dir("scalar");
-        let value = std::f64::consts::PI / 3.0;
-        {
-            let j = ResultJournal::create(&dir).unwrap();
-            j.record_scalar(CellKey(0xAB), value, true);
-        }
-        let (j, _) = ResultJournal::resume(&dir).unwrap();
-        let (v, converged) = j.lookup_scalar(CellKey(0xAB)).unwrap();
-        assert_eq!(v.to_bits(), value.to_bits());
-        assert!(converged);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -887,6 +744,165 @@ mod tests {
         assert_eq!(stats.entries, 2);
         assert_eq!(j.cell_count(), 2);
         assert!(j.lookup_cell(CellKey(1)).is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn thread(repetitions: usize, avg: f64, ipc: f64, ci95: f64) -> ThreadMeasurement {
+        ThreadMeasurement {
+            repetitions,
+            avg_repetition_cycles: avg,
+            ipc,
+            estimate: p5_fame::Estimate {
+                value: ipc,
+                ci95,
+                samples: 4,
+            },
+            converged: ci95 == 0.0,
+        }
+    }
+
+    /// Every bit of a report, in a fixed order (`u64::MAX` marks an
+    /// inactive thread).
+    fn report_bits(report: Option<&FameReport>) -> Vec<u64> {
+        let mut bits = Vec::new();
+        if let Some(r) = report {
+            bits.extend([r.measured_cycles, r.warmup_cycles]);
+            for t in &r.threads {
+                match t {
+                    None => bits.push(u64::MAX),
+                    Some(t) => bits.extend([
+                        t.repetitions as u64,
+                        t.avg_repetition_cycles.to_bits(),
+                        t.ipc.to_bits(),
+                        t.estimate.value.to_bits(),
+                        t.estimate.ci95.to_bits(),
+                        u64::from(t.estimate.samples),
+                        u64::from(t.converged),
+                    ]),
+                }
+            }
+        }
+        bits
+    }
+
+    #[test]
+    fn lines_are_byte_stable() {
+        let dir = tmp_dir("bytes");
+        let cells = [
+            (
+                CellKey(1),
+                Measured {
+                    report: Some(FameReport {
+                        threads: [
+                            Some(thread(10, 100.0, 1.5, 0.0)),
+                            Some(thread(7, 150.0, 0.5, 0.0)),
+                        ],
+                        measured_cycles: 2_000,
+                        warmup_cycles: 500,
+                    }),
+                    status: CellStatus::Ok,
+                    error: None,
+                },
+            ),
+            (
+                CellKey(0xFFFF_FFFF_FFFF_FFFF),
+                Measured {
+                    report: Some(FameReport {
+                        threads: [None, Some(thread(3, 400.0, 0.25, 0.0))],
+                        measured_cycles: 1_200,
+                        warmup_cycles: 0,
+                    }),
+                    status: CellStatus::Recovered,
+                    error: None,
+                },
+            ),
+            (
+                CellKey(3),
+                Measured {
+                    report: Some(FameReport {
+                        threads: [Some(thread(2, 2.0, 0.75, 0.125)), None],
+                        measured_cycles: 9_000,
+                        warmup_cycles: 100,
+                    }),
+                    status: CellStatus::Degraded,
+                    error: Some(SimError::BudgetExhausted {
+                        cycle_budget: 9_000,
+                        repetitions: [2, 0],
+                        target: [10, 0],
+                    }),
+                },
+            ),
+        ];
+        let expected = [
+            concat!(
+                r#"{"v":5,"kind":"cell","key":1,"status":"ok","report":"#,
+                r#"{"measured_cycles":2000,"warmup_cycles":500,"threads":["#,
+                r#"{"repetitions":10,"avg_bits":4636737291354636288,"#,
+                r#""ipc_bits":4609434218613702656,"est_bits":4609434218613702656,"#,
+                r#""ci95_bits":0,"samples":4,"converged":true},"#,
+                r#"{"repetitions":7,"avg_bits":4639481672377565184,"#,
+                r#""ipc_bits":4602678819172646912,"est_bits":4602678819172646912,"#,
+                r#""ci95_bits":0,"samples":4,"converged":true}]}}"#,
+            ),
+            concat!(
+                r#"{"v":5,"kind":"cell","key":18446744073709551615,"status":"recovered","#,
+                r#""report":{"measured_cycles":1200,"warmup_cycles":0,"threads":[null,"#,
+                r#"{"repetitions":3,"avg_bits":4645744490609377280,"#,
+                r#""ipc_bits":4598175219545276416,"est_bits":4598175219545276416,"#,
+                r#""ci95_bits":0,"samples":4,"converged":true}]}}"#,
+            ),
+            concat!(
+                r#"{"v":5,"kind":"cell","key":3,"status":"degraded","#,
+                r#""error":"cycle budget of 9000 exhausted at repetitions [2/10, 0/0]","#,
+                r#""report":{"measured_cycles":9000,"warmup_cycles":100,"threads":["#,
+                r#"{"repetitions":2,"avg_bits":4611686018427387904,"#,
+                r#""ipc_bits":4604930618986332160,"est_bits":4604930618986332160,"#,
+                r#""ci95_bits":4593671619917905920,"samples":4,"converged":false},"#,
+                r#"null]}}"#,
+            ),
+        ];
+        {
+            let j = ResultJournal::create(&dir).unwrap();
+            for (key, m) in &cells {
+                j.record_cell(*key, m);
+            }
+        }
+        let path = dir.join(ResultJournal::FILE_NAME);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines, expected, "journal lines keep their exact bytes");
+
+        std::fs::write(
+            &path,
+            format!(
+                "{text}{}\n",
+                r#"{"v":5,"kind":"cell","key":4,"status":"crashed","error":"cell panicked: boom"}"#
+            ),
+        )
+        .unwrap();
+        let (j, stats) = ResultJournal::resume(&dir).unwrap();
+        assert_eq!(
+            stats,
+            LoadStats {
+                entries: 3,
+                stale: 0,
+                corrupt: 1
+            },
+            "a crashed line is never a record"
+        );
+        assert!(j.lookup_cell(CellKey(4)).is_none());
+        for (key, recorded) in &cells {
+            let replayed = j.lookup_cell(*key).expect("journaled cell found");
+            assert_eq!(replayed.status, recorded.status);
+            assert_eq!(
+                report_bits(replayed.report.as_ref()),
+                report_bits(recorded.report.as_ref())
+            );
+            assert_eq!(
+                replayed.error.map(|e| e.to_string()),
+                recorded.error.as_ref().map(SimError::to_string)
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

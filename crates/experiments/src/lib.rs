@@ -353,12 +353,7 @@ impl Experiments {
     /// EXPERIMENTS.md.
     #[must_use]
     pub fn paper() -> Experiments {
-        Experiments::with_configs(
-            CoreConfig::builder()
-                .build()
-                .expect("power5_like defaults are valid"),
-            FameConfig::paper(),
-        )
+        Experiments::with_configs(CoreConfig::power5_like(), FameConfig::paper())
     }
 
     /// A context from explicit core and FAME configurations, with every
@@ -382,9 +377,7 @@ impl Experiments {
     #[must_use]
     pub fn quick() -> Experiments {
         Experiments::with_configs(
-            CoreConfig::builder()
-                .build()
-                .expect("power5_like defaults are valid"),
+            CoreConfig::power5_like(),
             FameConfig {
                 maiv: 0.05,
                 stable_window: 2,

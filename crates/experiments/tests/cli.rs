@@ -2,16 +2,12 @@
 //! `--help` text: 0 clean, 1 usage error, 2 completed-with-degradations,
 //! 3 aborted early. CI scripts branch on these codes (the kill-and-
 //! resume gate expects 3 from the interrupted leg), so they are pinned
-//! here, with `calibrate`'s usage errors.
+//! here.
 
 use std::process::Command;
 
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
-}
-
-fn calibrate() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_calibrate"))
 }
 
 #[test]
@@ -43,10 +39,10 @@ fn help_documents_the_plan_flag() {
 
 #[test]
 fn unknown_arguments_are_usage_errors() {
-    // A flag `--help` does not list (`--fast-forward` is calibrate's,
-    // not repro's; `--chip-threads` is gone with the threaded chip) and a
-    // typo must fail before anything runs, naming the argument, instead
-    // of being ignored.
+    // A flag `--help` does not list (`--fast-forward` is the pre-plan
+    // spelling of `--plan detailed+ff`; `--chip-threads` is gone with the
+    // threaded chip) and a typo must fail before anything runs, naming
+    // the argument, instead of being ignored.
     for args in [
         &["--fast-forward"][..],
         &["--fast-froward"],
@@ -115,52 +111,6 @@ fn resume_without_journal_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8(out.stderr).expect("stderr is UTF-8");
     assert!(err.contains("--resume requires --journal"));
-}
-
-#[test]
-fn calibrate_resume_without_journal_is_a_usage_error() {
-    // Same contract as repro: `--resume` only means something with a
-    // journal directory to replay from.
-    let out = calibrate()
-        .arg("--resume")
-        .output()
-        .expect("calibrate runs");
-    assert_eq!(out.status.code(), Some(1));
-    let err = String::from_utf8(out.stderr).expect("stderr is UTF-8");
-    assert!(err.contains("--resume requires --journal"));
-}
-
-#[test]
-fn calibrate_rejects_arguments_it_cannot_run() {
-    // A sampled measure does not fit fixed-window calibration, the
-    // threaded chip's `+mt`, the checkpoints' `+reuse` and the pre-plan
-    // flags are gone, and a value flag needs its value: each fails
-    // before anything is simulated, naming the argument.
-    for (args, named) in [
-        (&["--plan", "sampled"][..], "--plan"),
-        (&["--plan", "detailed+mt"], "--plan"),
-        (&["--plan", "detailed+reuse"], "--plan"),
-        (&["--fast-forward"], "--fast-forward"),
-        (&["--chip-threads", "2"], "--chip-threads"),
-        (&["--journal"], "--journal"),
-    ] {
-        let out = calibrate().args(args).output().expect("calibrate runs");
-        assert_eq!(out.status.code(), Some(1), "{args:?} exits 1");
-        let err = String::from_utf8(out.stderr).expect("stderr is UTF-8");
-        assert!(err.contains(named), "error names {named}: {err}");
-        let text = String::from_utf8(out.stdout).expect("stdout is UTF-8");
-        assert!(text.is_empty(), "nothing ran: {text}");
-    }
-    // A plan that does not parse prints the grammar.
-    let out = calibrate()
-        .args(["--plan", "detailed+reuse"])
-        .output()
-        .expect("calibrate runs");
-    let err = String::from_utf8(out.stderr).expect("stderr is UTF-8");
-    assert!(
-        err.contains(p5_core::ExecutionPlan::GRAMMAR),
-        "usage error prints the grammar: {err}"
-    );
 }
 
 #[test]

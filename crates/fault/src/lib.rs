@@ -558,10 +558,10 @@ pub struct HostFault {
 /// run, keyed by cell index (so the plan is independent of worker
 /// count and claim order — the same cell fails at any `--jobs`).
 ///
-/// A fault fires only where a cell runs. A campaign simulates each
-/// group of cells with one identity once, on the group's lowest index,
-/// and gives that outcome to the rest, so a fault scheduled on any
-/// other index of such a group never fires.
+/// A campaign simulates each group of cells with one identity once, on
+/// the group's lowest index, and gives that outcome to the rest. A fault
+/// scheduled on any index of such a group fires on that one run, so
+/// every cell of the group shares its effect.
 #[derive(Debug, Clone, Default)]
 pub struct ChaosPlan {
     faults: Vec<HostFault>,

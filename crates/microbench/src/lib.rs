@@ -192,21 +192,6 @@ impl MicroBenchmark {
         )
     }
 
-    /// The single-thread IPC the paper reports in Table 3, for the six
-    /// presented benchmarks.
-    #[must_use]
-    pub fn paper_st_ipc(self) -> Option<f64> {
-        match self {
-            MicroBenchmark::LdintL1 => Some(2.29),
-            MicroBenchmark::LdintL2 => Some(0.27),
-            MicroBenchmark::LdintMem => Some(0.02),
-            MicroBenchmark::CpuInt => Some(1.14),
-            MicroBenchmark::CpuFp => Some(0.41),
-            MicroBenchmark::LngChainCpuint => Some(0.51),
-            _ => None,
-        }
-    }
-
     /// The loop body as written in paper Table 2 (for documentation and
     /// the Table 2 experiment).
     #[must_use]
@@ -325,9 +310,6 @@ mod tests {
                 "lng_chain_cpuint"
             ]
         );
-        for b in MicroBenchmark::PRESENTED {
-            assert!(b.paper_st_ipc().is_some());
-        }
     }
 
     #[test]

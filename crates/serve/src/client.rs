@@ -12,9 +12,10 @@
 //! [`Campaign::run`]: p5_experiments::campaign::Campaign::run
 
 use crate::cache::CacheStats;
+use crate::conn::Conn;
 use crate::protocol::{CampaignRequest, Request, Response};
 use p5_experiments::campaign::{aggregate, CampaignResult, CellOutcome};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -35,45 +36,6 @@ impl Endpoint {
             Endpoint::Tcp(addr) => Conn::Tcp(TcpStream::connect(addr)?),
             Endpoint::Unix(path) => Conn::Unix(UnixStream::connect(path)?),
         })
-    }
-}
-
-enum Conn {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Conn {
-    fn try_clone(&self) -> std::io::Result<Conn> {
-        Ok(match self {
-            Conn::Tcp(s) => Conn::Tcp(s.try_clone()?),
-            Conn::Unix(s) => Conn::Unix(s.try_clone()?),
-        })
-    }
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            Conn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            Conn::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            Conn::Unix(s) => s.flush(),
-        }
     }
 }
 

@@ -51,5 +51,6 @@
 
 pub mod cache;
 pub mod client;
+mod conn;
 pub mod protocol;
 pub mod server;

@@ -41,14 +41,15 @@
 //! boundary.
 
 use crate::cache::ResultCache;
+use crate::conn::Conn;
 use crate::protocol::{CampaignRequest, Request, Response};
 use p5_core::CancelToken;
 use p5_experiments::campaign::{replay_cell, run_isolated_cell, CampaignSpec, CellSpec};
 use p5_experiments::{Experiments, Measured};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpListener};
+use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -122,48 +123,6 @@ impl Pool {
         cvar.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
-        }
-    }
-}
-
-/// A connected client stream, transport-erased.
-enum Conn {
-    /// TCP connection.
-    Tcp(TcpStream),
-    /// Unix-domain connection.
-    Unix(UnixStream),
-}
-
-impl Conn {
-    fn try_clone(&self) -> std::io::Result<Conn> {
-        Ok(match self {
-            Conn::Tcp(s) => Conn::Tcp(s.try_clone()?),
-            Conn::Unix(s) => Conn::Unix(s.try_clone()?),
-        })
-    }
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            Conn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            Conn::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            Conn::Unix(s) => s.flush(),
         }
     }
 }

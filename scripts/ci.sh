@@ -139,7 +139,9 @@ rm artifacts/fig2_idle_skip.diff
 # Kill-and-resume determinism: abort the journaled table3 campaign at
 # cell 21 of 42 (exit 3 by the repro exit-code contract), then resume
 # from the journal — the resumed artifacts must be byte-identical to the
-# uninterrupted jobs-1 reference (DESIGN.md §13).
+# uninterrupted jobs-1 reference (DESIGN.md §13). The resume must also
+# have replayed: a journal that loaded nothing, or only stale or corrupt
+# lines, re-simulates every cell and would still match.
 echo "== kill-and-resume determinism: journaled abort + --resume vs plain =="
 rm -rf artifacts/resume_journal artifacts/resumed
 mkdir -p artifacts/resumed
@@ -156,13 +158,23 @@ fi
 cargo run --release --offline -p p5-experiments --bin repro -- \
   --quick --only table3 --jobs 2 \
   --journal artifacts/resume_journal --resume \
-  --csv-dir artifacts/resumed --json-dir artifacts/resumed > /dev/null
+  --csv-dir artifacts/resumed --json-dir artifacts/resumed > artifacts/resume.out
 if ! diff -r artifacts/jobs1 artifacts/resumed > artifacts/resume.diff; then
   echo "RESUME GATE FAILED: resumed artifacts differ from the uninterrupted run"
   cat artifacts/resume.diff
   exit 1
 fi
-rm artifacts/resume.diff
+if ! grep -Eq '^journal: resumed .* with [1-9][0-9]* record\(s\)$' artifacts/resume.out; then
+  echo "RESUME GATE FAILED: the journal loaded no record, or some lines were stale or corrupt"
+  cat artifacts/resume.out
+  exit 1
+fi
+if ! grep -Eq '\([1-9][0-9]* replayed from journal\)' artifacts/resume.out; then
+  echo "RESUME GATE FAILED: the resumed run replayed no cell from the journal"
+  cat artifacts/resume.out
+  exit 1
+fi
+rm artifacts/resume.diff artifacts/resume.out
 rm -rf artifacts/resume_journal
 
 # Serve smoke: a daemon on a unix socket serves the same quick table3
