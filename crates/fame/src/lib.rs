@@ -424,6 +424,23 @@ const WARMUP_CHUNK: u64 = 4096;
 /// convergence is tested, so it is part of the results.
 const CHECK_PERIOD: u64 = 256;
 
+/// Simulated cycles between a simulating thread's yields at its checks
+/// ([`FameRunner::check`]). A thread waiting for a CPU behind a worker,
+/// such as a daemon's handler with a cache hit to answer, then gets one
+/// within this many cycles (0.1–0.25 ms at 8–22M cycles/s) instead of a
+/// scheduler slice. A `yield_now` with nothing else to run costs about
+/// 0.25 µs on a 2-vCPU guest, at most 0.3% of the period; a yield at
+/// every 256-cycle measure check would cost 1–2.6%. Unlike
+/// [`CHECK_PERIOD`], the cadence is not part of the results: a yield
+/// moves no check.
+const YIELD_PERIOD: u64 = 2048;
+
+/// Whether the `ran` cycles that brought the core's cycle counter to
+/// `cycles` crossed a multiple of [`YIELD_PERIOD`].
+fn yield_due(cycles: u64, ran: u64) -> bool {
+    cycles % YIELD_PERIOD < ran
+}
+
 /// Errors with [`SimError::NoActiveThread`] unless a context of `core`
 /// has a program loaded.
 fn require_program(core: &SmtCore) -> Result<(), SimError> {
@@ -559,7 +576,7 @@ impl FameRunner {
     /// detailed warm-up.
     pub fn warm_only(&self, core: &mut SmtCore) -> Result<u64, SimError> {
         require_program(core)?;
-        self.check(core, "warmup")?;
+        self.check(core, "warmup", 0)?;
         let warmup = self.warmup_budget(core);
         match core.config().plan.warmup {
             WarmupMode::Functional => core.functional_warmup(warmup),
@@ -569,7 +586,7 @@ impl FameRunner {
                     let n = WARMUP_CHUNK.min(warmup - warmed);
                     core.run_cycles(n);
                     warmed += n;
-                    self.check(core, "warmup")?;
+                    self.check(core, "warmup", n)?;
                 }
             }
         }
@@ -602,7 +619,14 @@ impl FameRunner {
     /// The check before the warm-up and after every chunk: the core must
     /// pass its forward-progress watchdog, and the run stops once the
     /// token has expired.
-    fn check(&self, core: &SmtCore, phase: &'static str) -> Result<(), SimError> {
+    ///
+    /// It is also the simulating thread's yield point. Once the `ran`
+    /// cycles just simulated cross a multiple of [`YIELD_PERIOD`], the
+    /// thread yields its CPU, so a thread waiting for one runs within a
+    /// period instead of a scheduler slice. The functional phases (the
+    /// `+ff` warm-up and a sampled plan's fast-forward periods) run
+    /// without a check, so they do not yield.
+    fn check(&self, core: &SmtCore, phase: &'static str, ran: u64) -> Result<(), SimError> {
         let watchdog = core.config().watchdog_stall_cycles;
         if watchdog != 0 && core.stalled_cycles() >= watchdog {
             return Err(SimError::ForwardProgressStall {
@@ -611,6 +635,9 @@ impl FameRunner {
         }
         if self.cancel.as_ref().is_some_and(CancelToken::expired) {
             return Err(SimError::Deadline { phase });
+        }
+        if yield_due(core.stats().cycles, ran) {
+            std::thread::yield_now();
         }
         Ok(())
     }
@@ -626,7 +653,7 @@ impl FameRunner {
         let mut tracker = ConvergenceTracker::new(core);
         while !tracker.all_done() && self.within_budget(core) {
             core.run_cycles(CHECK_PERIOD);
-            self.check(core, "measure")?;
+            self.check(core, "measure", CHECK_PERIOD)?;
             tracker.observe(core, &self.config);
         }
         Ok(tracker.finalize(core, warmup))
@@ -648,7 +675,7 @@ impl FameRunner {
         while !sampler.all_done() && self.within_budget(core) {
             let before = ThreadId::ALL.map(|t| core.stats().thread(t).committed);
             core.run_cycles(sampling.interval);
-            self.check(core, "measure")?;
+            self.check(core, "measure", sampling.interval)?;
             sampler.observe(core, before, sampling.interval, &self.config);
             if !sampler.all_done() && self.within_budget(core) {
                 core.functional_warmup(sampling.period);
@@ -1206,6 +1233,22 @@ mod tests {
             plain, tokened,
             "a live token must not perturb the measurement"
         );
+    }
+
+    #[test]
+    fn checks_yield_once_per_yield_period() {
+        // The detailed measure checks every CHECK_PERIOD cycles from a
+        // reset counter: one check in eight yields.
+        let measure: Vec<u64> = (1..=80).map(|k| k * CHECK_PERIOD).collect();
+        let due = measure.iter().filter(|&&c| yield_due(c, CHECK_PERIOD));
+        assert_eq!(due.count(), 10);
+        // A warm-up chunk or a sampled interval past the period always
+        // yields, wherever the counter sits; the check before the
+        // warm-up, after no cycles, never does.
+        for cycles in [WARMUP_CHUNK, 10_000, 50_000 + 10_000, 12_345] {
+            assert!(yield_due(cycles, WARMUP_CHUNK));
+            assert!(!yield_due(cycles, 0));
+        }
     }
 
     #[test]

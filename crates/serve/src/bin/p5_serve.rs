@@ -2,7 +2,9 @@
 //!
 //! Binds a unix or TCP socket, serves campaign requests until a client
 //! sends `shutdown`, and keeps a content-addressed result cache across
-//! requests (persisted under `--cache-dir`, in-memory otherwise).
+//! requests (persisted under `--cache-dir`, in-memory otherwise). Any
+//! argument `--help` does not list, and a flag missing its value, is a
+//! usage error before anything binds.
 
 use p5_serve::cache::ResultCache;
 use p5_serve::server::Server;
@@ -27,7 +29,7 @@ OPTIONS:
                       default). Eviction never touches the journal file
                       — an evicted cell just re-simulates on its next
                       request
-    --help            print this help and exit
+    -h, --help        print this help and exit
 
 The daemon prints one `listening on ...` line once the socket is ready,
 then serves until a client sends a shutdown request. Submit campaigns
@@ -38,6 +40,19 @@ EXIT CODES:
     1    usage error
     2    socket or cache I/O error
 ";
+
+/// The flags `--help` lists that stand alone, in its order.
+const SWITCHES: [&str; 2] = ["-h", "--help"];
+
+/// The flags `--help` lists that take the next argument as their value,
+/// in its order.
+const VALUE_FLAGS: [&str; 5] = [
+    "--unix",
+    "--tcp",
+    "--jobs",
+    "--cache-dir",
+    "--cache-max-entries",
+];
 
 fn value_of(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -51,6 +66,10 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         print!("{HELP}");
         return;
+    }
+    if let Err(e) = p5_experiments::check_args(&args, &SWITCHES, &VALUE_FLAGS) {
+        eprintln!("{e} (see --help)");
+        std::process::exit(1);
     }
     let unix = value_of(&args, "--unix").map(PathBuf::from);
     let tcp = value_of(&args, "--tcp");

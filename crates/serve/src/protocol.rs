@@ -260,12 +260,13 @@ impl Request {
         line
     }
 
-    /// Decodes one line.
+    /// Decodes one line. A campaign field that is absent keeps its
+    /// default; one that is present must have its type.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message for malformed JSON or an
-    /// unknown request kind.
+    /// Returns a human-readable message for malformed JSON, an unknown
+    /// request kind, or a field of the wrong type (naming the field).
     pub fn parse(line: &str) -> Result<Request, String> {
         let v = JsonValue::parse(line).ok_or_else(|| "malformed JSON request".to_string())?;
         match v.get("kind").and_then(JsonValue::as_str) {
@@ -275,7 +276,7 @@ impl Request {
                     .and_then(JsonValue::as_str)
                     .and_then(Fidelity::from_name)
                     .ok_or_else(|| "missing or unknown fidelity".to_string())?;
-                let cells = match v.get("cells").and_then(JsonValue::as_array) {
+                let cells = match typed_field(&v, "cells", "an array", JsonValue::as_array)? {
                     Some(items) => items
                         .iter()
                         .map(|c| {
@@ -285,7 +286,7 @@ impl Request {
                         .collect::<Result<Vec<_>, _>>()?,
                     None => Vec::new(),
                 };
-                let plan = match v.get("plan").and_then(JsonValue::as_str) {
+                let plan = match typed_field(&v, "plan", "a string", JsonValue::as_str)? {
                     Some(spec) => {
                         ExecutionPlan::parse(spec).map_err(|e| format!("invalid plan: {e}"))?
                     }
@@ -293,14 +294,13 @@ impl Request {
                 };
                 Ok(Request::Campaign(CampaignRequest {
                     fidelity,
-                    grid: v
-                        .get("grid")
-                        .and_then(JsonValue::as_str)
+                    grid: typed_field(&v, "grid", "a string", JsonValue::as_str)?
                         .map(ToString::to_string),
                     cells,
-                    seed: v.get("seed").and_then(JsonValue::as_u64),
+                    seed: typed_field(&v, "seed", "an unsigned integer", JsonValue::as_u64)?,
                     plan,
-                    cache: v.get("cache").and_then(JsonValue::as_bool).unwrap_or(true),
+                    cache: typed_field(&v, "cache", "a boolean", JsonValue::as_bool)?
+                        .unwrap_or(true),
                 }))
             }
             Some("stats") => Ok(Request::Stats),
@@ -309,6 +309,19 @@ impl Request {
             None => Err("request has no kind".to_string()),
         }
     }
+}
+
+/// The request field `key` read through `as_type`: `None` when absent,
+/// and an error naming the field when it is present with another type.
+fn typed_field<'v, T>(
+    v: &'v JsonValue,
+    key: &str,
+    expected: &str,
+    as_type: fn(&'v JsonValue) -> Option<T>,
+) -> Result<Option<T>, String> {
+    v.get(key)
+        .map(|value| as_type(value).ok_or_else(|| format!("field {key:?} must be {expected}")))
+        .transpose()
 }
 
 /// A server→client response line.
@@ -498,6 +511,33 @@ mod tests {
             let line = request.to_line();
             assert!(line.ends_with('\n'), "line-delimited framing");
             assert_eq!(Request::parse(line.trim_end()).unwrap(), request);
+        }
+    }
+
+    #[test]
+    fn mistyped_campaign_fields_are_errors_naming_the_field() {
+        let campaign = |extra: &str| {
+            Request::parse(&format!(
+                r#"{{"kind":"campaign","fidelity":"tiny"{extra}}}"#
+            ))
+        };
+        assert_eq!(
+            campaign(r#","grid":"table3""#).unwrap(),
+            Request::Campaign(CampaignRequest::table3(Fidelity::Tiny)),
+            "absent fields keep their defaults"
+        );
+        for (extra, field) in [
+            (r#","seed":"7""#, "seed"),
+            (r#","seed":-7"#, "seed"),
+            (r#","seed":null"#, "seed"),
+            (r#","cache":0"#, "cache"),
+            (r#","cache":"false""#, "cache"),
+            (r#","plan":5"#, "plan"),
+            (r#","cells":"cpu_int""#, "cells"),
+            (r#","grid":3"#, "grid"),
+        ] {
+            let err = campaign(extra).expect_err(extra);
+            assert!(err.contains(&format!("{field:?}")), "{extra}: {err}");
         }
     }
 

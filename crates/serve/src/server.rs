@@ -18,10 +18,15 @@
 //!    pool, each as an independent [`run_isolated_cell`] job — cells
 //!    from concurrent clients interleave in the queue, so one big
 //!    campaign cannot starve the daemon, and a hit never waits behind
-//!    anyone's cold cells. A worker checks the cache again, so a miss
-//!    that another client recorded in the meantime still replays;
+//!    anyone's cold cells: not in the queue, and for a CPU at most one
+//!    yield period, since a simulating worker yields at FAME's checks
+//!    about every 2,048 simulated cycles. A worker checks the cache
+//!    again, so a miss that another client recorded in the meantime
+//!    still replays;
 //! 3. streams the hits back at once and each finished miss in
-//!    completion order, then one `done` line.
+//!    completion order, then one `done` line. A request that sent cells
+//!    to the pool first flushes the journal, so their records are
+//!    durable by `done`; an all-hit request does not fsync.
 //!
 //! A failed write (the client went away) fires the connection's cancel
 //! token: this connection's not-yet-started cells are skipped instead
@@ -335,6 +340,10 @@ fn serve_campaign(shared: &Shared, writer: &mut Conn, request: &CampaignRequest)
             None => misses.push(id),
         }
     }
+    // Only cells sent to the pool can record anything: an all-hit
+    // request neither fsyncs nor waits on the journal's lock for
+    // another request's records.
+    let recorded = request.cache && !misses.is_empty();
     let (tx, rx) = mpsc::channel::<(usize, String, Measured, bool)>();
     for id in misses {
         let ctx = Arc::clone(&ctx);
@@ -376,7 +385,7 @@ fn serve_campaign(shared: &Shared, writer: &mut Conn, request: &CampaignRequest)
             }
         }
     }
-    if request.cache {
+    if recorded {
         shared.cache.flush();
     }
     if client_alive {

@@ -177,15 +177,15 @@ fi
 rm artifacts/resume.diff artifacts/resume.out
 rm -rf artifacts/resume_journal
 
-# Serve smoke: a daemon on a unix socket serves the same quick table3
-# grid twice. Both fetches must be byte-identical to the offline jobs-1
-# reference, and the second must be answered from the result cache
-# (DESIGN.md §14).
+# Serve smoke: a daemon on a unix socket, persisting its cache under
+# --cache-dir, serves the same quick table3 grid twice. Both fetches
+# must be byte-identical to the offline jobs-1 reference, and the second
+# must be answered from the result cache (DESIGN.md §14).
 echo "== p5-serve smoke: daemon-fetched artifacts vs offline + cache hits =="
-rm -rf artifacts/serve1 artifacts/serve2 artifacts/serve.sock
+rm -rf artifacts/serve1 artifacts/serve2 artifacts/serve.sock artifacts/serve_cache
 mkdir -p artifacts/serve1 artifacts/serve2
 cargo run --release --offline -p p5-serve --bin p5_serve -- \
-  --unix artifacts/serve.sock > artifacts/serve.log 2>&1 &
+  --unix artifacts/serve.sock --cache-dir artifacts/serve_cache > artifacts/serve.log 2>&1 &
 serve_pid=$!
 trap 'kill "$serve_pid" 2>/dev/null || true' EXIT
 cargo run --release --offline -p p5-serve --bin p5_client -- \
@@ -239,6 +239,42 @@ if ! grep -q "(42 from server cache)" artifacts/serve4.out; then
 fi
 rm -f artifacts/serve1.out artifacts/serve2.out artifacts/serve3.out \
   artifacts/serve4.out artifacts/serve.log
+
+# Serve restart: a second daemon on the same --cache-dir resumes the 84
+# records the first one wrote (42 detailed and 42 sampled cells) and
+# serves the quick table3 grid from them, byte-identical to offline.
+echo "== p5-serve restart: a second daemon resumes the --cache-dir =="
+rm -rf artifacts/serve_restart
+mkdir -p artifacts/serve_restart
+cargo run --release --offline -p p5-serve --bin p5_serve -- \
+  --unix artifacts/serve.sock --cache-dir artifacts/serve_cache > artifacts/serve_restart.log 2>&1 &
+serve_pid=$!
+trap 'kill "$serve_pid" 2>/dev/null || true' EXIT
+cargo run --release --offline -p p5-serve --bin p5_client -- \
+  --unix artifacts/serve.sock --wait-ready 30000 \
+  --grid table3 --fidelity quick \
+  --csv-dir artifacts/serve_restart --json-dir artifacts/serve_restart > artifacts/serve_restart.out
+cargo run --release --offline -p p5-serve --bin p5_client -- \
+  --unix artifacts/serve.sock --shutdown > /dev/null
+wait "$serve_pid"
+trap - EXIT
+if ! grep -qx "cache: 84 entries resumed from artifacts/serve_cache" artifacts/serve_restart.log; then
+  echo "SERVE RESTART GATE FAILED: the second daemon did not resume the first one's 84 records"
+  cat artifacts/serve_restart.log
+  exit 1
+fi
+if ! grep -q "(42 from server cache)" artifacts/serve_restart.out; then
+  echo "SERVE RESTART GATE FAILED: the restarted daemon should serve the grid from its resumed cache"
+  cat artifacts/serve_restart.out
+  exit 1
+fi
+if ! diff -r artifacts/jobs1 artifacts/serve_restart > artifacts/serve_restart.diff; then
+  echo "SERVE RESTART GATE FAILED: restarted-daemon artifacts differ from the offline reference"
+  cat artifacts/serve_restart.diff
+  exit 1
+fi
+rm -rf artifacts/serve_restart.diff artifacts/serve_restart.out artifacts/serve_restart.log \
+  artifacts/serve_cache
 
 # Benchmark build + smoke: perfbench/ is a workspace of its own, so the
 # workspace build above never compiles it, yet it calls the public API
